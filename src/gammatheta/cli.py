@@ -66,6 +66,11 @@ __all__ = ["main", "build_parser"]
 
 SCHEMA_VERSION = "1"
 
+#: Options that take a float.  argparse reads a separate negative value in
+#: exponent form (``--re -1e-3``) as an option, so ``main`` binds such a value
+#: to its option (``--re=-1e-3``) before parsing.
+_FLOAT_OPTIONS = frozenset({"--re", "--im", "--t", "--accuracy"})
+
 #: Exit status per error class; 0 means no error record was emitted.
 EXIT_CODES = {
     DomainError: 2,
@@ -561,12 +566,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_float(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _bind_float_values(args: list[str]) -> list[str]:
+    """Join each float option with the float token after it."""
+    bound: list[str] = []
+    for token in args:
+        if bound and bound[-1] in _FLOAT_OPTIONS and _is_float(token):
+            bound[-1] += "=" + token
+        else:
+            bound.append(token)
+    return bound
+
+
 def main(argv=None) -> int:
     if hasattr(signal, "SIGPIPE"):
         # Die quietly like any stream tool when a downstream pipe closes.
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
+    args = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = parser.parse_args(_bind_float_values(args))
     emitter = Emitter(ns.format)
     try:
         if ns.seedless:
@@ -579,7 +604,7 @@ def main(argv=None) -> int:
         return 0
     except (DomainError, AccuracyError, ResourceLimitError, ConsistencyError) as exc:
         sys.stdout.flush()
-        _emit_error(ns.command, {"argv": " ".join(argv or sys.argv[1:])}, exc)
+        _emit_error(ns.command, {"argv": " ".join(args)}, exc)
         return EXIT_CODES[type(exc)]
 
 

@@ -5,14 +5,19 @@ A result is a value plus a radius that contains the truth: radius =
 floating-point noise).  The evaluation plan is: shift the argument up by the
 recurrence until its modulus reaches max(k, 1) — this keeps the quadratic
 bounds applicable and kills any truncation floor — sum k series terms plus
-the main terms there, then subtract the shift logs.  Arguments left of the
-imaginary axis go through the reflection identity
-``Gamma(z) Gamma(-z) = -pi / (z sin(pi z))`` first.
+the main terms there, then subtract the shift logs.  The plan (k, shift
+count, winning bound) is made once, at the shifted argument the sum uses.
+Arguments left of the imaginary axis are reflected, not shifted:
+``lngamma(z) = ln pi + s i pi - log z - L_s(z) - lngamma(-z)`` with
+s = sign(Im z), where ``L_s(z) = -ln 2 + s i pi/2 - s i pi z +
+log(1 - e^{2 pi i s z})`` is a log of ``sin(pi z)``; the plan and ``shifts``
+are those of ``-z``.
 
-Branch policy: all logs are principal; the reflected assembly fixes its
-2-pi-i multiple against a cheap shift-route estimate of the imaginary part
-(always accurate to ~0.1, far below the pi resolution needed), so reported
-imaginary parts are the continuous ones, never reduced mod 2 pi.
+Branch policy: all logs are principal.  Each piece of the reflected sum is
+analytic in the open half-plane that holds z (``1 - e^{2 pi i s z}`` has a
+positive real part there), so the sum is already the continuous branch that
+is real on the positive axis: no 2-pi-i multiple is chosen, and reported
+imaginary parts are never reduced mod 2 pi.
 """
 from __future__ import annotations
 
@@ -34,9 +39,10 @@ __all__ = [
     "choose_k",
 ]
 
-_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+_LOG_2PI = math.log(2.0 * math.pi)
+_HALF_LOG_2PI = 0.5 * _LOG_2PI
 _LOG_PI = math.log(math.pi)
-_TWO_PI = 2.0 * math.pi
+_LOG_2 = math.log(2.0)
 #: Hard cap on series terms (Bernoulli index 2k stays under the table cap).
 _K_CAP = _bernoulli_mod.MAX_INDEX // 2 - 1
 
@@ -65,43 +71,44 @@ def _on_cut(z: complex) -> bool:
     return z.imag == 0.0 and z.real <= 0.0
 
 
-def _count_shifts(z: complex, modulus: float) -> int:
-    s = 0
+def _shift(z: complex, modulus: float) -> tuple[complex, int]:
+    """Step ``z`` up by ones until ``|w| >= modulus``.  This ends within
+    ``2 * modulus + 1`` steps: a walk starts only if Re(z) > -modulus, and
+    ``|z + s| >= Re(z) + s``."""
     w = z
+    steps = 0
     while abs(w) < modulus:
         w += 1.0
-        s += 1
-        if s > 10_000_000:
-            raise ResourceLimitError("shift count exceeds supported range")
-    return s
+        steps += 1
+    return w, steps
 
 
 def _family_context(family: str) -> str:
     return "stirling" if family == "stirling" else "gauss"
 
 
-def _eval_right(z: complex, k: int, family: str) -> CertifiedValue:
-    """Shift-sum-subtract evaluation, valid for Re(z) >= 0 off the origin
-    issue (the shifted argument is never 0)."""
-    if not isinstance(k, int) or k < 1:
-        raise DomainError(f"term count must be a positive integer, got {k!r}")
-    if k > _K_CAP:
-        raise ResourceLimitError(
-            f"term count {k} exceeds the Bernoulli-table cap ({_K_CAP})"
-        )
+def _plan(z: complex, k: int, context: str) -> TruncationPlan:
+    """Shift ``z`` until ``|w| >= max(k, 1)`` and bound the remainder there,
+    at the very ``w`` the evaluation sums at."""
+    w, shifts = _shift(z, float(k))
+    bound = best_bound(k, w, context, Target.R_KP1)
+    return TruncationPlan(
+        k=k, shifts=shifts, bound_kind=bound.kind, truncation_bound=bound.value
+    )
+
+
+def _eval_right(z: complex, plan: TruncationPlan, family: str) -> CertifiedValue:
+    """Shift-sum-subtract evaluation for Re(z) >= 0 along ``plan``."""
     fp = FpAccumulator()
-    modulus = float(max(k, 1))
     offset = 0.0 if family == "stirling" else 0.5
     w = z
-    shifts = 0
     log_sum = complex(0.0, 0.0)
-    while abs(w) < modulus:
+    for _ in range(plan.shifts):
         lw = cmath.log(w + offset)
         log_sum += lw
         # One log, one add, plus the rounding of the shifted argument itself.
         fp.charge(max(abs(log_sum), abs(lw), 1.0), ops=2, ulps=4)
         w += 1.0
-        shifts += 1
 
     logw = cmath.log(w)
     if family == "stirling":
@@ -110,80 +117,68 @@ def _eval_right(z: complex, k: int, family: str) -> CertifiedValue:
         main = w * logw - w + _HALF_LOG_2PI
     fp.charge(max(abs(main), abs(w) * abs(logw), 1.0), ops=6)
 
-    terms = partial_sum(family, k, w)
+    terms = partial_sum(family, plan.k, w)
     value = main + terms - log_sum
     # k term additions plus assembly; terms carry <= ~3 ulp each relative
     # to their own (geometrically decaying) magnitudes.
-    fp.charge(max(abs(value), abs(main), 1.0), ops=k + 6)
-
-    bound = best_bound(k, w, _family_context(family), Target.R_KP1)
-    radius = bound.value + fp.total
-    plan = TruncationPlan(
-        k=k, shifts=shifts, bound_kind=bound.kind, truncation_bound=bound.value
+    fp.charge(max(abs(value), abs(main), 1.0), ops=plan.k + 6)
+    return CertifiedValue(
+        value=value, radius=plan.truncation_bound + fp.total, plan=plan
     )
-    return CertifiedValue(value=value, radius=radius, plan=plan)
-
-
-def _imag_estimate(z: complex) -> float:
-    """Continuous Im(lngamma(z)) to ~0.1 absolute, via the shift route with
-    main terms only.  Used solely to pin the 2-pi-i multiple."""
-    n = 0
-    w = z
-    im_logs = 0.0
-    while w.real < 1.0 or abs(w) < 2.0:
-        im_logs += cmath.log(w).imag
-        w += 1.0
-        n += 1
-    main = (w - 0.5) * cmath.log(w) - w
-    return main.imag - im_logs
 
 
 def _reflect(z: complex, inner: CertifiedValue) -> CertifiedValue:
-    """Assemble lngamma(z) for Re(z) < 0 from lngamma(-z)."""
+    """Assemble lngamma(z) for Re(z) < 0, Im(z) != 0, from lngamma(-z)."""
+    s = 1.0 if z.imag > 0.0 else -1.0
     fp = FpAccumulator()
     log_z = cmath.log(z)
     log_sin = _log_sin_pi(z)
-    raw = complex(_LOG_PI, math.pi) - log_z - log_sin - inner.value
-    fp.charge(max(abs(raw), abs(log_sin), math.pi * abs(z), 1.0), ops=10)
-    m = round((_imag_estimate(z) - raw.imag) / _TWO_PI)
-    value = raw + complex(0.0, _TWO_PI * m)
-    radius = inner.radius + fp.total
+    value = complex(_LOG_PI, s * math.pi) - log_z - log_sin - inner.value
+    fp.charge(max(abs(value), abs(log_sin), math.pi * abs(z), 1.0), ops=10)
     return CertifiedValue(
         value=value,
-        radius=radius,
+        radius=inner.radius + fp.total,
         plan=inner.plan,
         flags=inner.flags + ("REFLECTED",),
     )
 
 
 def _log_sin_pi(z: complex) -> complex:
-    """log(sin(pi z)) stable for any imaginary part (branch fixed later)."""
-    y = z.imag
-    if abs(y) <= 20.0:
-        return cmath.log(cmath.sin(math.pi * z))
-    if y > 0:
-        tail = cmath.log(1.0 - cmath.exp(2j * math.pi * z))
-        return complex(-math.log(2.0), 0.5 * math.pi) - 1j * math.pi * z + tail
-    tail = cmath.log(1.0 - cmath.exp(-2j * math.pi * z))
-    return complex(-math.log(2.0), -0.5 * math.pi) + 1j * math.pi * z + tail
+    """A log of sin(pi z) analytic in the open half-plane of z, Im(z) != 0:
+    ``-ln 2 + s i pi/2 - s i pi z + log(1 - e^{2 pi i s z})``, s = sign(Im z).
+
+    With r = Re(z) - round(Re(z)) (exact) and a = 2 pi |Im z| the factor is
+    ``(1 - e^{-a}) + 2 e^{-a} sin^2(pi r) - i s e^{-a} sin(2 pi r)``: no
+    cancellation, so it keeps its relative accuracy next to the poles."""
+    s = 1.0 if z.imag > 0.0 else -1.0
+    r = z.real - round(z.real)
+    y = abs(z.imag)
+    if max(abs(r), y) < 2.0 ** -500:
+        # Here 1 - e^{2 pi i s (r + i y)} = 2 pi (y - i s r) to far below an
+        # ulp, and a subnormal r or y is not rounded again by a product.
+        log_factor = _LOG_2PI + cmath.log(complex(y, -s * r))
+    else:
+        a = 2.0 * math.pi * y
+        decay = math.exp(-a)
+        sin_half = math.sin(math.pi * r)
+        log_factor = cmath.log(complex(
+            2.0 * decay * sin_half * sin_half - math.expm1(-a),
+            -s * decay * math.sin(2.0 * math.pi * r),
+        ))
+    linear = complex(math.pi * y - _LOG_2, s * (0.5 * math.pi - math.pi * z.real))
+    return linear + log_factor
 
 
 def _fp_floor(z: complex) -> float:
     """Conservative lower limit on any achievable radius at ``z``: the
     rounding noise of the assembled value alone."""
-    w = z
-    guard = 0
-    while abs(w) < 1.0:
-        w += 1.0
-        guard += 1
-        if guard > 10_000_000:
-            break
+    w, _ = _shift(z, 1.0)
     scale = abs((w - 0.5) * cmath.log(w) - w) + abs(z) + 1.0
     return 32.0 * math.ulp(scale)
 
 
 def choose_k(z: complex, eps: float, context: str = "stirling") -> TruncationPlan:
-    """Smallest k (with its shift count) whose truncation bound meets eps.
+    """Smallest k whose plan (shift, then bound) meets eps.
 
     Deterministic upward scan under the shift rule |z'| >= max(k, 1).
     Raises an accuracy error, reporting the best achievable radius, when eps
@@ -197,16 +192,10 @@ def choose_k(z: complex, eps: float, context: str = "stirling") -> TruncationPla
     best_value = math.inf
     if eps >= floor:
         for k in range(1, _K_CAP + 1):
-            modulus = float(max(k, 1))
-            shifts = _count_shifts(z, modulus)
-            w = z + shifts
-            bound = best_bound(k, w, context, Target.R_KP1)
-            best_value = min(best_value, bound.value)
-            if bound.value <= eps:
-                return TruncationPlan(
-                    k=k, shifts=shifts, bound_kind=bound.kind,
-                    truncation_bound=bound.value,
-                )
+            plan = _plan(z, k, context)
+            best_value = min(best_value, plan.truncation_bound)
+            if plan.truncation_bound <= eps:
+                return plan
     best_radius = floor + (best_value if math.isfinite(best_value) else 0.0)
     raise AccuracyError(
         f"target accuracy {eps:g} is unattainable (best achievable radius "
@@ -219,8 +208,7 @@ def _default_accuracy(z: complex, family: str) -> float:
     """Default truncation target: 1e-12 relative to a cheap estimate of
     |value| + 1 (main terms at a shifted point minus the shift logs)."""
     offset = 0.0 if family == "stirling" else 0.5
-    shifts = _count_shifts(z, 6.0)
-    w = z + shifts
+    w, shifts = _shift(z, 6.0)
     logw = cmath.log(w)
     if family == "stirling":
         main = (w - 0.5) * logw - w + _HALF_LOG_2PI
@@ -232,14 +220,22 @@ def _default_accuracy(z: complex, family: str) -> float:
 
 def _resolve_request(
     z: complex, family: str, k: int | None, accuracy: float | None
-) -> int:
+) -> TruncationPlan:
+    if not cmath.isfinite(z):
+        raise DomainError(f"z must be finite, got z={z}")
     if k is not None and accuracy is not None:
         raise DomainError("specify either a fixed term count or a target accuracy")
-    if k is not None:
-        return k
-    eps = accuracy if accuracy is not None else _default_accuracy(z, family)
     context = _family_context(family)
-    return choose_k(z, eps, context).k
+    if k is None:
+        eps = accuracy if accuracy is not None else _default_accuracy(z, family)
+        return choose_k(z, eps, context)
+    if not isinstance(k, int) or k < 1:
+        raise DomainError(f"term count must be a positive integer, got {k!r}")
+    if k > _K_CAP:
+        raise ResourceLimitError(
+            f"term count {k} exceeds the Bernoulli-table cap ({_K_CAP})"
+        )
+    return _plan(z, k, context)
 
 
 def eval_lngamma(
@@ -259,8 +255,8 @@ def eval_lngamma(
         inner_accuracy = accuracy / 2.0 if accuracy is not None else None
         inner = eval_lngamma(-z, k=k, accuracy=inner_accuracy)
         return _reflect(z, inner)
-    k_used = _resolve_request(z, "stirling", k, accuracy)
-    return _eval_right(z, k_used, "stirling")
+    plan = _resolve_request(z, "stirling", k, accuracy)
+    return _eval_right(z, plan, "stirling")
 
 
 def eval_lngamma_half(
@@ -272,5 +268,5 @@ def eval_lngamma_half(
         raise DomainError(
             f"the half-shifted evaluation requires Re(z) >= 0, got z={z}"
         )
-    k_used = _resolve_request(z, "gauss", k, accuracy)
-    return _eval_right(z, k_used, "gauss")
+    plan = _resolve_request(z, "gauss", k, accuracy)
+    return _eval_right(z, plan, "gauss")

@@ -32,7 +32,6 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from fractions import Fraction
 
 import mpmath as mp
 from mpmath import mpc, mpf
@@ -42,7 +41,7 @@ from .bernoulli import bernoulli_number, shared_table
 from .bounds import eta_fraction
 from .errors import ConsistencyError, DomainError, ResourceLimitError
 from .fputil import log_abs_fraction
-from .series import k_min, term_coefficient
+from .series import EMPIRICAL_CONSTANT, k_min, term_coefficient
 
 __all__ = [
     "MAX_DIGITS",
@@ -575,12 +574,15 @@ def oracle_theta_remainder(k: int, t, digits: int = 30) -> mpf:
         return +(r.imag / 2)
 
 
+def _empirical_constant() -> mpf:
+    return mpf(EMPIRICAL_CONSTANT.numerator) / EMPIRICAL_CONSTANT.denominator
+
+
 def theta_series_value(
     t,
     k: int,
     digits: int = 30,
     variant: str = "standard",
-    correction_constant=Fraction(1, 12),
 ) -> mpf:
     """Reference value of a truncated theta approximation at full precision:
     main terms plus k series terms, optionally with the arctan correction
@@ -608,9 +610,7 @@ def theta_series_value(
         if variant == "empirical":
             report = k_min(tf)
             t_min = _coeff("theta", report.k_min) / tt ** (2 * report.k_min - 1)
-            cc = Fraction(correction_constant)
-            correction = mpf(cc.numerator) / cc.denominator
-            value += (mp.pi * tt - report.k_min + correction) * t_min
+            value += (mp.pi * tt - report.k_min + _empirical_constant()) * t_min
     with mp.workdps(digits):
         return +value
 
@@ -671,7 +671,7 @@ def table2_row(t, digits: int | None = None) -> NormalizedErrorRow:
         arctan_corrected = standard + mp.atan(mp.exp(-mp.pi * tt)) / 2
         col_a = (theta_true - standard) / t_min
         col_c = (theta_true - arctan_corrected) / t_min
-        col_d = col_c - (mp.pi * tt - km + mpf(1) / 12)
+        col_d = col_c - (mp.pi * tt - km + _empirical_constant())
         eta = eta_fraction(km)
         col_b = mpf(eta.numerator) / eta.denominator * mp.sqrt(mp.pi * km)
     with mp.workdps(25):

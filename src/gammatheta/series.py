@@ -37,6 +37,7 @@ __all__ = [
     "term_coefficient",
     "partial_sum",
     "k_min",
+    "EMPIRICAL_CONSTANT",
     "unimodality_check",
     "term_ratio",
 ]
@@ -46,6 +47,10 @@ FAMILIES = ("stirling", "gauss", "theta")
 #: Smallest positive subnormal double; used to clamp fully underflowed
 #: least-term magnitudes so downstream ratios stay finite.
 TINY = 5e-324
+
+#: The constant of the empirical least-term correction to theta,
+#: ``(pi t - k_min + 1/12) * T_min``.
+EMPIRICAL_CONSTANT = Fraction(1, 12)
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,8 @@ corrections:
 * ``EMPIRICAL`` further adds ``(pi t - k_min + 1/12) * T_min`` — an
   empirically fitted correction with no proven bound.  Its certified radius
   deliberately equals the ARCTAN radius (the improvement is advisory only,
-  reported in ``advisory_correction``); the 1/12 constant is exposed as
-  ``correction_constant`` for experimentation.
+  reported in ``advisory_correction``); the 1/12 is
+  ``series.EMPIRICAL_CONSTANT``.
 
 Negative ``t`` reduces by oddness before any series work; ``t = 0`` is the
 exact special case: value 0, radius 0.
@@ -27,7 +27,7 @@ from enum import Enum
 from .bounds import BoundKind, Target, best_bound
 from .errors import DomainError
 from .fputil import FpAccumulator, up
-from .series import TINY, k_min, partial_sum
+from .series import EMPIRICAL_CONSTANT, TINY, k_min, partial_sum
 
 __all__ = [
     "ThetaVariant",
@@ -84,19 +84,10 @@ def re_rhat_identity(t: float) -> float:
     return -0.5 * math.log1p(math.exp(-2.0 * math.pi * t))
 
 
-def _resolve_k(t: float, k) -> int:
-    if k is None or k == "auto":
-        return k_min(t).k_min
-    if not isinstance(k, int) or k < 1:
-        raise DomainError(f"term count must be a positive integer or 'auto', got {k!r}")
-    return k
-
-
 def eval_theta(
     t: float,
     k: int | str | None = "auto",
     variant: ThetaVariant = ThetaVariant.ARCTAN,
-    correction_constant: float = 1.0 / 12.0,
 ) -> ThetaResult:
     """Certified theta value at ``t``; ``k='auto'`` uses the least-term index.
 
@@ -111,7 +102,7 @@ def eval_theta(
             flags=("EXACT_ZERO",),
         )
     if t < 0.0:
-        pos = eval_theta(-t, k, variant, correction_constant)
+        pos = eval_theta(-t, k, variant)
         advisory = (
             -pos.advisory_correction if pos.advisory_correction is not None else None
         )
@@ -119,7 +110,12 @@ def eval_theta(
     if math.isinf(t) or math.isnan(t):
         raise DomainError(f"t must be finite, got {t!r}")
 
-    k_used = _resolve_k(t, k)
+    auto = k is None or k == "auto"
+    if not auto and (not isinstance(k, int) or k < 1):
+        raise DomainError(f"term count must be a positive integer or 'auto', got {k!r}")
+    # one least-term scan serves both auto mode and the empirical correction
+    report = k_min(t) if auto or variant is ThetaVariant.EMPIRICAL else None
+    k_used = report.k_min if auto else k
     fp = FpAccumulator()
     flags: list[str] = []
 
@@ -139,9 +135,8 @@ def eval_theta(
 
     advisory = None
     if variant is ThetaVariant.EMPIRICAL:
-        report = k_min(t)
         advisory = (
-            math.pi * t - report.k_min + correction_constant
+            math.pi * t - report.k_min + float(EMPIRICAL_CONSTANT)
         ) * report.t_min
         value += advisory
         fp.charge(max(abs(value), 1.0), ops=3)

@@ -264,3 +264,35 @@ def test_success_leaves_stderr_empty():
     result = run_cli("table1", "--kmax", "3")
     assert result.code == 0
     assert result.err == ""
+
+
+# -- negative values in exponent form -----------------------------------------
+
+
+def test_negative_values_in_exponent_form_are_values_not_options():
+    result = run_cli("lngamma", "--re", "-1e-3", "--im", "-2.7e-07")
+    assert result.code == 0
+    record = parse_json_lines(result.out)[0]
+    assert record["inputs"]["re"] == "-0.001"
+    assert record["inputs"]["im"] == "-2.7e-07"
+    # the echoed inputs feed straight back in
+    inputs = record["inputs"]
+    again = run_cli("lngamma", "--re", inputs["re"], "--im", inputs["im"])
+    assert again.out == result.out
+
+    theta = parse_json_lines(run_cli("theta", "--t", "-1.5e2").out)[0]["outputs"]
+    assert float(theta["value"]) == -float(
+        parse_json_lines(run_cli("theta", "--t", "150").out)[0]["outputs"]["value"]
+    )
+
+
+def test_error_records_keep_the_argv_as_given():
+    result = run_cli("lngamma", "--re", "-1e-3", "--im", "0")
+    assert result.code == 2
+    error = json.loads(result.err)
+    assert error["error"]["type"] == "DomainError"
+    assert error["inputs"]["argv"] == "lngamma --re -1e-3 --im 0"
+
+    result = run_cli("lngamma", "--re", "2", "--im", "1", "--accuracy", "-1e-9")
+    assert result.code == 2
+    assert json.loads(result.err)["inputs"]["argv"].endswith("--accuracy -1e-9")

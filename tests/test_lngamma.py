@@ -55,6 +55,24 @@ def test_the_cut_is_rejected(z):
         eval_lngamma(z)
 
 
+@pytest.mark.parametrize("k", [None, 5])
+@pytest.mark.parametrize(
+    "z",
+    [
+        complex(-math.inf, 1.0),
+        complex(-1.0, math.nan),
+        complex(-1.0, math.inf),
+        complex(math.inf, 1.0),
+    ],
+)
+def test_non_finite_arguments_are_rejected(z, k):
+    with pytest.raises(DomainError):
+        eval_lngamma(z, k=k)
+    if z.real >= 0.0:
+        with pytest.raises(DomainError):
+            eval_lngamma_half(z, k=k)
+
+
 def test_reflection_is_flagged_and_contained():
     result = eval_lngamma(complex(-2.5, 1.0))
     assert "REFLECTED" in result.flags
@@ -168,3 +186,33 @@ def test_imaginary_part_tracks_the_reference_branch():
     for z in LEFT_POINTS + [complex(0.5, 40.0)]:
         result = eval_lngamma(z)
         assert abs(result.value.imag - reference(z).imag) <= result.radius
+
+
+# -- the accuracy contract ---------------------------------------------------
+# At these points z + s and z stepped up s times by 1.0 are different doubles,
+# so a plan bounded at one and evaluated at the other can miss its target.
+
+SHIFTED_PLAN_POINTS = [
+    complex(0.5959789505447018, 0.8307046096890227),
+    complex(0.0139853837494369, 2.659607015514653),
+    complex(0.8671255084245141, -0.9535877157880019),
+    complex(0.1273074741636127, 2.206674203566334),
+]
+
+
+def test_requested_accuracy_is_met_where_the_shifted_argument_rounds():
+    eps = 9.484752793206757e-10
+    result = eval_lngamma(complex(0.5959789505447018, 0.8307046096890227), accuracy=eps)
+    assert result.plan.truncation_bound <= eps
+
+
+@pytest.mark.parametrize("z", SHIFTED_PLAN_POINTS)
+def test_the_evaluation_reports_the_plan_it_was_chosen_by(z):
+    for eps in (1e-6, 1e-8, 1e-10, 2.3163171255012654e-11, 2.5609773923255426e-12):
+        plain = eval_lngamma(z, accuracy=eps).plan
+        assert choose_k(z, eps) == plain
+        assert plain.truncation_bound <= eps
+        half = eval_lngamma_half(z, accuracy=eps).plan
+        assert choose_k(z, eps, context="gauss") == half
+        assert half.truncation_bound <= eps
+

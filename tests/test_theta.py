@@ -102,9 +102,6 @@ def test_empirical_advisory_matches_its_formula():
     result = eval_theta(t, variant=ThetaVariant.EMPIRICAL)
     want = (math.pi * t - report.k_min + 1.0 / 12.0) * report.t_min
     assert result.advisory_correction == pytest.approx(want, rel=1e-12)
-    shifted = eval_theta(t, variant=ThetaVariant.EMPIRICAL, correction_constant=0.25)
-    want_shifted = (math.pi * t - report.k_min + 0.25) * report.t_min
-    assert shifted.advisory_correction == pytest.approx(want_shifted, rel=1e-12)
 
 
 def test_advisory_correction_is_odd_with_the_value():
