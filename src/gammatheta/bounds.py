@@ -40,14 +40,30 @@ HARE                   |R_k| via 1/|Im z|^(2k-1), needs Im z != 0
 FAULTY_HISTORICAL      a known-wrong theta bound kept for falsification
 CONJECTURED_QUADRATIC  sharper quadratic bound, unproven below k = 34
 =====================  ================================================
+
+Selection.  Each context has a ladder of the paper's own families, strongest
+first: CK_QUADRATIC, QUADRATIC, GAMMA_RATIO, SQRT_PIK for ``stirling``; the
+same four through ``half_bound`` for ``gauss``; THETA_QUADRATIC,
+THETA_GAMMA_RATIO, THETA_SQRT_PIK for ``theta``.  Their factors on the common
+term are c_k < 1/(pi^2 - 1) < pi/2 <= sqrt(pi) Gamma(k+1/2)/Gamma(k) <
+sqrt(pi k) (the quadratic forms need k <= |z|, c_k also k <= 100), times
+eta_k for the half and theta rungs.  Rounding is monotone and the theta
+products below the normal range go through logs, as THETA_GAMMA_RATIO does,
+so no later applicable rung is smaller in doubles either.  ``best_bound``
+builds only the first applicable rung and the classical bounds at the target
+and returns the smallest.  Ties: a classical bound replaces the rung only when
+strictly smaller, so at a tie the kind reported is the ladder's first
+applicable family (then the classical bounds in catalog order).
 """
 from __future__ import annotations
 
 import math
+import sys
 import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import partial
 
 from mpmath import mp
 
@@ -308,23 +324,37 @@ def _gamma_ratio(k: int) -> float:
     return up(math.sqrt(math.pi) * math.exp(math.lgamma(k + 0.5) - math.lgamma(k)))
 
 
-def _abs_term(kind: str, k: int, z: complex) -> float:
-    term = stirling_term(k, z) if kind == "stirling" else gauss_term(k, z)
-    return abs(term)
+def _plain_factor(kind: BoundKind, k: int, z: complex) -> float | str:
+    """After-k-terms normalized factor of a plain-family bound at ``z``, or
+    the reason the bound does not apply there; no term is formed."""
+    if not _right_half_plane(z):
+        return "requires the closed right half-plane, z != 0"
+    if kind is BoundKind.GAMMA_RATIO:
+        return _gamma_ratio(k)
+    if kind is BoundKind.SQRT_PIK:
+        return up(math.sqrt(math.pi * k))
+    if kind is BoundKind.CK_QUADRATIC and k > CkTable.MAX_K:
+        return f"c_k verified only for k <= {CkTable.MAX_K}"
+    az = abs(z)
+    if k > az:
+        return "requires k <= |z|"
+    ratio = k / az
+    if kind is BoundKind.QUADRATIC:
+        return up(ratio * ratio / _PI2M1_DOWN, 2)
+    return up(c_k(k) * ratio * ratio, 2)
 
 
-def _plain_bound(
-    kind: BoundKind,
-    k: int,
-    z: complex,
-    target: Target,
-    base_normalized: float,
-) -> BoundResult:
-    """Assemble a right-half-plane bound from its after-k-terms normalized
-    form; the before-k-th-term form adds exactly 1 (triangle inequality)."""
-    normalized = base_normalized + (1.0 if target is Target.R_K else 0.0)
+def _plain_bound(kind: BoundKind, k: int, z: complex, target: Target) -> BoundResult:
+    """A right-half-plane bound from its after-k-terms normalized factor;
+    the before-k-th-term form adds exactly 1 (triangle inequality)."""
+    _check_k(k)
+    z = complex(z)
+    factor = _plain_factor(kind, k, z)
+    if isinstance(factor, str):
+        return _not_applicable(kind, target, factor)
+    normalized = factor + (1.0 if target is Target.R_K else 0.0)
     normalized = up(normalized, _CHAINS)
-    value = _clamp(up(normalized * _abs_term("stirling", k, z), _CHAINS))
+    value = _clamp(up(normalized * abs(stirling_term(k, z)), _CHAINS))
     return BoundResult(kind=kind, target=target, value=value, normalized=normalized)
 
 
@@ -332,62 +362,22 @@ def gamma_ratio_bound(
     k: int, z: complex, target: Target = Target.R_KP1
 ) -> BoundResult:
     """Sharpest general right-half-plane bound for the plain family."""
-    _check_k(k)
-    z = complex(z)
-    if not _right_half_plane(z):
-        return _not_applicable(
-            BoundKind.GAMMA_RATIO, target, "requires the closed right half-plane, z != 0"
-        )
-    return _plain_bound(BoundKind.GAMMA_RATIO, k, z, target, _gamma_ratio(k))
+    return _plain_bound(BoundKind.GAMMA_RATIO, k, z, target)
 
 
 def sqrt_pik_bound(k: int, z: complex, target: Target = Target.R_KP1) -> BoundResult:
     """Closed-form weakening of the gamma-ratio bound: sqrt(pi k)."""
-    _check_k(k)
-    z = complex(z)
-    if not _right_half_plane(z):
-        return _not_applicable(
-            BoundKind.SQRT_PIK, target, "requires the closed right half-plane, z != 0"
-        )
-    return _plain_bound(BoundKind.SQRT_PIK, k, z, target, up(math.sqrt(math.pi * k)))
+    return _plain_bound(BoundKind.SQRT_PIK, k, z, target)
 
 
 def quadratic_bound(k: int, z: complex, target: Target = Target.R_KP1) -> BoundResult:
     """(k/|z|)^2 / (pi^2 - 1) bound, valid for k <= |z|."""
-    _check_k(k)
-    z = complex(z)
-    if not _right_half_plane(z):
-        return _not_applicable(
-            BoundKind.QUADRATIC, target, "requires the closed right half-plane, z != 0"
-        )
-    az = abs(z)
-    if k > az:
-        return _not_applicable(BoundKind.QUADRATIC, target, "requires k <= |z|")
-    ratio = k / az
-    return _plain_bound(
-        BoundKind.QUADRATIC, k, z, target, up(ratio * ratio / _PI2M1_DOWN, 2)
-    )
+    return _plain_bound(BoundKind.QUADRATIC, k, z, target)
 
 
 def ck_bound(k: int, z: complex, target: Target = Target.R_KP1) -> BoundResult:
     """c_k (k/|z|)^2 bound, valid for k <= |z| and k <= 100."""
-    _check_k(k)
-    z = complex(z)
-    if not _right_half_plane(z):
-        return _not_applicable(
-            BoundKind.CK_QUADRATIC, target, "requires the closed right half-plane, z != 0"
-        )
-    if k > CkTable.MAX_K:
-        return _not_applicable(
-            BoundKind.CK_QUADRATIC, target, f"c_k verified only for k <= {CkTable.MAX_K}"
-        )
-    az = abs(z)
-    if k > az:
-        return _not_applicable(BoundKind.CK_QUADRATIC, target, "requires k <= |z|")
-    ratio = k / az
-    return _plain_bound(
-        BoundKind.CK_QUADRATIC, k, z, target, up(c_k(k) * ratio * ratio, 2)
-    )
+    return _plain_bound(BoundKind.CK_QUADRATIC, k, z, target)
 
 
 # ---------------------------------------------------------------------------
@@ -399,13 +389,6 @@ _HALF_KIND = {
     BoundKind.SQRT_PIK: BoundKind.HALF_SQRT_PIK,
     BoundKind.QUADRATIC: BoundKind.HALF_QUADRATIC,
     BoundKind.CK_QUADRATIC: BoundKind.CK_QUADRATIC,
-}
-
-_BASE_FN = {
-    BoundKind.GAMMA_RATIO: gamma_ratio_bound,
-    BoundKind.SQRT_PIK: sqrt_pik_bound,
-    BoundKind.QUADRATIC: quadratic_bound,
-    BoundKind.CK_QUADRATIC: ck_bound,
 }
 
 
@@ -441,15 +424,15 @@ def half_bound(
         raise DomainError(f"unsupported base bound kind {base!r}")
     z = complex(z)
     kind = _HALF_KIND[base]
-    base_result = _BASE_FN[base](k, z, Target.R_KP1)
-    if not base_result.applicable:
-        return _not_applicable(kind, target, base_result.reason)
+    base_factor = _plain_factor(base, k, z)
+    if isinstance(base_factor, str):
+        return _not_applicable(kind, target, base_factor)
     factor, flags = _eta_factor(k, abs(z), omit_eta)
-    normalized = factor * base_result.normalized
+    normalized = factor * up(base_factor, _CHAINS)
     if target is Target.R_K:
         normalized += 1.0
     normalized = up(normalized, _CHAINS)
-    value = _clamp(up(normalized * _abs_term("gauss", k, z), _CHAINS))
+    value = _clamp(up(normalized * abs(gauss_term(k, z)), _CHAINS))
     return BoundResult(
         kind=kind, target=target, value=value, normalized=normalized, flags=flags
     )
@@ -461,6 +444,18 @@ def half_bound(
 
 def _log_abs_bernoulli(k: int) -> float:
     return log_abs_fraction(Fraction(bernoulli_number(2 * k)))
+
+
+def _times_theta_term(normalized: float, k: int, t: float) -> float:
+    """``normalized * T_k(t)`` rounded up.  Below the normal range the guard
+    factors no longer move a value and the rounded term can sit half a
+    subnormal step low, so there the product is formed from logs, as the
+    theta gamma-ratio bound is, and stepped up once."""
+    value = up(normalized * theta_term(k, t), _CHAINS)
+    if 0.0 < normalized and value < sys.float_info.min:
+        value = up(math.exp(math.log(normalized) + _log_theta_term(k, t)), _CHAINS)
+        value = math.nextafter(value, math.inf)
+    return _clamp(value)
 
 
 def theta_bound(
@@ -500,7 +495,7 @@ def theta_bound(
     if kind is BoundKind.THETA_SQRT_PIK:
         factor, flags = _eta_factor(k, t, omit_eta)
         normalized = up(factor * math.sqrt(math.pi * k), _CHAINS)
-        value = _clamp(up(normalized * theta_term(k, t), _CHAINS))
+        value = _times_theta_term(normalized, k, t)
         return BoundResult(
             kind=kind, target=target, value=value, normalized=normalized, flags=flags
         )
@@ -511,7 +506,7 @@ def theta_bound(
         factor, flags = _eta_factor(k, t, omit_eta)
         ratio = k / t
         normalized = up(factor * ratio * ratio / _PI2M1_DOWN, _CHAINS)
-        value = _clamp(up(normalized * theta_term(k, t), _CHAINS))
+        value = _times_theta_term(normalized, k, t)
         return BoundResult(
             kind=kind, target=target, value=value, normalized=normalized, flags=flags
         )
@@ -534,6 +529,14 @@ def theta_bound(
 # Classical bounds from the literature (plain family only).
 # ---------------------------------------------------------------------------
 
+#: The classical bounds of the literature at their native targets.  They
+#: bound the plain family only and keep no fixed order against the ladders.
+_CLASSICAL = {
+    Target.R_KP1: (BoundKind.BEHNKE_SOMMER,),
+    Target.R_K: (BoundKind.WHITTAKER_WATSON, BoundKind.STIELTJES, BoundKind.HARE),
+}
+
+
 def literature_bound(
     kind: BoundKind, k: int, z: complex, target: Target
 ) -> BoundResult:
@@ -547,39 +550,36 @@ def literature_bound(
     z = complex(z)
     if z == 0:
         return _not_applicable(kind, target, "argument must be nonzero")
+    native = next((tgt for tgt, kinds in _CLASSICAL.items() if kind in kinds), target)
+    if target is not native:
+        return _not_applicable(kind, target, f"bounds only the {native.value} remainder")
     theta_z = math.atan2(z.imag, z.real)
 
     if kind is BoundKind.WHITTAKER_WATSON:
-        if target is not Target.R_K:
-            return _not_applicable(kind, target, "bounds only the before-k-th-term remainder")
         if z.real <= 0.0:
             return _not_applicable(kind, target, "requires Re(z) > 0")
         if abs(theta_z) <= 0.25 * math.pi:
             factor = 1.0
         else:
             factor = up(1.0 / abs(math.sin(2.0 * theta_z)), 2)
-        value = _clamp(up(factor * _abs_term("stirling", k, z), 2))
+        value = _clamp(up(factor * abs(stirling_term(k, z)), 2))
         return BoundResult(kind=kind, target=target, value=value, normalized=factor)
 
     if kind is BoundKind.STIELTJES:
-        if target is not Target.R_K:
-            return _not_applicable(kind, target, "bounds only the before-k-th-term remainder")
         if not abs(theta_z) < math.pi:
             return _not_applicable(kind, target, "requires |arg z| < pi")
         log_sec = -math.log(math.cos(0.5 * theta_z))
         if 2 * k * log_sec > 700.0:
             return _not_applicable(kind, target, "bound value exceeds double range")
         factor = up(math.exp(2 * k * log_sec), 4)
-        value = _clamp(up(factor * _abs_term("stirling", k, z), 4))
+        value = _clamp(up(factor * abs(stirling_term(k, z)), 4))
         return BoundResult(kind=kind, target=target, value=value, normalized=factor)
 
     if kind is BoundKind.BEHNKE_SOMMER:
-        if target is not Target.R_KP1:
-            return _not_applicable(kind, target, "bounds only the after-k-terms remainder")
         if not _right_half_plane(z):
             return _not_applicable(kind, target, "requires the closed right half-plane, z != 0")
         normalized = up(1.0 + 0.5 * (2 * k + 1) * math.sqrt(math.pi / k), _CHAINS)
-        value = _clamp(up(normalized * _abs_term("stirling", k + 1, z), _CHAINS))
+        value = _clamp(up(normalized * abs(stirling_term(k + 1, z)), _CHAINS))
         return BoundResult(
             kind=kind,
             target=target,
@@ -589,8 +589,6 @@ def literature_bound(
         )
 
     if kind is BoundKind.HARE:
-        if target is not Target.R_K:
-            return _not_applicable(kind, target, "bounds only the before-k-th-term remainder")
         if z.imag == 0.0:
             return _not_applicable(kind, target, "requires Im(z) != 0")
         logv = (
@@ -606,7 +604,7 @@ def literature_bound(
             value = _clamp(up(math.exp(logv), _CHAINS))
         except OverflowError:
             return _not_applicable(kind, target, "bound value exceeds double range")
-        at = _abs_term("stirling", k, z)
+        at = abs(stirling_term(k, z))
         normalized = up(value / at, 2) if at > 0 else math.inf
         return BoundResult(kind=kind, target=target, value=value, normalized=normalized)
 
@@ -663,7 +661,7 @@ def conjectured_bound(
         normalized = up(k * k / den, _CHAINS)
     else:
         normalized = up((math.pi * az) ** 2 / den, _CHAINS)
-    value = _clamp(up(normalized * _abs_term("stirling", k, z), _CHAINS))
+    value = _clamp(up(normalized * abs(stirling_term(k, z)), _CHAINS))
     flag = "PROVEN" if k >= 34 else "CONJECTURED"
     return BoundResult(
         kind=BoundKind.CONJECTURED_QUADRATIC,
@@ -678,16 +676,47 @@ def conjectured_bound(
 # Selection.
 # ---------------------------------------------------------------------------
 
-_CONTEXTS = ("stirling", "gauss", "theta")
+def _theta_at(
+    kind: BoundKind, k: int, argument: complex, target: Target
+) -> BoundResult:
+    """A theta-family bound at ``target``: the before-k-th-term remainder
+    adds the k-th term itself to the after-k-terms one."""
+    t = float(argument.real) if isinstance(argument, complex) else float(argument)
+    res = theta_bound(k, t, kind)
+    if not res.applicable or target is Target.R_KP1:
+        return res
+    return BoundResult(
+        kind=res.kind,
+        target=Target.R_K,
+        value=_clamp(up(res.value + theta_term(k, t), 2)),
+        normalized=up(res.normalized + 1.0, 2),
+        flags=res.flags,
+    )
 
-#: Candidate order fixes tie-breaks deterministically; the classical bounds
-#: come after the in-house family so an exact tie (e.g. both normalized 1 on
-#: the positive real axis) resolves to the earlier, fewer-guard result.
-_LITERATURE_R_K = (
-    BoundKind.WHITTAKER_WATSON,
-    BoundKind.STIELTJES,
-    BoundKind.HARE,
+
+#: The ladders of the module docstring.
+_PLAIN_LADDER = (
+    BoundKind.CK_QUADRATIC,
+    BoundKind.QUADRATIC,
+    BoundKind.GAMMA_RATIO,
+    BoundKind.SQRT_PIK,
 )
+_THETA_LADDER = (
+    BoundKind.THETA_QUADRATIC,
+    BoundKind.THETA_GAMMA_RATIO,
+    BoundKind.THETA_SQRT_PIK,
+)
+_LADDERS = {
+    "stirling": tuple(partial(_plain_bound, kind) for kind in _PLAIN_LADDER),
+    "gauss": tuple(partial(half_bound, base=kind) for kind in _PLAIN_LADDER),
+    "theta": tuple(partial(_theta_at, kind) for kind in _THETA_LADDER),
+}
+
+
+def _tables(context: str, target: Target) -> tuple[tuple, tuple[BoundKind, ...]]:
+    if context not in _LADDERS:
+        raise DomainError(f"unknown bound context {context!r}")
+    return _LADDERS[context], _CLASSICAL[target] if context == "stirling" else ()
 
 
 def applicable_bounds(
@@ -696,55 +725,12 @@ def applicable_bounds(
     context: str,
     target: Target = Target.R_KP1,
 ) -> list[BoundResult]:
-    """Every rigorous bound for the context/target, applicable or not.
-
-    Classical literature bounds are stated for the plain family only and
-    are offered only at their native target.
-    """
-    if context not in _CONTEXTS:
-        raise DomainError(f"unknown bound context {context!r}")
-    results: list[BoundResult] = []
-    if context == "stirling":
-        z = complex(argument)
-        results.append(gamma_ratio_bound(k, z, target))
-        results.append(sqrt_pik_bound(k, z, target))
-        results.append(quadratic_bound(k, z, target))
-        results.append(ck_bound(k, z, target))
-        if target is Target.R_K:
-            for kind in _LITERATURE_R_K:
-                results.append(literature_bound(kind, k, z, target))
-        else:
-            results.append(
-                literature_bound(BoundKind.BEHNKE_SOMMER, k, z, target)
-            )
-    elif context == "gauss":
-        z = complex(argument)
-        for base in (
-            BoundKind.GAMMA_RATIO,
-            BoundKind.SQRT_PIK,
-            BoundKind.QUADRATIC,
-            BoundKind.CK_QUADRATIC,
-        ):
-            results.append(half_bound(k, z, target, base))
-    else:
-        t = float(argument.real) if isinstance(argument, complex) else float(argument)
-        for kind in (
-            BoundKind.THETA_GAMMA_RATIO,
-            BoundKind.THETA_SQRT_PIK,
-            BoundKind.THETA_QUADRATIC,
-        ):
-            res = theta_bound(k, t, kind)
-            if res.applicable and target is Target.R_K:
-                tt = theta_term(k, t)
-                res = BoundResult(
-                    kind=res.kind,
-                    target=Target.R_K,
-                    value=_clamp(up(res.value + tt, 2)),
-                    normalized=up(res.normalized + 1.0, 2),
-                    flags=res.flags,
-                )
-            results.append(res)
-    return results
+    """Every rigorous bound for the context/target, applicable or not: the
+    context's ladder in order, then its classical bounds."""
+    ladder, classical = _tables(context, target)
+    return [build(k, argument, target) for build in ladder] + [
+        literature_bound(kind, k, argument, target) for kind in classical
+    ]
 
 
 def best_bound(
@@ -754,12 +740,22 @@ def best_bound(
     target: Target = Target.R_KP1,
 ) -> BoundResult:
     """Minimum applicable rigorous bound (faulty/conjectured are excluded
-    by construction — they are not in the candidate set)."""
+    by construction — they are not in the candidate set).
+
+    Only the first applicable ladder entry and the classical bounds can be
+    the minimum, so only they are built; a classical bound replaces the
+    ladder entry only when strictly smaller.
+    """
+    ladder, classical = _tables(context, target)
     best: BoundResult | None = None
-    for candidate in applicable_bounds(k, argument, context, target):
-        if not candidate.applicable:
-            continue
-        if best is None or candidate.value < best.value:
+    for build in ladder:
+        candidate = build(k, argument, target)
+        if candidate.applicable:
+            best = candidate
+            break
+    for kind in classical:
+        candidate = literature_bound(kind, k, argument, target)
+        if candidate.applicable and (best is None or candidate.value < best.value):
             best = candidate
     if best is None:
         raise DomainError(

@@ -83,15 +83,11 @@ def _shift(z: complex, modulus: float) -> tuple[complex, int]:
     return w, steps
 
 
-def _family_context(family: str) -> str:
-    return "stirling" if family == "stirling" else "gauss"
-
-
-def _plan(z: complex, k: int, context: str) -> TruncationPlan:
+def _plan(z: complex, k: int, family: str) -> TruncationPlan:
     """Shift ``z`` until ``|w| >= max(k, 1)`` and bound the remainder there,
     at the very ``w`` the evaluation sums at."""
     w, shifts = _shift(z, float(k))
-    bound = best_bound(k, w, context, Target.R_KP1)
+    bound = best_bound(k, w, family, Target.R_KP1)
     return TruncationPlan(
         k=k, shifts=shifts, bound_kind=bound.kind, truncation_bound=bound.value
     )
@@ -122,9 +118,9 @@ def _eval_right(z: complex, plan: TruncationPlan, family: str) -> CertifiedValue
     # k term additions plus assembly; terms carry <= ~3 ulp each relative
     # to their own (geometrically decaying) magnitudes.
     fp.charge(max(abs(value), abs(main), 1.0), ops=plan.k + 6)
-    return CertifiedValue(
+    return _finite(CertifiedValue(
         value=value, radius=plan.truncation_bound + fp.total, plan=plan
-    )
+    ))
 
 
 def _reflect(z: complex, inner: CertifiedValue) -> CertifiedValue:
@@ -135,12 +131,23 @@ def _reflect(z: complex, inner: CertifiedValue) -> CertifiedValue:
     log_sin = _log_sin_pi(z)
     value = complex(_LOG_PI, s * math.pi) - log_z - log_sin - inner.value
     fp.charge(max(abs(value), abs(log_sin), math.pi * abs(z), 1.0), ops=10)
-    return CertifiedValue(
+    return _finite(CertifiedValue(
         value=value,
         radius=inner.radius + fp.total,
         plan=inner.plan,
         flags=inner.flags + ("REFLECTED",),
-    )
+    ))
+
+
+def _finite(result: CertifiedValue) -> CertifiedValue:
+    """Refuse a value or radius that overflowed: the fp charge skips infinite
+    magnitudes, so no radius would be certified."""
+    if not (cmath.isfinite(result.value) and math.isfinite(result.radius)):
+        raise AccuracyError(
+            f"lngamma overflows double precision here (value {result.value}, "
+            f"radius {result.radius})"
+        )
+    return result
 
 
 def _log_sin_pi(z: complex) -> complex:
@@ -225,17 +232,16 @@ def _resolve_request(
         raise DomainError(f"z must be finite, got z={z}")
     if k is not None and accuracy is not None:
         raise DomainError("specify either a fixed term count or a target accuracy")
-    context = _family_context(family)
     if k is None:
         eps = accuracy if accuracy is not None else _default_accuracy(z, family)
-        return choose_k(z, eps, context)
+        return choose_k(z, eps, family)
     if not isinstance(k, int) or k < 1:
         raise DomainError(f"term count must be a positive integer, got {k!r}")
     if k > _K_CAP:
         raise ResourceLimitError(
             f"term count {k} exceeds the Bernoulli-table cap ({_K_CAP})"
         )
-    return _plan(z, k, context)
+    return _plan(z, k, family)
 
 
 def eval_lngamma(

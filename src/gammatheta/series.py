@@ -28,7 +28,6 @@ from . import bernoulli as _bernoulli_mod
 from .fputil import log_abs_fraction
 
 __all__ = [
-    "TermValue",
     "MinTermReport",
     "FAMILIES",
     "stirling_term",
@@ -51,14 +50,6 @@ TINY = 5e-324
 #: The constant of the empirical least-term correction to theta,
 #: ``(pi t - k_min + 1/12) * T_min``.
 EMPIRICAL_CONSTANT = Fraction(1, 12)
-
-
-@dataclass(frozen=True)
-class TermValue:
-    """One series term, tagged with its index."""
-
-    index: int
-    value: complex
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 from .bounds import BoundKind, Target, best_bound
-from .errors import DomainError
+from .errors import AccuracyError, DomainError
 from .fputil import FpAccumulator, up
 from .series import EMPIRICAL_CONSTANT, TINY, k_min, partial_sum
 
@@ -92,7 +92,8 @@ def eval_theta(
     """Certified theta value at ``t``; ``k='auto'`` uses the least-term index.
 
     For t in (0, ~0.24] the series terms grow from the start, so auto mode
-    uses k = 1 with the sqrt(pi k) bound — a documented low-accuracy regime.
+    uses k = 1 with the theta gamma-ratio bound — a documented low-accuracy
+    regime.  A value or radius that overflows raises ``AccuracyError``.
     """
     t = float(t)
     variant = ThetaVariant(variant)
@@ -151,6 +152,12 @@ def eval_theta(
             radius += up(0.5 * math.exp(-math.pi * t), 2)
     elif arctan_underflowed:
         radius += TINY
+    if not (math.isfinite(value) and math.isfinite(radius)):
+        # the fp charge skips infinite magnitudes: nothing would be certified
+        raise AccuracyError(
+            f"theta with {k_used} terms overflows double precision at t={t!r} "
+            f"(value {value}, radius {radius})"
+        )
 
     return ThetaResult(
         t=t,

@@ -1,7 +1,9 @@
 """Certified truncation bounds: constants, families, selection rules."""
 from __future__ import annotations
 
+import cmath
 import math
+import random
 from fractions import Fraction
 
 import mpmath as mp
@@ -10,6 +12,7 @@ import pytest
 from gammatheta import DomainError
 from gammatheta.bounds import (
     CONTAINMENT_T,
+    _gamma_ratio,
     BoundKind,
     Target,
     applicable_bounds,
@@ -30,7 +33,7 @@ from gammatheta.bounds import (
     sqrt_pik_bound,
     theta_bound,
 )
-from gammatheta.series import stirling_term, theta_term
+from gammatheta.series import _log_theta_term, stirling_term, term_coefficient, theta_term
 
 # Frozen six-decimal (rounded-up) presentation of the quadratic-bound
 # constants at the documented fifteen indices.
@@ -294,10 +297,86 @@ def test_certifying_selection_never_uses_unproven_or_refuted_forms():
 # -- selection ---------------------------------------------------------------
 
 
+def test_ladder_factors_are_ordered():
+    # The order each context's ladder relies on, as factors on the common
+    # term; theta's rungs are the same chain times eta_k, read at t = k,
+    # where all three apply and the quadratic one is at its largest.
+    for k in range(1, 1000):
+        if k <= 100:
+            assert c_k(k) < CK_LIMIT
+        assert CK_LIMIT < math.pi / 2 <= _gamma_ratio(k) < math.sqrt(math.pi * k)
+        quadratic, ratio, sqrt_pik = (
+            theta_bound(k, float(k), kind).normalized
+            for kind in (
+                BoundKind.THETA_QUADRATIC,
+                BoundKind.THETA_GAMMA_RATIO,
+                BoundKind.THETA_SQRT_PIK,
+            )
+        )
+        assert eta(k) * CK_LIMIT <= quadratic < eta(k) * math.pi / 2 <= ratio < sqrt_pik
+
+
+def _theta_subnormal_band() -> list[tuple[int, float]]:
+    """(k, t) with t < k where the k-th theta term is subnormal or just
+    underflows: there the gamma-ratio rung, formed in logs, and the
+    sqrt(pi k) rung, formed from the rounded term, could trade places."""
+    points = []
+    for k in range(180, 1000, 61):
+        for log10_term in (-310.0, -318.0, -321.0, -322.5, -323.5, -324.5):
+            log_t = (_log_theta_term(k, 1.0) - log10_term * math.log(10.0)) / (2 * k - 1)
+            points.append((k, math.exp(log_t)))
+    assert all(t < k for k, t in points)
+    return points
+
+
 def test_best_bound_is_the_minimum_of_the_applicable_candidates():
-    candidates = applicable_bounds(8, 10j, "stirling", Target.R_KP1)
-    values = [c.value for c in candidates if c.applicable]
-    assert best_bound(8, 10j, "stirling").value == min(values)
+    rng = random.Random(20161018)
+    cases = [(8, 10j, "stirling", Target.R_KP1)]
+    for _ in range(1500):
+        context = rng.choice(("stirling", "gauss", "theta"))
+        target = rng.choice((Target.R_KP1, Target.R_K))
+        k = rng.randint(1, 999)
+        modulus = 10.0 ** rng.uniform(-3.0, 16.0)
+        angle = rng.uniform(-math.pi, math.pi)
+        # the whole plane: left of the axis only Stieltjes and Hare apply,
+        # and only before the k-th term
+        argument = modulus if context == "theta" else cmath.rect(modulus, angle)
+        cases.append((k, argument, context, target))
+    for k, t in _theta_subnormal_band():
+        cases += [(k, t, "theta", Target.R_KP1), (k, t, "theta", Target.R_K)]
+
+    for k, argument, context, target in cases:
+        candidates = [
+            c for c in applicable_bounds(k, argument, context, target) if c.applicable
+        ]
+        if not candidates:
+            with pytest.raises(DomainError):
+                best_bound(k, argument, context, target)
+            continue
+        best = best_bound(k, argument, context, target)
+        least = min(c.value for c in candidates)
+        assert best.value == least, (k, argument, context, target)
+        winners = [c for c in candidates if c.value == least]
+        if len(winners) == 1:
+            assert best.kind is winners[0].kind, (k, argument, context, target)
+
+
+def test_theta_bounds_round_up_below_the_normal_range():
+    # A rounded subnormal term can sit half a step low; the bound built on
+    # it must still cover its factor times the exact term.
+    quadratic = []  # t >= k, where (k/t)^2 T_k(t) ~ t^-(2k+1) is subnormal
+    for k in (2, 7, 40):
+        for log10_product in (-310.0, -316.0, -321.0):
+            log_t = _log_theta_term(k, 1.0) + 2.0 * math.log(k)
+            log_t = (log_t - log10_product * math.log(10.0)) / (2 * k + 1)
+            quadratic.append((k, math.exp(log_t)))
+    assert all(t >= k for k, t in quadratic)
+    for k, t in _theta_subnormal_band() + quadratic:
+        exact = term_coefficient("theta", k) / Fraction(t) ** (2 * k - 1)
+        for kind in (BoundKind.THETA_SQRT_PIK, BoundKind.THETA_QUADRATIC):
+            bound = theta_bound(k, t, kind)
+            if bound.applicable:
+                assert Fraction(bound.value) >= Fraction(bound.normalized) * exact
 
 
 def test_best_bound_raises_when_nothing_applies():

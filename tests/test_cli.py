@@ -127,6 +127,13 @@ def test_unattainable_accuracy_exits_with_the_accuracy_code():
     assert json.loads(result.err)["error"]["type"] == "AccuracyError"
 
 
+def test_theta_sum_that_overflows_exits_with_the_accuracy_code():
+    result = run_cli("theta", "--t", "0.1", "--terms", "200")
+    assert result.code == 3
+    assert result.out == ""
+    assert json.loads(result.err)["error"]["type"] == "AccuracyError"
+
+
 def test_term_count_beyond_the_table_cap_exits_with_the_resource_code():
     result = run_cli("lngamma", "--re", "1", "--im", "0", "--terms", "1200")
     assert result.code == 4

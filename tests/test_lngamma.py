@@ -132,6 +132,20 @@ def test_requested_accuracy_bounds_the_radius():
         assert result.radius <= eps + 1e-12  # rounding budget rides on top
 
 
+@pytest.mark.parametrize("k", [None, 5])
+def test_values_that_overflow_are_refused(k):
+    # ln Gamma(1e306) ~ 7e308 is not a double; the fp charge skips infinite
+    # magnitudes, so an unchecked result would carry a 5e-324 radius.
+    for evaluate, z in (
+        (eval_lngamma, complex(1e306, 0.0)),
+        (eval_lngamma, complex(-1e306, 1.0)),
+        (eval_lngamma_half, complex(1e306, 0.0)),
+    ):
+        with pytest.raises(AccuracyError):
+            evaluate(z, k=k)
+    assert math.isfinite(eval_lngamma(complex(1e305, 0.0), k=k).value.real)
+
+
 def test_unattainable_accuracy_raises_with_the_best_radius():
     with pytest.raises(AccuracyError) as info:
         eval_lngamma(complex(2.0, 3.0), accuracy=1e-30)

@@ -6,7 +6,7 @@ import math
 import mpmath as mp
 import pytest
 
-from gammatheta import DomainError
+from gammatheta import AccuracyError, DomainError
 from gammatheta.series import k_min
 from gammatheta.theta import (
     ThetaResult,
@@ -71,6 +71,13 @@ def test_auto_mode_uses_the_least_term_index():
 
 def test_explicit_term_count_is_respected():
     assert eval_theta(5.0, k=9).k_used == 9
+
+
+def test_term_counts_whose_sum_overflows_are_refused():
+    # at t = 0.1 the terms grow from the first; 200 of them overflow
+    for t in (0.1, -0.1):
+        with pytest.raises(AccuracyError):
+            eval_theta(t, k=200)
 
 
 def test_variant_value_differences_are_the_documented_corrections():
