@@ -39,13 +39,11 @@ from .bounds import (
     CONTAINMENT_T,
     BoundKind,
     BoundResult,
-    CkTable,
     Target,
     applicable_bounds,
     best_bound,
     c_k,
     c_k_string,
-    ck_table,
     conjectured_bound,
     containment_grid,
     eta,
@@ -111,13 +109,11 @@ __all__ = [
     "CONTAINMENT_T",
     "BoundKind",
     "BoundResult",
-    "CkTable",
     "Target",
     "applicable_bounds",
     "best_bound",
     "c_k",
     "c_k_string",
-    "ck_table",
     "conjectured_bound",
     "containment_grid",
     "eta",

@@ -57,8 +57,7 @@ class BernoulliTable:
     growth is serialized.
     """
 
-    def __init__(self, max_index: int = MAX_INDEX):
-        self.max_index = int(max_index)
+    def __init__(self) -> None:
         self._even: list[Fraction] = [Fraction(1)]  # B_0
         self._half: list[Fraction] = [Fraction(1)]  # B_0(1/2) unused sentinel
         self._poly_coeffs: dict[int, tuple[Fraction, ...]] = {}
@@ -69,9 +68,9 @@ class BernoulliTable:
     def _check_index(self, j: int) -> None:
         if j % 2 != 0 or j < 2:
             raise DomainError(f"Bernoulli index must be even and >= 2, got {j}")
-        if j > self.max_index:
+        if j > MAX_INDEX:
             raise ResourceLimitError(
-                f"Bernoulli index {j} exceeds the hard cap {self.max_index}"
+                f"Bernoulli index {j} exceeds the hard cap {MAX_INDEX}"
             )
 
     def _grow(self, upto_m: int) -> None:
@@ -144,7 +143,7 @@ def bernoulli_half(j: int) -> Fraction:
     return _SHARED.half(j)
 
 
-def _poly_eval(j: int, u: mpf, extra_dps: int = 0) -> mpf:
+def _poly_eval(j: int, u: mpf) -> mpf:
     """Horner evaluation of B_j at ``u`` in [0,1], cancellation-compensated.
 
     Coefficients are exact, so rounding inside the Horner recursion is the
@@ -157,7 +156,7 @@ def _poly_eval(j: int, u: mpf, extra_dps: int = 0) -> mpf:
     terminate; the final rounding is then faithful to working precision.
     """
     coeffs = _SHARED.poly_coefficients(j)
-    guard = 10 + extra_dps
+    guard = 10
     for _ in range(12):
         with mp.workdps(mp.dps + guard):
             x = mpf(u)
@@ -174,7 +173,7 @@ def _poly_eval(j: int, u: mpf, extra_dps: int = 0) -> mpf:
             return +acc
         # a noisy pass only lower-bounds the true cancellation, so grow
         # geometrically; a clean measurement needs just one more pass
-        guard = max((lost or 0) + 10 + extra_dps, 2 * guard)
+        guard = max((lost or 0) + 10, 2 * guard)
     raise AccuracyError(
         f"evaluating B_{j} at u={u} lost more than {guard} digits to "
         f"cancellation"

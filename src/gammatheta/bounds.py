@@ -9,8 +9,12 @@ Behnke–Sommer bound is natively relative to the first omitted term).
 Upward-rounding policy: bounds are mathematical suprema, so every floating
 chain that produces a bound is topped with ``(1 + 2**-40)`` guard factors —
 enough to swamp double rounding, far too small to matter against the >1%
-slack the bounds themselves carry.  A bound whose true magnitude falls below
-the smallest subnormal is clamped to it, never to zero.
+slack the bounds themselves carry.  Below the normal range (2**-1022) a
+guard factor no longer moves a value and a term may be rounded low or have
+underflowed, so there a bound is also formed from logs (a factor times a
+term as ``exp(log factor + log|T|)``), raised by 2**-30 relative and stepped
+up once.  A bound whose true magnitude falls below the smallest subnormal is
+clamped to it, never to zero; a bound on a term that overflows is ``inf``.
 
 The catalog:
 
@@ -31,8 +35,6 @@ THETA_GAMMA_RATIO      absolute bound sqrt(pi) Gamma(k-1/2) |B_2k| /
                        (8 k! t^(2k-1)) on the theta remainder
 THETA_SQRT_PIK         eta_k sqrt(pi k) relative to the theta term
 THETA_QUADRATIC        eta_k (k/t)^2 / (pi^2 - 1) when t >= k
-THETA_NO_ARCTAN        theta bound for the variant that drops the
-                       arctan correction: adds e^(-pi t)/2 absolutely
 WHITTAKER_WATSON       classical |R_k| <= K(theta) |T_k|, Re z > 0
 STIELTJES              classical |R_k| <= sec(theta/2)^(2k) |T_k|
 BEHNKE_SOMMER          classical |R_{k+1}/T_{k+1}| < 1+(2k+1)/2*sqrt(pi/k)
@@ -47,16 +49,17 @@ same four through ``half_bound`` for ``gauss``; THETA_QUADRATIC,
 THETA_GAMMA_RATIO, THETA_SQRT_PIK for ``theta``.  Their factors on the common
 term are c_k < 1/(pi^2 - 1) < pi/2 <= sqrt(pi) Gamma(k+1/2)/Gamma(k) <
 sqrt(pi k) (the quadratic forms need k <= |z|, c_k also k <= 100), times
-eta_k for the half and theta rungs.  Rounding is monotone and the theta
-products below the normal range go through logs, as THETA_GAMMA_RATIO does,
-so no later applicable rung is smaller in doubles either.  ``best_bound``
-builds only the first applicable rung and the classical bounds at the target
-and returns the smallest.  Ties: a classical bound replaces the rung only when
-strictly smaller, so at a tie the kind reported is the ladder's first
-applicable family (then the classical bounds in catalog order).
+eta_k for the half and theta rungs.  Rounding, including the step below the
+normal range, is monotone, so no later applicable rung is smaller in doubles
+either.  ``best_bound`` builds only the first applicable rung and the
+classical bounds at the target and returns the smallest.  Ties: a classical
+bound replaces the rung only when strictly smaller, so at a tie the kind
+reported is the ladder's first applicable family (then the classical bounds
+in catalog order).
 """
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 import threading
@@ -75,6 +78,7 @@ from .series import (
     _log_theta_term,
     gauss_term,
     stirling_term,
+    term_coefficient,
     theta_term,
 )
 
@@ -82,8 +86,7 @@ __all__ = [
     "BoundKind",
     "Target",
     "BoundResult",
-    "CkTable",
-    "ck_table",
+    "CK_MAX_K",
     "eta",
     "eta_fraction",
     "c_k",
@@ -136,7 +139,6 @@ class BoundKind(str, Enum):
     THETA_GAMMA_RATIO = "theta-gamma-ratio"
     THETA_SQRT_PIK = "theta-sqrt-pi-k"
     THETA_QUADRATIC = "theta-quadratic"
-    THETA_NO_ARCTAN = "theta-no-arctan"
     WHITTAKER_WATSON = "whittaker-watson"
     STIELTJES = "stieltjes"
     BEHNKE_SOMMER = "behnke-sommer"
@@ -189,6 +191,51 @@ def _clamp(x: float) -> float:
     return x if x > TINY else TINY
 
 
+def _up_below_normal(x: float) -> float:
+    """Below the normal range a guard factor no longer moves a value, so
+    there ``x`` is raised by 2**-30 relative, far above the ~1e-11 a value
+    formed from logs can be off by at k <= 1000, and then one step."""
+    if x < sys.float_info.min:
+        return math.nextafter(x * (1.0 + 2.0**-30), math.inf)
+    return x
+
+
+def _exp_up(log_value: float) -> float:
+    """``exp(log_value)`` rounded up; OverflowError beyond the double range."""
+    return _up_below_normal(up(math.exp(log_value), _CHAINS))
+
+
+def _modulus(x: complex) -> float:
+    """``|x|``, or ``inf`` beyond the double range."""
+    try:
+        return abs(x)
+    except OverflowError:
+        return math.inf
+
+
+_TERMS = {"stirling": stirling_term, "gauss": gauss_term, "theta": theta_term}
+
+
+def _times_term(
+    normalized: float, family: str, k: int, argument: complex, chains: int = _CHAINS
+) -> float:
+    """``normalized * |T_k(argument)|`` of a series family, rounded up, and
+    ``inf`` when the term overflows (its power may have left NaN parts).
+    Below the normal range the term may be rounded low or have underflowed,
+    so there the product is also formed from logs."""
+    term = _modulus(_TERMS[family](k, argument))
+    if not term < math.inf:
+        return math.inf
+    value = up(normalized * term, chains)
+    if 0.0 < normalized and value < sys.float_info.min:
+        # cmath.log scales internally, so |argument| may exceed the range
+        log_term = log_abs_fraction(term_coefficient(family, k)) - (
+            2 * k - 1
+        ) * cmath.log(argument).real
+        value = max(value, _exp_up(math.log(normalized) + log_term))
+    return _clamp(value)
+
+
 def _check_k(k: int) -> None:
     if not isinstance(k, int) or k < 1:
         raise DomainError(f"bound index must be a positive integer, got {k!r}")
@@ -207,104 +254,68 @@ def eta(k: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# The c_k constant table.
+# The c_k constants.
 # ---------------------------------------------------------------------------
 
-class CkTable:
-    """Constants ``c_k`` for the sharpened quadratic bound, k = 1..100.
+#: Largest k with a stored constant c_k.
+CK_MAX_K = 100
 
-    Each entry is ``sum(|T_(k+j)(k) / T_k(k)| for j = 1..2k)
+#: k -> (c_k as the exact value of its 50-digit print, that value rounded up
+#: to a double).  Filled under the lock: mpmath's working precision is global.
+_CK: dict[int, tuple[Fraction, float]] = {}
+_CK_LOCK = threading.Lock()
+
+
+def _compute_ck(k: int) -> tuple[Fraction, float]:
+    """``sum(|T_(k+j)(k) / T_k(k)| for j = 1..2k)
     + sqrt(3 k pi) |T_(3k)(k) / T_k(k)|`` with the term ratios taken at the
-    real point ``z = k``.  Values are computed at 60 working digits from the
-    exact rational coefficient ratios and stored with a relative upward
-    nudge of 1e-45, so every stored value is an upper bound on the true
-    constant that is correct to well over 40 digits.
+    real point ``z = k``, computed at 60 working digits from the exact
+    rational coefficient ratios and nudged up by a relative 1e-45, so the
+    stored value is an upper bound on the true constant that is correct to
+    well over 40 digits.
     """
-
-    MAX_K = 100
-
-    def __init__(self) -> None:
-        self._values: dict[int, object] = {}
-        self._fractions: dict[int, Fraction] = {}
-        self._lock = threading.Lock()
-
-    def _compute(self, k: int):
-        with mp.workdps(60):
-            b2k = bernoulli_number(2 * k)
-            base = abs(mp.mpf(b2k.numerator)) / mp.mpf(b2k.denominator)
-            base /= 2 * k * (2 * k - 1)
-            kk = mp.mpf(k)
-            total = mp.mpf(0)
-            ratio_3k = None
-            for j in range(1, 2 * k + 1):
-                m = k + j
-                b2m = bernoulli_number(2 * m)
-                num = abs(mp.mpf(b2m.numerator)) / mp.mpf(b2m.denominator)
-                num /= 2 * m * (2 * m - 1)
-                ratio = (num / base) / kk ** (2 * j)
-                total += ratio
-                if m == 3 * k:
-                    ratio_3k = ratio
-            total += mp.sqrt(3 * k * mp.pi) * ratio_3k
-            stored = total * (1 + mp.mpf(10) ** -45)
-            return stored
-
-    def value(self, k: int):
-        """Stored 40+-digit upper bound as an ``mpf``."""
-        _check_k(k)
-        if k > self.MAX_K:
-            raise DomainError(
-                f"c_k constants are verified only for k <= {self.MAX_K}, got {k}"
-            )
-        with self._lock:
-            if k not in self._values:
-                self._values[k] = self._compute(k)
-            return self._values[k]
-
-    def fraction(self, k: int) -> Fraction:
-        """Stored value as an exact rational (of its 50-digit decimal print)."""
-        with self._lock:
-            cached = self._fractions.get(k)
-        if cached is not None:
-            return cached
-        v = self.value(k)
-        with mp.workdps(60):
-            s = mp.nstr(v, 50, strip_zeros=False)
-        fr = Fraction(s)
-        with self._lock:
-            self._fractions[k] = fr
-        return fr
-
-    @property
-    def values(self) -> list[float]:
-        """Double-precision upper bounds c_1..c_100 (computed on demand)."""
-        return [ceil_float(self.fraction(k)) for k in range(1, self.MAX_K + 1)]
+    with mp.workdps(60):
+        b2k = bernoulli_number(2 * k)
+        base = abs(mp.mpf(b2k.numerator)) / mp.mpf(b2k.denominator)
+        base /= 2 * k * (2 * k - 1)
+        kk = mp.mpf(k)
+        total = mp.mpf(0)
+        ratio_3k = None
+        for j in range(1, 2 * k + 1):
+            m = k + j
+            b2m = bernoulli_number(2 * m)
+            num = abs(mp.mpf(b2m.numerator)) / mp.mpf(b2m.denominator)
+            num /= 2 * m * (2 * m - 1)
+            ratio = (num / base) / kk ** (2 * j)
+            total += ratio
+            if m == 3 * k:
+                ratio_3k = ratio
+        total += mp.sqrt(3 * k * mp.pi) * ratio_3k
+        stored = total * (1 + mp.mpf(10) ** -45)
+        fr = Fraction(mp.nstr(stored, 50, strip_zeros=False))
+    return fr, ceil_float(fr)
 
 
-_CK_TABLE = CkTable()
+def _ck_entry(k: int) -> tuple[Fraction, float]:
+    _check_k(k)
+    if k > CK_MAX_K:
+        raise DomainError(
+            f"c_k constants are verified only for k <= {CK_MAX_K}, got {k}"
+        )
+    with _CK_LOCK:
+        if k not in _CK:
+            _CK[k] = _compute_ck(k)
+        return _CK[k]
 
 
-def ck_table() -> CkTable:
-    return _CK_TABLE
-
-
-def c_k(k: int, decimals: int | None = None) -> float:
-    """Upper bound on the k-th quadratic-bound constant (k <= 100).
-
-    With ``decimals`` the stored value is first rounded *up* at that many
-    decimal places (the presentation used by the constant table).
-    """
-    fr = _CK_TABLE.fraction(k)
-    if decimals is None:
-        return ceil_float(fr)
-    scale = 10**decimals
-    ceiled = Fraction(-((-fr.numerator * scale) // fr.denominator), scale)
-    return ceil_float(ceiled)
+def c_k(k: int) -> float:
+    """Upper bound on the k-th quadratic-bound constant (k <= 100)."""
+    return _ck_entry(k)[1]
 
 
 def c_k_string(k: int, decimals: int = 6) -> str:
     """``c_k`` rounded up at ``decimals`` places, as a decimal string."""
-    fr = _CK_TABLE.fraction(k)
+    fr = _ck_entry(k)[0]
     scale = 10**decimals
     units = -((-fr.numerator * scale) // fr.denominator)
     whole, frac = divmod(units, scale)
@@ -333,9 +344,9 @@ def _plain_factor(kind: BoundKind, k: int, z: complex) -> float | str:
         return _gamma_ratio(k)
     if kind is BoundKind.SQRT_PIK:
         return up(math.sqrt(math.pi * k))
-    if kind is BoundKind.CK_QUADRATIC and k > CkTable.MAX_K:
-        return f"c_k verified only for k <= {CkTable.MAX_K}"
-    az = abs(z)
+    if kind is BoundKind.CK_QUADRATIC and k > CK_MAX_K:
+        return f"c_k verified only for k <= {CK_MAX_K}"
+    az = _modulus(z)
     if k > az:
         return "requires k <= |z|"
     ratio = k / az
@@ -354,7 +365,7 @@ def _plain_bound(kind: BoundKind, k: int, z: complex, target: Target) -> BoundRe
         return _not_applicable(kind, target, factor)
     normalized = factor + (1.0 if target is Target.R_K else 0.0)
     normalized = up(normalized, _CHAINS)
-    value = _clamp(up(normalized * abs(stirling_term(k, z)), _CHAINS))
+    value = _times_term(normalized, "stirling", k, z)
     return BoundResult(kind=kind, target=target, value=value, normalized=normalized)
 
 
@@ -392,27 +403,11 @@ _HALF_KIND = {
 }
 
 
-def _eta_factor(k: int, scale: float, omit_eta: bool) -> tuple[float, tuple[str, ...]]:
-    """The transport factor, or 1 under the documented opt-out.
-
-    The opt-out leans on an external proof valid only for k >= 3 or when the
-    argument magnitude is >= 1; outside that region it is refused.
-    """
-    if not omit_eta:
-        return eta(k), ()
-    if k < 3 and scale < 1.0:
-        raise DomainError(
-            "eta omission is only supported for k >= 3 or argument magnitude >= 1"
-        )
-    return 1.0, ("ETA_OMITTED",)
-
-
 def half_bound(
     k: int,
     z: complex,
     target: Target = Target.R_KP1,
     base: BoundKind = BoundKind.GAMMA_RATIO,
-    omit_eta: bool = False,
 ) -> BoundResult:
     """Bound for the half-shifted family, from a plain-family base bound.
 
@@ -427,15 +422,12 @@ def half_bound(
     base_factor = _plain_factor(base, k, z)
     if isinstance(base_factor, str):
         return _not_applicable(kind, target, base_factor)
-    factor, flags = _eta_factor(k, abs(z), omit_eta)
-    normalized = factor * up(base_factor, _CHAINS)
+    normalized = eta(k) * up(base_factor, _CHAINS)
     if target is Target.R_K:
         normalized += 1.0
     normalized = up(normalized, _CHAINS)
-    value = _clamp(up(normalized * abs(gauss_term(k, z)), _CHAINS))
-    return BoundResult(
-        kind=kind, target=target, value=value, normalized=normalized, flags=flags
-    )
+    value = _times_term(normalized, "gauss", k, z)
+    return BoundResult(kind=kind, target=target, value=value, normalized=normalized)
 
 
 # ---------------------------------------------------------------------------
@@ -446,29 +438,12 @@ def _log_abs_bernoulli(k: int) -> float:
     return log_abs_fraction(Fraction(bernoulli_number(2 * k)))
 
 
-def _times_theta_term(normalized: float, k: int, t: float) -> float:
-    """``normalized * T_k(t)`` rounded up.  Below the normal range the guard
-    factors no longer move a value and the rounded term can sit half a
-    subnormal step low, so there the product is formed from logs, as the
-    theta gamma-ratio bound is, and stepped up once."""
-    value = up(normalized * theta_term(k, t), _CHAINS)
-    if 0.0 < normalized and value < sys.float_info.min:
-        value = up(math.exp(math.log(normalized) + _log_theta_term(k, t)), _CHAINS)
-        value = math.nextafter(value, math.inf)
-    return _clamp(value)
-
-
 def theta_bound(
     k: int,
     t: float,
     kind: BoundKind = BoundKind.THETA_GAMMA_RATIO,
-    omit_eta: bool = False,
 ) -> BoundResult:
-    """Bound on the theta-family remainder after ``k`` summed terms.
-
-    THETA_NO_ARCTAN is special: it bounds the total error of the variant
-    that also omits the arctan correction, hence the additive e^(-pi t)/2.
-    """
+    """Bound on the theta-family remainder after ``k`` summed terms."""
     _check_k(k)
     t = float(t)
     target = Target.R_KP1
@@ -484,45 +459,24 @@ def theta_bound(
             - math.lgamma(k + 1)
             - (2 * k - 1) * math.log(t)
         )
-        log_term = _log_theta_term(k, t)
         try:
-            value = _clamp(up(math.exp(logv), _CHAINS))
+            value = _clamp(_exp_up(logv))
         except OverflowError:
             return _not_applicable(kind, target, "bound value exceeds double range")
-        normalized = up(math.exp(logv - log_term), _CHAINS)
+        normalized = up(math.exp(logv - _log_theta_term(k, t)), _CHAINS)
         return BoundResult(kind=kind, target=target, value=value, normalized=normalized)
 
     if kind is BoundKind.THETA_SQRT_PIK:
-        factor, flags = _eta_factor(k, t, omit_eta)
-        normalized = up(factor * math.sqrt(math.pi * k), _CHAINS)
-        value = _times_theta_term(normalized, k, t)
-        return BoundResult(
-            kind=kind, target=target, value=value, normalized=normalized, flags=flags
-        )
-
-    if kind is BoundKind.THETA_QUADRATIC:
+        normalized = up(eta(k) * math.sqrt(math.pi * k), _CHAINS)
+    elif kind is BoundKind.THETA_QUADRATIC:
         if t < k:
             return _not_applicable(kind, target, "requires t >= k")
-        factor, flags = _eta_factor(k, t, omit_eta)
         ratio = k / t
-        normalized = up(factor * ratio * ratio / _PI2M1_DOWN, _CHAINS)
-        value = _times_theta_term(normalized, k, t)
-        return BoundResult(
-            kind=kind, target=target, value=value, normalized=normalized, flags=flags
-        )
-
-    if kind is BoundKind.THETA_NO_ARCTAN:
-        factor, flags = _eta_factor(k, t, omit_eta)
-        tt = theta_term(k, t)
-        core = up(factor * math.sqrt(math.pi * k) * tt, _CHAINS)
-        extra = 0.5 * math.exp(-math.pi * t) if -math.pi * t > -745.0 else TINY
-        value = _clamp(up(core + up(extra), _CHAINS))
-        normalized = up(value / tt, 2) if tt > 0 else math.inf
-        return BoundResult(
-            kind=kind, target=target, value=value, normalized=normalized, flags=flags
-        )
-
-    raise DomainError(f"unsupported theta bound kind {kind!r}")
+        normalized = up(eta(k) * ratio * ratio / _PI2M1_DOWN, _CHAINS)
+    else:
+        raise DomainError(f"unsupported theta bound kind {kind!r}")
+    value = _times_term(normalized, "theta", k, t)
+    return BoundResult(kind=kind, target=target, value=value, normalized=normalized)
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +516,7 @@ def literature_bound(
             factor = 1.0
         else:
             factor = up(1.0 / abs(math.sin(2.0 * theta_z)), 2)
-        value = _clamp(up(factor * abs(stirling_term(k, z)), 2))
+        value = _times_term(factor, "stirling", k, z, 2)
         return BoundResult(kind=kind, target=target, value=value, normalized=factor)
 
     if kind is BoundKind.STIELTJES:
@@ -572,14 +526,14 @@ def literature_bound(
         if 2 * k * log_sec > 700.0:
             return _not_applicable(kind, target, "bound value exceeds double range")
         factor = up(math.exp(2 * k * log_sec), 4)
-        value = _clamp(up(factor * abs(stirling_term(k, z)), 4))
+        value = _times_term(factor, "stirling", k, z, 4)
         return BoundResult(kind=kind, target=target, value=value, normalized=factor)
 
     if kind is BoundKind.BEHNKE_SOMMER:
         if not _right_half_plane(z):
             return _not_applicable(kind, target, "requires the closed right half-plane, z != 0")
         normalized = up(1.0 + 0.5 * (2 * k + 1) * math.sqrt(math.pi / k), _CHAINS)
-        value = _clamp(up(normalized * abs(stirling_term(k + 1, z)), _CHAINS))
+        value = _times_term(normalized, "stirling", k + 1, z)
         return BoundResult(
             kind=kind,
             target=target,
@@ -601,10 +555,10 @@ def literature_bound(
             - (2 * k - 1) * math.log(abs(z.imag))
         )
         try:
-            value = _clamp(up(math.exp(logv), _CHAINS))
+            value = _clamp(_exp_up(logv))
         except OverflowError:
             return _not_applicable(kind, target, "bound value exceeds double range")
-        at = abs(stirling_term(k, z))
+        at = _modulus(stirling_term(k, z))
         normalized = up(value / at, 2) if at > 0 else math.inf
         return BoundResult(kind=kind, target=target, value=value, normalized=normalized)
 
@@ -651,17 +605,22 @@ def conjectured_bound(
             target,
             "requires the closed right half-plane, z != 0",
         )
-    az = abs(z)
+    az = _modulus(z)
     if az < k:
         return _not_applicable(
             BoundKind.CONJECTURED_QUADRATIC, target, "requires |z| >= k"
         )
-    den = (math.pi * az) ** 2 - float(k) ** 2
+    try:
+        square = (math.pi * az) ** 2
+    except OverflowError:
+        square = math.inf
+    den = square - float(k) ** 2
     if target is Target.R_KP1:
         normalized = up(k * k / den, _CHAINS)
     else:
-        normalized = up((math.pi * az) ** 2 / den, _CHAINS)
-    value = _clamp(up(normalized * abs(stirling_term(k, z)), _CHAINS))
+        # square / den, which is 1 in doubles once the square overflows
+        normalized = up(square / den if den < math.inf else 1.0, _CHAINS)
+    value = _times_term(normalized, "stirling", k, z)
     flag = "PROVEN" if k >= 34 else "CONJECTURED"
     return BoundResult(
         kind=BoundKind.CONJECTURED_QUADRATIC,
@@ -688,7 +647,7 @@ def _theta_at(
     return BoundResult(
         kind=res.kind,
         target=Target.R_K,
-        value=_clamp(up(res.value + theta_term(k, t), 2)),
+        value=_clamp(_up_below_normal(up(res.value + theta_term(k, t), 2))),
         normalized=up(res.normalized + 1.0, 2),
         flags=res.flags,
     )

@@ -77,7 +77,7 @@ SHARPNESS_SPOTS = ((90, 100.0 / math.pi), (383, 400.0 / math.pi))
 _cache_lock = threading.Lock()
 _coeff_cache: dict[tuple[str, int, int], mpf] = {}
 _poly_cache: dict[tuple[int, int], tuple[mpf, ...]] = {}
-_nodes_cache: dict[tuple[int, int], tuple[tuple[mpf, ...], tuple[mpf, ...]]] = {}
+_nodes_cache: dict[int, tuple[tuple[mpf, ...], tuple[mpf, ...]]] = {}
 _lngamma_cache: dict[tuple[object, object, int], mpc] = {}
 
 
@@ -138,9 +138,10 @@ def _legendre_pair(n: int, x: mpf) -> tuple[mpf, mpf]:
     return p1, dp
 
 
-def _gl_nodes_01(n: int = 20) -> tuple[tuple[mpf, ...], tuple[mpf, ...]]:
-    """Gauss-Legendre nodes and weights on [0, 1] at the current precision."""
-    key = (n, mp.mp.prec)
+def _gl_nodes_01() -> tuple[tuple[mpf, ...], tuple[mpf, ...]]:
+    """20 Gauss-Legendre nodes and weights on [0, 1] at working precision."""
+    n = 20
+    key = mp.mp.prec
     with _cache_lock:
         hit = _nodes_cache.get(key)
     if hit is not None:
@@ -163,8 +164,8 @@ def _gl_nodes_01(n: int = 20) -> tuple[tuple[mpf, ...], tuple[mpf, ...]]:
             _, dp = _legendre_pair(n, x)
             w = 2 / ((1 - x * x) * dp * dp)
             pairs.append((x, w))
-    # n is even in all uses, so roots come in symmetric nonzero pairs; fold
-    # them onto [0, 1] in ascending order.
+    # n is even, so the roots come in symmetric nonzero pairs; fold them onto
+    # [0, 1] in ascending order.
     nodes: list[mpf] = []
     weights: list[mpf] = []
     for x, w in sorted(pairs, reverse=True):
@@ -424,7 +425,7 @@ def _remainder_by_integral(z: complex, k: int, family: str, digits: int, log_t: 
             )
         tail_sum, tail_terms = tail
 
-        nodes, weights = _gl_nodes_01(20)
+        nodes, weights = _gl_nodes_01()
         poly = _poly_mpf(2 * k)
         two_k = mpf(2 * k)
         power = 2 * k
