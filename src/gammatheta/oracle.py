@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
+from fractions import Fraction
 
 import mpmath as mp
 from mpmath import mpc, mpf
@@ -60,6 +61,7 @@ __all__ = [
     "conjecture_grid",
     "conjecture_scan",
     "clear_caches",
+    "stats",
 ]
 
 #: Hard cap on requested digits for any oracle entry point.
@@ -76,18 +78,61 @@ SHARPNESS_SPOTS = ((90, 100.0 / math.pi), (383, 400.0 / math.pi))
 
 _cache_lock = threading.Lock()
 _coeff_cache: dict[tuple[str, int, int], mpf] = {}
-_poly_cache: dict[tuple[int, int], tuple[mpf, ...]] = {}
 _nodes_cache: dict[int, tuple[tuple[mpf, ...], tuple[mpf, ...]]] = {}
 _lngamma_cache: dict[tuple[object, object, int], mpc] = {}
 
+#: Work counters since the last :func:`clear_caches`; ``deepest_level`` is a
+#: maximum, the others are totals.
+_stats = dict.fromkeys(
+    (
+        "remainders",
+        "panels",
+        "levels",
+        "node_evaluations",
+        "kernel_evaluations",
+        "lngamma_cache_hits",
+        "shift_retries",
+        "deepest_level",
+    ),
+    0,
+)
+
 
 def clear_caches() -> None:
-    """Drop all precision-keyed caches (primarily for tests)."""
+    """Drop all precision-keyed caches (primarily for tests) and reset the
+    work counters."""
     with _cache_lock:
         _coeff_cache.clear()
-        _poly_cache.clear()
         _nodes_cache.clear()
         _lngamma_cache.clear()
+        for key in _stats:
+            _stats[key] = 0
+
+
+def stats() -> dict[str, int]:
+    """Snapshot of the oracle's work counters.
+
+    ``remainders``: :func:`oracle_remainder` calls.  For method (b)'s
+    quadrature: ``panels`` (half-unit panels), ``levels`` (refinement levels
+    summed over all panels, level 0 included), ``node_evaluations``
+    (quadrature nodes at which (z+u)^(-2k) was formed), ``kernel_evaluations``
+    (values of the Bernoulli polynomial computed) and ``deepest_level`` (the
+    deepest refinement level any panel reached).  ``lngamma_cache_hits``:
+    :func:`oracle_lngamma` calls answered from its cache.  ``shift_retries``:
+    shifts grown because a series tail did not certify, in
+    :func:`oracle_lngamma` and in method (b).
+    """
+    with _cache_lock:
+        return dict(_stats)
+
+
+def _count(**deltas: int) -> None:
+    with _cache_lock:
+        for key, n in deltas.items():
+            if key == "deepest_level":
+                _stats[key] = max(_stats[key], n)
+            else:
+                _stats[key] += n
 
 
 def _check_digits(digits: int) -> int:
@@ -108,19 +153,6 @@ def _coeff(kind: str, j: int) -> mpf:
         hit = mpf(fr.numerator) / fr.denominator
         with _cache_lock:
             _coeff_cache[key] = hit
-    return hit
-
-
-def _poly_mpf(n: int) -> tuple[mpf, ...]:
-    """Coefficients of B_n(x), highest power first, as mpf values."""
-    key = (n, mp.mp.prec)
-    with _cache_lock:
-        hit = _poly_cache.get(key)
-    if hit is None:
-        coeffs = shared_table().poly_coefficients(n)
-        hit = tuple(mpf(c.numerator) / c.denominator for c in coeffs)
-        with _cache_lock:
-            _poly_cache[key] = hit
     return hit
 
 
@@ -256,8 +288,9 @@ def oracle_lngamma(z, digits: int = 30) -> mpc:
         key = (zz.real._mpf_, zz.imag._mpf_, digits)
         with _cache_lock:
             hit = _lngamma_cache.get(key)
-        if hit is not None:
-            return hit
+            if hit is not None:
+                _stats["lngamma_cache_hits"] += 1
+                return hit
         radius_target = (digits + 8) * _LN10 / (2.0 * math.pi) + 2.0
         result = None
         for _ in range(6):
@@ -265,6 +298,7 @@ def oracle_lngamma(z, digits: int = 30) -> mpc:
             result, certified = _lngamma_attempt(zz, n, digits)
             if certified:
                 break
+            _count(shift_retries=1)
             radius_target *= 1.15
         else:
             raise ResourceLimitError(
@@ -365,30 +399,150 @@ def _tail_series(w: mpc, k: int, family: str, tau: mpf):
         p *= inv_w2
 
 
-def _gl_apply(kernel, a: mpf, b: mpf, nodes, weights) -> mpc:
-    h = b - a
-    acc = mpc(0)
-    for x, w in zip(nodes, weights):
-        acc += w * kernel(a + h * x)
-    return acc * h
+class _PeriodicKernel:
+    """B_2k({u + offset}) at the Gauss-Legendre nodes of half-unit panels,
+    in fixed point.
+
+    Panels are half-integer, so at refinement level L (2^L pieces of 20
+    nodes) the node of piece i with unit node x_n has
+    {u + offset} = base + (i + x_n) / 2^(L+1), where ``base`` is 0 or 1/2
+    and depends only on the parity of the panel index and the family's
+    offset.  One table per (base, level) therefore serves every panel of
+    that parity.  Values are integers scaled by ``2**exp``, with ``exp``
+    about ``prec`` bits under |B_2k|.  The Horner recursion runs in
+    y^2 = ({u + offset} - 1/2)^2 on integers with floor rounding and at least
+    ``prec`` fraction bits, so its absolute error is below
+    ``2(k+1) * 2**exp``.  Tables live as long as the instance: one
+    remainder call.
+    """
+
+    def __init__(self, k: int, family: str, prec: int) -> None:
+        self.prec = prec
+        self.offset2 = 0 if family == "stirling" else 1  # 2 * offset
+        table = shared_table()
+        # B_2k(1/2 + y) = sum over even j of C(2k, j) B_j(1/2) y^(2k-j): a
+        # polynomial in y^2 of degree k, highest power first.
+        coeffs = [Fraction(1)] + [
+            math.comb(2 * k, j) * table.half(j) for j in range(2, 2 * k + 1, 2)
+        ]
+        b = table.number(2 * k)
+        # within one of log2 |B_2k|, minus prec
+        self.exp = b.numerator.bit_length() - b.denominator.bit_length() - prec
+        self.coeffs = [_scaled(c, -self.exp) for c in coeffs]
+        nodes, weights = _gl_nodes_01()
+        self.nodes = [_fixed(x, prec) for x in nodes]
+        self.weights = [_fixed(w, prec) for w in weights]
+        self.evaluations = 0
+        self._weighted: dict[tuple[int, int], list[int]] = {}
+
+    def base(self, m: int) -> int:
+        """2 {m/2 + offset}: 0 or 1, the base of panel m in half units."""
+        return (m + self.offset2) & 1
+
+    def values(self, base: int, level: int) -> list[int]:
+        """B_2k at every node of the level, piece-major, scaled by 2**exp."""
+        frac = self.prec + level + 1
+        # y = {u + offset} - 1/2, with frac fraction bits
+        start = (base - 1) << (frac - 1)
+        head, *rest = self.coeffs
+        out = []
+        for i in range(1 << level):
+            piece = start + (i << self.prec)
+            for node in self.nodes:
+                y = piece + node
+                y2 = (y * y) >> frac
+                acc = head
+                for c in rest:
+                    acc = ((acc * y2) >> frac) + c
+                out.append(acc)
+        self.evaluations += len(out)
+        return out
+
+    def weighted(self, base: int, level: int) -> list[int]:
+        """Kernel value times Gauss weight at every node, scaled by 2**exp."""
+        key = (base, level)
+        table = self._weighted.get(key)
+        if table is None:
+            prec = self.prec
+            weights = self.weights
+            table = [
+                (v * weights[j % 20]) >> prec
+                for j, v in enumerate(self.values(base, level))
+            ]
+            self._weighted[key] = table
+        return table
 
 
-def _adaptive_panel(kernel, a: mpf, b: mpf, tol: mpf, nodes, weights) -> mpc:
-    """Bisect the panel until two successive refinement levels agree."""
-    prev = _gl_apply(kernel, a, b, nodes, weights)
-    pieces = 1
-    for _ in range(12):
-        pieces *= 2
-        h = (b - a) / pieces
-        cur = mpc(0)
-        for i in range(pieces):
-            cur += _gl_apply(kernel, a + i * h, a + (i + 1) * h, nodes, weights)
-        if abs(cur - prev) <= tol:
-            return cur
-        prev = cur
-    raise ConsistencyError(
-        f"quadrature panel [{mp.nstr(a, 8)}, {mp.nstr(b, 8)}] failed to stabilize"
-    )
+def _fixed(x: mpf, frac: int) -> int:
+    """floor(x * 2**frac) for a finite mpf x."""
+    sign, man, exp, _ = x._mpf_
+    shift = exp + frac
+    man = man << shift if shift >= 0 else man >> -shift
+    return -man if sign else man
+
+
+def _scaled(c: Fraction, frac: int) -> int:
+    """floor(c * 2**frac) for a rational c."""
+    if frac >= 0:
+        return (c.numerator << frac) // c.denominator
+    return c.numerator // (c.denominator << -frac)
+
+
+def _level_sum(
+    kernel: _PeriodicKernel, m: int, level: int, zr: int, zi: int, two_k: int
+) -> tuple[int, int, int]:
+    """Sum over the level's nodes in panel [m/2, (m+1)/2] of
+    weight * B_2k({u + offset}) * (z+u)^(-2k), as (re, im, exp).
+
+    ``zr`` and ``zi`` carry ``prec + 24`` fraction bits, enough for the
+    relative precision of z+u at the smallest node of level 12.  Each node
+    raises z+u to the power 2k by squaring, keeping ``prec`` bits after
+    every multiply, inverts once and multiplies by the weighted kernel.
+    The terms are added at one exponent, two above the first node's: |z+u|
+    grows along the panel (Re z >= 0), so a later node's (z+u)^(-2k) is no
+    larger, its normalized exponent exceeds the first node's by at most 1,
+    and no shift is negative.
+    """
+    prec = kernel.prec
+    frac = prec + 24
+    table = kernel.weighted(kernel.base(m), level)
+    start = m << (frac - 1)
+    spread = 23 - level
+    bits = bin(two_k)[3:]  # after the leading one, most significant first
+    acc_re = acc_im = 0
+    scale = None
+    j = 0
+    for i in range(1 << level):
+        piece = start + (i << (prec + spread))
+        for node in kernel.nodes:
+            a = zr + piece + (node << spread)
+            b = zi
+            s = max(a.bit_length(), b.bit_length()) - prec
+            a >>= s
+            b >>= s
+            e = s - frac
+            ra, rb, re_ = a, b, e
+            for bit in bits:
+                ra, rb = ra * ra - rb * rb, (ra * rb) << 1
+                re_ <<= 1
+                if bit == "1":
+                    ra, rb = ra * a - rb * b, ra * b + rb * a
+                    re_ += e
+                s = max(ra.bit_length(), rb.bit_length()) - prec
+                ra >>= s
+                rb >>= s
+                re_ += s
+            d = ra * ra + rb * rb
+            t = table[j]
+            j += 1
+            ia = ((ra << (2 * prec)) // d) * t
+            ib = ((-rb << (2 * prec)) // d) * t
+            ie = -re_ - 2 * prec
+            if scale is None:
+                scale = ie + 2
+            acc_re += ia >> (scale - ie)
+            acc_im += ib >> (scale - ie)
+    return acc_re, acc_im, scale + kernel.exp - level - 1
 
 
 def _remainder_by_integral(z: complex, k: int, family: str, digits: int, log_t: float):
@@ -398,59 +552,86 @@ def _remainder_by_integral(z: complex, k: int, family: str, digits: int, log_t: 
     U adapts upward until the continuation's tail certificate reaches the
     target; panels are half-integer so every kernel breakpoint (integers for
     the plain family, half-integers for the shifted one) is a panel edge.
+    Each panel is bisected until two successive refinement levels agree
+    within ``panel_tol``.  The kernel B_2k({u + offset}) is evaluated once
+    per node position and level (:class:`_PeriodicKernel`); the node loop
+    (:func:`_level_sum`) runs in fixed point at ``mp.prec + 20`` bits.
     """
     wp = digits + 25
-    offset = mpf(0) if family == "stirling" else mpf("0.5")
-    with mp.workdps(wp):
-        zz = mpc(z)
-        tau_tail = mpf(10) ** (log_t - digits - 9)
-        needed = max(1.0, (digits + 10 - log_t) * _LN10 / (2.0 * math.pi) + 1.0)
-        gap2 = needed * needed - float(zz.imag) ** 2
-        shift = 1
-        if gap2 > 0:
-            shift = max(1, int(math.ceil(math.sqrt(gap2) - float(zz.real))))
-        tail = None
-        for _ in range(12):
-            if shift > 1000:
+    panels = levels = nodes = deepest = retries = 0
+    kernel = None
+    try:
+        with mp.workdps(wp):
+            zz = mpc(z)
+            tau_tail = mpf(10) ** (log_t - digits - 9)
+            needed = max(1.0, (digits + 10 - log_t) * _LN10 / (2.0 * math.pi) + 1.0)
+            gap2 = needed * needed - float(zz.imag) ** 2
+            shift = 1
+            if gap2 > 0:
+                shift = max(1, int(math.ceil(math.sqrt(gap2) - float(zz.real))))
+            tail = None
+            for _ in range(12):
+                if shift > 1000:
+                    raise ResourceLimitError(
+                        f"remainder oracle needs more than 1000 unit panels at z={z}, k={k}"
+                    )
+                tail = _tail_series(zz + shift, k, family, tau_tail)
+                if tail is not None:
+                    break
+                retries += 1
+                shift = int(shift * 1.4) + 1
+            if tail is None:
                 raise ResourceLimitError(
-                    f"remainder oracle needs more than 1000 unit panels at z={z}, k={k}"
+                    f"remainder oracle could not certify the series tail at z={z}, k={k}"
                 )
-            tail = _tail_series(zz + shift, k, family, tau_tail)
-            if tail is not None:
-                break
-            shift = int(shift * 1.4) + 1
-        if tail is None:
-            raise ResourceLimitError(
-                f"remainder oracle could not certify the series tail at z={z}, k={k}"
+            tail_sum, tail_terms = tail
+
+            prec = mp.mp.prec + 20
+            kernel = _PeriodicKernel(k, family, prec)
+            zr = _fixed(zz.real, prec + 24)
+            zi = _fixed(zz.imag, prec + 24)
+            two_k = 2 * k
+
+            def level_value(m: int, level: int) -> mpc:
+                re_, im_, exp = _level_sum(kernel, m, level, zr, zi, two_k)
+                return mpc(mpf((re_, exp)), mpf((im_, exp))) / two_k
+
+            panel_tol = mpf(10) ** (log_t - digits - 8) / (2 * shift)
+            integral = mpc(0)
+            for m in range(2 * shift):
+                panels += 1
+                prev = level_value(m, 0)
+                levels += 1
+                nodes += 20
+                for level in range(1, 13):
+                    cur = level_value(m, level)
+                    levels += 1
+                    nodes += 20 << level
+                    deepest = max(deepest, level)
+                    if abs(cur - prev) <= panel_tol:
+                        break
+                    prev = cur
+                else:
+                    raise ConsistencyError(
+                        f"quadrature panel [{m / 2}, {(m + 1) / 2}] failed to stabilize"
+                    )
+                integral += cur
+
+            value = -integral + tail_sum
+            crude_fr = abs(bernoulli_number(2 * k)) / (2 * k * (2 * k - 1))
+            crude = (mpf(crude_fr.numerator) / crude_fr.denominator) / mpf(shift) ** (
+                2 * k - 1
             )
-        tail_sum, tail_terms = tail
-
-        nodes, weights = _gl_nodes_01()
-        poly = _poly_mpf(2 * k)
-        two_k = mpf(2 * k)
-        power = 2 * k
-
-        def kernel(u: mpf) -> mpc:
-            v = u + offset
-            x = v - mp.floor(v)
-            acc = poly[0]
-            for c in poly[1:]:
-                acc = acc * x + c
-            return acc / (two_k * (zz + u) ** power)
-
-        panel_tol = mpf(10) ** (log_t - digits - 8) / (2 * shift)
-        integral = mpc(0)
-        for m in range(2 * shift):
-            integral += _adaptive_panel(
-                kernel, mpf(m) / 2, mpf(m + 1) / 2, panel_tol, nodes, weights
-            )
-
-        value = -integral + tail_sum
-        crude_fr = abs(bernoulli_number(2 * k)) / (2 * k * (2 * k - 1))
-        crude = (mpf(crude_fr.numerator) / crude_fr.denominator) / mpf(shift) ** (
-            2 * k - 1
+            return value, tail_sum, tail_terms, shift, crude
+    finally:
+        _count(
+            panels=panels,
+            levels=levels,
+            node_evaluations=nodes,
+            kernel_evaluations=kernel.evaluations if kernel else 0,
+            shift_retries=retries,
+            deepest_level=deepest,
         )
-        return value, tail_sum, tail_terms, shift, crude
 
 
 def oracle_remainder(
@@ -466,6 +647,7 @@ def oracle_remainder(
     """
     digits = _check_digits(digits)
     zc = _require_remainder_args(z, k, family)
+    _count(remainders=1)
 
     with mp.workdps(30):
         zz0 = mpc(zc)

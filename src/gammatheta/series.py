@@ -137,7 +137,13 @@ def _term_via_logs(coeff: Fraction, z: complex, p: int) -> complex:
     phase = _ipow(u, p)
     if coeff < 0:
         mag = -mag
-    return mag * phase
+    # Each part alone: a zero phase part stays 0 (inf * 0 would be NaN), a
+    # nonzero one times an overflowing magnitude is +-inf.
+    return complex(_scale_part(mag, phase.real), _scale_part(mag, phase.imag))
+
+
+def _scale_part(mag: float, part: float) -> float:
+    return mag * part if part else part * math.copysign(1.0, mag)
 
 
 def _power_term(coeff: Fraction, z: complex, p: int) -> complex:
@@ -152,8 +158,9 @@ def _power_term(coeff: Fraction, z: complex, p: int) -> complex:
         out = c * w
         if cmath.isfinite(out):
             return out
-        if cmath.isinf(w) or c == 0.0:
-            # inf * 0 / 0 * inf produced NaNs; recover the honest value.
+        if not cmath.isfinite(w) or c == 0.0:
+            # (1/z)^p overflowed into inf or NaN parts, or inf * 0 produced
+            # NaNs; recover the honest value.
             return _term_via_logs(coeff, z, p)
         return out
     return _term_via_logs(coeff, z, p)
@@ -226,7 +233,16 @@ def partial_sum(kind: str, k: int, argument: complex) -> complex:
     term = stirling_term if kind == "stirling" else gauss_term
     acc = complex(0.0, 0.0)
     for j in range(1, k + 1):
-        acc += term(j, complex(argument))
+        t = term(j, complex(argument))
+        total = acc + t
+        if cmath.isnan(total):
+            # inf + (-inf): terms overflow only where they grow with j (the
+            # argument far below j/pi), so the later term dominates.
+            total = complex(
+                t.real if math.isnan(total.real) else total.real,
+                t.imag if math.isnan(total.imag) else total.imag,
+            )
+        acc = total
     return acc
 
 

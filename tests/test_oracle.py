@@ -8,6 +8,7 @@ import mpmath as mp
 import pytest
 
 from gammatheta import ConsistencyError, DomainError
+from gammatheta.bernoulli import periodic_bernoulli
 from gammatheta.bounds import gamma_ratio_bound
 from gammatheta.oracle import (
     MAX_DIGITS,
@@ -22,8 +23,10 @@ from gammatheta.oracle import (
     oracle_theta_remainder,
     required_table2_digits,
     sharpness_ratio,
+    stats,
     theta_series_value,
 )
+from gammatheta.oracle import _gl_nodes_01, _PeriodicKernel
 
 
 # -- lngamma -----------------------------------------------------------------
@@ -90,6 +93,53 @@ def test_remainder_equals_reference_minus_partial_sum():
             b = mp.bernoulli(2 * j)
             total -= b / (2 * j * (2 * j - 1) * zz ** (2 * j - 1))
         assert abs(got - total) <= abs(total) * mp.mpf(10) ** (-30)
+
+
+@pytest.mark.parametrize("k", [3, 16])
+@pytest.mark.parametrize("family", ["stirling", "gauss"])
+def test_kernel_table_maps_each_panel_parity_to_the_periodic_polynomial(k, family):
+    # Panel m covers [m/2, (m+1)/2]; its level-L node (i, n) sits at
+    # u = m/2 + (i + x_n)/2^(L+1), and the table read for that panel must
+    # hold B_2k({u + offset}) there.
+    offset = mp.mpf(0) if family == "stirling" else mp.mpf(1) / 2
+    with mp.workdps(40):
+        kernel = _PeriodicKernel(k, family, mp.mp.prec + 20)
+        nodes, _ = _gl_nodes_01()
+        tol = mp.mpf(2) ** (-(mp.mp.prec - 20))
+        for m in (6, 7):
+            for level in range(3):
+                values = kernel.values(kernel.base(m), level)
+                assert len(values) == 20 << level
+                for i in range(1 << level):
+                    for n, x in enumerate(nodes):
+                        u = mp.mpf(m) / 2 + (i + x) / 2 ** (level + 1)
+                        want = periodic_bernoulli(2 * k, u + offset)
+                        got = mp.mpf((values[20 * i + n], kernel.exp))
+                        assert abs(got - want) <= tol * abs(want), (m, level, i, n)
+
+
+def test_kernel_evaluations_do_not_grow_with_the_shift():
+    clear_caches()
+    witness = oracle_remainder(0.5 + 10j, 9, "stirling", 14, details=True)
+    counts = stats()
+    assert witness.shift == 13
+    assert counts["remainders"] == 1
+    assert counts["panels"] == 2 * witness.shift
+    deepest = counts["deepest_level"]
+    # one table per (panel parity, level): at most 2 * 20 * (2^(L+1) - 1)
+    # polynomial values, whatever the number of panels
+    assert 0 < counts["kernel_evaluations"] <= 2 * 20 * (2 ** (deepest + 1) - 1)
+    assert counts["node_evaluations"] > counts["kernel_evaluations"]
+    assert counts["levels"] >= 2 * counts["panels"]
+    clear_caches()
+    assert set(stats().values()) == {0}
+
+
+def test_stats_count_lngamma_cache_hits():
+    clear_caches()
+    oracle_lngamma(0.5 + 9j, 30)
+    oracle_lngamma(0.5 + 9j, 30)
+    assert stats()["lngamma_cache_hits"] == 1
 
 
 def test_remainder_validates_its_arguments():

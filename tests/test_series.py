@@ -43,13 +43,25 @@ def test_term_coefficient_rejects_unknown_kind_and_bad_index():
 
 
 @pytest.mark.parametrize("j", [1, 2, 3, 5, 10, 25])
-@pytest.mark.parametrize("z", [2.0 + 0j, 0.5 + 3j, 10j, -1 + 8j, 40.0 + 0j])
+@pytest.mark.parametrize(
+    "z",
+    [2.0 + 0j, 0.5 + 3j, 10j, -1 + 8j, 40.0 + 0j, 5e-324 + 0j, 1e-300 + 1e-300j, 1e-200 + 0j],
+)
 def test_stirling_terms_match_high_precision_reference(j, z):
     coeff = term_coefficient("stirling", j)
     with mp.workdps(40):
         want = mp.mpf(coeff.numerator) / coeff.denominator / mp.mpc(z) ** (2 * j - 1)
         got = stirling_term(j, z)
-        assert abs(got - complex(want)) <= 1e-13 * abs(want)
+        if abs(want) < 1e300:
+            assert abs(got - complex(want)) <= 1e-13 * abs(want)
+        else:
+            # an overflowing term: a part is 0 where the true part is, and
+            # +-inf with the true sign elsewhere, never NaN
+            for part, want_part in ((got.real, want.real), (got.imag, want.imag)):
+                if want_part == 0:
+                    assert part == 0.0
+                else:
+                    assert part == math.copysign(math.inf, want_part)
 
 
 @pytest.mark.parametrize("j", [1, 2, 7, 40, 100])
@@ -91,6 +103,8 @@ def test_partial_sum_equals_the_explicit_term_total():
     t = 7.0
     total_theta = sum(theta_term(j, t) for j in range(1, 13))
     assert partial_sum("theta", 12, t).real == pytest.approx(total_theta, rel=1e-14)
+    # T_2 = -inf and T_3 = +inf at 1e-200; the larger, later term decides
+    assert partial_sum("stirling", 3, 1e-200) == complex(math.inf, 0.0)
 
 
 @pytest.mark.parametrize(("t", "expected"), sorted(KMIN_PINS.items()))
