@@ -1,7 +1,10 @@
 """Exact Bernoulli numbers, Bernoulli polynomials, and periodic extensions.
 
-All coefficient arithmetic is exact over ``fractions.Fraction``; floating
+All arithmetic is exact, over integers and ``fractions.Fraction``; floating
 point enters only in the final rounding of a polynomial or zeta evaluation.
+A polynomial is evaluated in the half-argument form ``B_j(1/2 + y)``, a
+polynomial in ``y^2``, at the exact binary value of its mpf argument, and
+the result is rounded once, correctly, to the working precision.
 Conventions:
 
 * ``bernoulli_number(j)`` takes the *even* index ``j`` and returns ``B_j``,
@@ -22,8 +25,9 @@ import threading
 from fractions import Fraction
 
 from mpmath import mp, mpf
+from mpmath.libmp import from_rational, round_nearest
 
-from .errors import AccuracyError, DomainError, ResourceLimitError
+from .errors import DomainError, ResourceLimitError
 
 __all__ = [
     "MAX_INDEX",
@@ -60,7 +64,7 @@ class BernoulliTable:
     def __init__(self) -> None:
         self._even: list[Fraction] = [Fraction(1)]  # B_0
         self._half: list[Fraction] = [Fraction(1)]  # B_0(1/2) unused sentinel
-        self._poly_coeffs: dict[int, tuple[Fraction, ...]] = {}
+        self._half_coeffs: dict[int, tuple[Fraction, ...]] = {}
         self._lock = threading.Lock()
 
     # -- numbers ---------------------------------------------------------
@@ -104,25 +108,22 @@ class BernoulliTable:
 
     # -- polynomials -----------------------------------------------------
 
-    def poly_coefficients(self, j: int) -> tuple[Fraction, ...]:
-        """Exact coefficients of ``B_j(x)``, highest power first.
+    def half_coefficients(self, j: int) -> tuple[Fraction, ...]:
+        """Exact coefficients of ``B_j(1/2 + y)`` as a polynomial in ``y^2``,
+        highest power first: ``(1, C(j,2) B_2(1/2), ..., B_j(1/2))``.
 
-        ``B_j(x) = sum_i C(j,i) B_i x^(j-i)``; the only odd contribution is
-        ``i = 1``.  Cached per degree.
+        ``B_j(1/2 + y) = sum_i C(j,i) B_i(1/2) y^(j-i)`` and ``B_i(1/2)``
+        vanishes for odd ``i``.  Cached per degree.
         """
         self._check_index(j)
-        cached = self._poly_coeffs.get(j)
-        if cached is not None:
-            return cached
-        coeffs = [Fraction(0)] * (j + 1)
-        coeffs[0] = Fraction(1)  # x^j
-        coeffs[1] = Fraction(-j, 2)  # C(j,1) * B_1 * x^(j-1)
-        for i in range(2, j + 1, 2):
-            coeffs[i] = math.comb(j, i) * self.number(i)
-        result = tuple(coeffs)
-        with self._lock:
-            self._poly_coeffs[j] = result
-        return result
+        cached = self._half_coeffs.get(j)
+        if cached is None:
+            cached = (Fraction(1),) + tuple(
+                math.comb(j, i) * self.half(i) for i in range(2, j + 1, 2)
+            )
+            with self._lock:
+                self._half_coeffs[j] = cached
+        return cached
 
 
 _SHARED = BernoulliTable()
@@ -143,68 +144,51 @@ def bernoulli_half(j: int) -> Fraction:
     return _SHARED.half(j)
 
 
-def _poly_eval(j: int, u: mpf) -> mpf:
-    """Horner evaluation of B_j at ``u`` in [0,1], cancellation-compensated.
+def _eval_dyadic(j: int, num: int, s: int) -> mpf:
+    """``B_j(num / 2**s)``, correctly rounded to the working precision.
 
-    Coefficients are exact, so rounding inside the Horner recursion is the
-    only error source.  Each step is benign relative to the running
-    magnitude, but the final value can sit far below the peak intermediate
-    (near u = 1/4 the even polynomials shrink by ~4^(j/2) relative to their
-    coefficient scale), so every pass measures the realized cancellation and
-    reruns with that many guard digits when the current guard is too small.
-    Dyadic arguments are never zeros of these polynomials, so the retries
-    terminate; the final rounding is then faithful to working precision.
+    With ``y = num / 2**s - 1/2 = yn / 2**(s+1)`` and the half-argument
+    coefficients ``c_i = a_i / d`` on one denominator, ``B_j(1/2 + y)``
+    is ``sum_i a_i Y^(n-i) 2^(2(s+1)i) / (d 2^(2(s+1)n))`` with
+    ``Y = yn^2`` and ``n = j/2``: one Horner recursion on integers, exact,
+    and a single rounding of the quotient.
     """
-    coeffs = _SHARED.poly_coefficients(j)
-    guard = 10
-    for _ in range(12):
-        with mp.workdps(mp.dps + guard):
-            x = mpf(u)
-            acc = mpf(0)
-            peak = mpf(0)
-            for c in coeffs:
-                acc = acc * x + mpf(c.numerator) / c.denominator
-                mag = abs(acc)
-                if mag > peak:
-                    peak = mag
-            # digits destroyed by cancellation; acc == 0 means pure noise
-            lost = None if acc == 0 else int(mp.ceil(mp.log10(peak / abs(acc))))
-        if lost is not None and lost + 5 <= guard:
-            return +acc
-        # a noisy pass only lower-bounds the true cancellation, so grow
-        # geometrically; a clean measurement needs just one more pass
-        guard = max((lost or 0) + 10, 2 * guard)
-    raise AccuracyError(
-        f"evaluating B_{j} at u={u} lost more than {guard} digits to "
-        f"cancellation"
+    coeffs = _SHARED.half_coefficients(j)
+    den = math.lcm(*(c.denominator for c in coeffs))
+    y2 = (2 * num - (1 << s)) ** 2
+    step = 2 * (s + 1)
+    acc = shift = 0
+    for c in coeffs:
+        acc = acc * y2 + ((c.numerator * (den // c.denominator)) << shift)
+        shift += step
+    return mp.make_mpf(
+        from_rational(acc, den << (shift - step), mp.prec, round_nearest)
     )
 
 
 def bernoulli_poly(j: int, u) -> mpf:
-    """``B_j(u)`` for even ``j`` and ``0 <= u <= 1`` at working precision.
-
-    Exact rational coefficients, Horner evaluation, one final rounding.
-    """
+    """``B_j(u)`` for even ``j`` and ``0 <= u <= 1`` (taken as an mpf at
+    working precision), correctly rounded."""
     _SHARED._check_index(j)
     u = mpf(u)
-    if u < 0 or u > 1:
+    if not 0 <= u <= 1:
         raise DomainError(f"bernoulli_poly argument must lie in [0,1], got {u}")
-    return _poly_eval(j, u)
+    _, man, exp, _ = u._mpf_  # u = man * 2**exp with exp <= 0
+    return _eval_dyadic(j, man, -exp)
 
 
 def periodic_bernoulli(j: int, u) -> mpf:
-    """``B_j({u})`` with ``{u} = u - floor(u)``, for any finite real ``u``.
-
-    The floor of an arbitrary-precision binary float is exact, so arguments
-    near integer boundaries never land in the wrong unit interval.
-    """
+    """``B_j({u})`` with ``{u} = u - floor(u)``, for any finite real ``u``
+    (taken as an mpf at working precision), correctly rounded.  ``{u}`` is
+    formed exactly from the mantissa, so arguments near integer boundaries
+    never land in the wrong unit interval."""
     u = mpf(u)
     if not mp.isfinite(u):
         raise DomainError(f"periodic_bernoulli argument must be finite, got {u}")
-    frac = u - mp.floor(u)
-    if frac >= 1:  # can only happen for u just below an integer rounding up
-        frac = mpf(0)
-    return bernoulli_poly(j, frac)
+    sign, man, exp, _ = u._mpf_
+    if exp >= 0:  # an integer
+        man = exp = 0
+    return _eval_dyadic(j, (-man if sign else man) % (1 << -exp), -exp)
 
 
 def half_shift_identity_check(k: int, u, digits: int | None = None) -> bool:

@@ -93,6 +93,15 @@ def _plan(z: complex, k: int, family: str) -> TruncationPlan:
     )
 
 
+def _main_terms(w: complex, logw: complex, family: str) -> complex:
+    """The family's main terms at ``w``, given ``logw = log w``:
+    ``(w - 1/2) log w - w + (1/2) log 2 pi`` for lngamma(w) and
+    ``w log w - w + (1/2) log 2 pi`` for lngamma(w + 1/2)."""
+    if family == "stirling":
+        return (w - 0.5) * logw - w + _HALF_LOG_2PI
+    return w * logw - w + _HALF_LOG_2PI
+
+
 def _eval_right(z: complex, plan: TruncationPlan, family: str) -> CertifiedValue:
     """Shift-sum-subtract evaluation for Re(z) >= 0 along ``plan``."""
     fp = FpAccumulator()
@@ -107,10 +116,7 @@ def _eval_right(z: complex, plan: TruncationPlan, family: str) -> CertifiedValue
         w += 1.0
 
     logw = cmath.log(w)
-    if family == "stirling":
-        main = (w - 0.5) * logw - w + _HALF_LOG_2PI
-    else:
-        main = w * logw - w + _HALF_LOG_2PI
+    main = _main_terms(w, logw, family)
     fp.charge(max(abs(main), abs(w) * abs(logw), 1.0), ops=6)
 
     terms = partial_sum(family, plan.k, w)
@@ -216,11 +222,7 @@ def _default_accuracy(z: complex, family: str) -> float:
     |value| + 1 (main terms at a shifted point minus the shift logs)."""
     offset = 0.0 if family == "stirling" else 0.5
     w, shifts = _shift(z, 6.0)
-    logw = cmath.log(w)
-    if family == "stirling":
-        main = (w - 0.5) * logw - w + _HALF_LOG_2PI
-    else:
-        main = w * logw - w + _HALF_LOG_2PI
+    main = _main_terms(w, cmath.log(w), family)
     logs = sum(cmath.log(z + offset + j) for j in range(shifts))
     return 1e-12 * (abs(main - logs) + 1.0)
 

@@ -78,7 +78,7 @@ SHARPNESS_SPOTS = ((90, 100.0 / math.pi), (383, 400.0 / math.pi))
 
 _cache_lock = threading.Lock()
 _coeff_cache: dict[tuple[str, int, int], mpf] = {}
-_nodes_cache: dict[int, tuple[tuple[mpf, ...], tuple[mpf, ...]]] = {}
+_nodes_cache: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
 _lngamma_cache: dict[tuple[object, object, int], mpc] = {}
 
 #: Work counters since the last :func:`clear_caches`; ``deepest_level`` is a
@@ -170,46 +170,48 @@ def _legendre_pair(n: int, x: mpf) -> tuple[mpf, mpf]:
     return p1, dp
 
 
-def _gl_nodes_01() -> tuple[tuple[mpf, ...], tuple[mpf, ...]]:
-    """20 Gauss-Legendre nodes and weights on [0, 1] at working precision."""
+def _gl_nodes_01(prec: int) -> tuple[list[int], list[int]]:
+    """20 Gauss-Legendre nodes and weights on [0, 1] as ``floor(x * 2**prec)``.
+
+    The rule is computed once per power of two ``bits >= max(prec, 128)``,
+    kept as ``bits``-bit fixed-point integers, and floored to ``prec`` bits
+    by a shift.
+    """
     n = 20
-    key = mp.mp.prec
+    bits = max(128, 1 << (prec - 1).bit_length())
     with _cache_lock:
-        hit = _nodes_cache.get(key)
-    if hit is not None:
-        return hit
-    pairs: list[tuple[mpf, mpf]] = []
-    with mp.extraprec(40):
-        target = mpf(2) ** (-mp.mp.prec + 12)
-        for i in range(1, n // 2 + 1):
-            x = mpf(math.cos(math.pi * (i - 0.25) / (n + 0.5)))
-            for _ in range(200):
+        hit = _nodes_cache.get(bits)
+    if hit is None:
+        pairs: list[tuple[mpf, mpf]] = []
+        with mp.workprec(bits + 40):
+            target = mpf(2) ** (-mp.mp.prec + 12)
+            for i in range(1, n // 2 + 1):
+                x = mpf(math.cos(math.pi * (i - 0.25) / (n + 0.5)))
+                for _ in range(200):
+                    p, dp = _legendre_pair(n, x)
+                    dx = p / dp
+                    x -= dx
+                    if abs(dx) < target:
+                        break
+                else:
+                    raise ConsistencyError("Legendre root iteration failed to converge")
                 p, dp = _legendre_pair(n, x)
-                dx = p / dp
-                x -= dx
-                if abs(dx) < target:
-                    break
-            else:
-                raise ConsistencyError("Legendre root iteration failed to converge")
-            p, dp = _legendre_pair(n, x)
-            x -= p / dp
-            _, dp = _legendre_pair(n, x)
-            w = 2 / ((1 - x * x) * dp * dp)
-            pairs.append((x, w))
-    # n is even, so the roots come in symmetric nonzero pairs; fold them onto
-    # [0, 1] in ascending order.
-    nodes: list[mpf] = []
-    weights: list[mpf] = []
-    for x, w in sorted(pairs, reverse=True):
-        nodes.append(+((1 - x) / 2))
-        weights.append(+(w / 2))
-    for x, w in sorted(pairs):
-        nodes.append(+((1 + x) / 2))
-        weights.append(+(w / 2))
-    result = (tuple(nodes), tuple(weights))
-    with _cache_lock:
-        _nodes_cache[key] = result
-    return result
+                x -= p / dp
+                _, dp = _legendre_pair(n, x)
+                w = 2 / ((1 - x * x) * dp * dp)
+                pairs.append((x, w))
+            # n is even, so the roots come in symmetric nonzero pairs; fold
+            # them onto [0, 1] in ascending order.
+            folded = [((1 - x) / 2, w / 2) for x, w in sorted(pairs, reverse=True)]
+            folded += [((1 + x) / 2, w / 2) for x, w in sorted(pairs)]
+        hit = (
+            tuple(_fixed(x, bits) for x, _ in folded),
+            tuple(_fixed(w, bits) for _, w in folded),
+        )
+        with _cache_lock:
+            _nodes_cache[bits] = hit
+    shift = bits - prec
+    return [x >> shift for x in hit[0]], [w >> shift for w in hit[1]]
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +236,8 @@ def _shift_count(zz: mpc, radius_target: float) -> int:
 
 
 def _lngamma_attempt(zz: mpc, n: int, digits: int):
-    """One shifted-series evaluation; returns (value, certified).
+    """One shifted-series evaluation, the whole series as the tail after
+    k = 0 plus the main terms; returns (value, certified).
 
     The adaptive stop and the final certificate both use the tail bound
     sqrt(pi j) |T_j(w)|, which dominates the closed-half-plane Gamma-ratio
@@ -244,27 +247,14 @@ def _lngamma_attempt(zz: mpc, n: int, digits: int):
     with a larger shift radius, which makes the terms decay faster).
     """
     w = zz + n
-    inv_w = 1 / w
-    inv_w2 = inv_w * inv_w
-    p = inv_w
-    acc = mpc(0)
-    tau = mpf(10) ** (-(digits + 6))
-    j = 1
-    while True:
-        term = _coeff("stirling", j) * p
-        acc += term
-        tail_bound = mp.sqrt(mp.pi * j) * abs(term)
-        if tail_bound < tau:
-            break
-        j += 1
-        if j > _SERIES_INDEX_CAP:
-            return None, False
-        p *= inv_w2
-    main = (w - mpf("0.5")) * mp.log(w) - w + mp.log(2 * mp.pi) / 2
+    tail = _tail_series(w, 0, "stirling", mpf(10) ** (-(digits + 6)))
+    if tail is None:
+        return None, False
+    acc, _, tail_bound = tail
     logs = mpc(0)
     for i in range(n):
         logs += mp.log(zz + i)
-    result = main + acc - logs
+    result = _main_terms_mp("stirling", w) + acc - logs
     certified = tail_bound < mpf(10) ** (-(digits + 5)) * (1 + abs(result))
     return result, certified
 
@@ -356,11 +346,13 @@ def _log10_term(family: str, k: int, zz) -> float:
     )
 
 
-def _partial_sum_mp(family: str, k: int, zz: mpc) -> mpc:
+def _partial_sum_mp(family: str, k: int, zz):
+    """Sum of the first k terms of the family's series at zz (an mpf for a
+    real zz)."""
     inv_w = 1 / zz
     inv_w2 = inv_w * inv_w
     p = inv_w
-    acc = mpc(0)
+    acc = 0
     for j in range(1, k + 1):
         acc += _coeff(family, j) * p
         p *= inv_w2
@@ -377,9 +369,9 @@ def _main_terms_mp(family: str, zz: mpc) -> mpc:
 def _tail_series(w: mpc, k: int, family: str, tau: mpf):
     """Sum T_j(w) for j > k until the proven tail bound drops below tau.
 
-    Returns (sum, last_index) or None when the bound cannot reach tau within
-    the Bernoulli cap.  The factor 2 for the half-shifted family dominates
-    every eta_j, keeping the certificate valid there too.
+    Returns (sum, last_index, final_bound) or None when the bound cannot
+    reach tau within the Bernoulli cap.  The factor 2 for the half-shifted
+    family dominates every eta_j, keeping the certificate valid there too.
     """
     safety = 2 if family == "gauss" else 1
     inv_w = 1 / w
@@ -392,7 +384,7 @@ def _tail_series(w: mpc, k: int, family: str, tau: mpf):
         acc += term
         bound = safety * mp.sqrt(mp.pi * j) * abs(term)
         if bound < tau:
-            return acc, j
+            return acc, j, bound
         j += 1
         if j > _SERIES_INDEX_CAP:
             return None
@@ -420,18 +412,11 @@ class _PeriodicKernel:
         self.prec = prec
         self.offset2 = 0 if family == "stirling" else 1  # 2 * offset
         table = shared_table()
-        # B_2k(1/2 + y) = sum over even j of C(2k, j) B_j(1/2) y^(2k-j): a
-        # polynomial in y^2 of degree k, highest power first.
-        coeffs = [Fraction(1)] + [
-            math.comb(2 * k, j) * table.half(j) for j in range(2, 2 * k + 1, 2)
-        ]
         b = table.number(2 * k)
         # within one of log2 |B_2k|, minus prec
         self.exp = b.numerator.bit_length() - b.denominator.bit_length() - prec
-        self.coeffs = [_scaled(c, -self.exp) for c in coeffs]
-        nodes, weights = _gl_nodes_01()
-        self.nodes = [_fixed(x, prec) for x in nodes]
-        self.weights = [_fixed(w, prec) for w in weights]
+        self.coeffs = [_scaled(c, -self.exp) for c in table.half_coefficients(2 * k)]
+        self.nodes, self.weights = _gl_nodes_01(prec)
         self.evaluations = 0
         self._weighted: dict[tuple[int, int], list[int]] = {}
 
@@ -584,7 +569,7 @@ def _remainder_by_integral(z: complex, k: int, family: str, digits: int, log_t: 
                 raise ResourceLimitError(
                     f"remainder oracle could not certify the series tail at z={z}, k={k}"
                 )
-            tail_sum, tail_terms = tail
+            tail_sum, tail_terms, _ = tail
 
             prec = mp.mp.prec + 20
             kernel = _PeriodicKernel(k, family, prec)
@@ -782,12 +767,7 @@ def theta_series_value(
     with mp.workdps(digits + 15):
         tt = mpf(tf)
         value = tt / 2 * (mp.log(tt) - mp.log(2 * mp.pi) - 1) - mp.pi / 8
-        inv_t = 1 / tt
-        inv_t2 = inv_t * inv_t
-        p = inv_t
-        for j in range(1, k + 1):
-            value += _coeff("theta", j) * p
-            p *= inv_t2
+        value += _partial_sum_mp("theta", k, tt)
         if variant in ("arctan", "empirical"):
             value += mp.atan(mp.exp(-mp.pi * tt)) / 2
         if variant == "empirical":

@@ -1,6 +1,7 @@
 """Exact Bernoulli machinery: numbers, polynomials, periodic extension."""
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import mpmath as mp
@@ -72,22 +73,54 @@ def test_half_argument_sign_is_opposite_to_the_number():
         assert bernoulli_half(2 * j) * bernoulli_number(2 * j) < 0
 
 
+def _exact_poly(j: int, x: Fraction) -> Fraction:
+    """B_j(x) over the rationals from the x-form sum_i C(j,i) B_i x^(j-i),
+    with B_1 = -1/2 and the other odd B_i zero."""
+    total = x**j - Fraction(j, 2) * x ** (j - 1)
+    for i in range(2, j + 1, 2):
+        total += math.comb(j, i) * bernoulli_number(i) * x ** (j - i)
+    return total
+
+
+def _rounded(value: Fraction):
+    """The exact rational correctly rounded to the working precision."""
+    return mp.fdiv(value.numerator, value.denominator)
+
+
 def test_polynomial_endpoints_equal_the_number():
-    # B_j(0) = B_j(1) = B_j for even j >= 2.
-    for index in (2, 8, 20, 50):
-        value = bernoulli_number(index)
-        exact = mp.mpf(value.numerator) / value.denominator
-        tolerance = max(abs(exact), mp.mpf(1)) * mp.mpf(10) ** (-12)
-        assert abs(bernoulli_poly(index, 0.0) - exact) < tolerance
-        assert abs(bernoulli_poly(index, 1.0) - exact) < tolerance
+    # B_j(0) = B_j(1) = B_j for even j >= 2, correctly rounded.
+    for digits in (15, 30, 60):
+        with mp.workdps(digits):
+            for index in (2, 8, 20, 50):
+                exact = _rounded(bernoulli_number(index))
+                assert bernoulli_poly(index, 0.0) == exact
+                assert bernoulli_poly(index, 1.0) == exact
 
 
 def test_polynomial_midpoint_equals_half_value():
-    for index in (2, 10, 36):
-        half = bernoulli_half(index)
-        exact = mp.mpf(half.numerator) / half.denominator
-        tolerance = max(abs(exact), mp.mpf(1)) * mp.mpf(10) ** (-12)
-        assert abs(bernoulli_poly(index, 0.5) - exact) < tolerance
+    for digits in (15, 30, 60):
+        with mp.workdps(digits):
+            for index in (2, 10, 36):
+                assert bernoulli_poly(index, 0.5) == _rounded(bernoulli_half(index))
+
+
+def test_polynomial_is_correctly_rounded_near_a_quarter():
+    # Near u = 1/4 the even polynomials sit ~4^(j/2) below the scale of
+    # their coefficients, so any rounding inside the evaluation would show.
+    for digits in (15, 30, 60):
+        with mp.workdps(digits):
+            for index in (2, 10, 40, 120):
+                for sign in (1, -1):
+                    u = Fraction(1, 4) + sign * Fraction(1, 2**40)
+                    assert bernoulli_poly(index, float(u)) == _rounded(_exact_poly(index, u))
+
+
+def test_periodic_extension_is_correctly_rounded_just_below_zero():
+    # {-2^-200} = 1 - 2^-200: reduced exactly, then evaluated exactly.
+    with mp.workdps(100):
+        for index in (2, 10, 40, 120):
+            want = _rounded(_exact_poly(index, 1 - Fraction(1, 2**200)))
+            assert periodic_bernoulli(index, -(2.0**-200)) == want
 
 
 @settings(max_examples=60, deadline=None)
@@ -108,6 +141,8 @@ def test_polynomial_rejects_arguments_outside_unit_interval():
         bernoulli_poly(4, -0.25)
     with pytest.raises(DomainError):
         bernoulli_poly(4, 1.25)
+    with pytest.raises(DomainError):
+        bernoulli_poly(4, mp.nan)
 
 
 def test_periodic_extension_reduces_modulo_one():

@@ -104,7 +104,7 @@ def test_kernel_table_maps_each_panel_parity_to_the_periodic_polynomial(k, famil
     offset = mp.mpf(0) if family == "stirling" else mp.mpf(1) / 2
     with mp.workdps(40):
         kernel = _PeriodicKernel(k, family, mp.mp.prec + 20)
-        nodes, _ = _gl_nodes_01()
+        nodes = [mp.mpf((x, -kernel.prec)) for x in kernel.nodes]
         tol = mp.mpf(2) ** (-(mp.mp.prec - 20))
         for m in (6, 7):
             for level in range(3):
@@ -116,6 +116,21 @@ def test_kernel_table_maps_each_panel_parity_to_the_periodic_polynomial(k, famil
                         want = periodic_bernoulli(2 * k, u + offset)
                         got = mp.mpf((values[20 * i + n], kernel.exp))
                         assert abs(got - want) <= tol * abs(want), (m, level, i, n)
+
+
+def test_gauss_legendre_rule_is_floored_from_one_cached_precision():
+    # 150 and 200 bits share the 256-bit rule, so the coarser one is the
+    # finer one shifted down.
+    nodes, weights = _gl_nodes_01(200)
+    assert _gl_nodes_01(150) == ([x >> 50 for x in nodes], [w >> 50 for w in weights])
+    one = 1 << 200
+    assert one - 20 <= sum(weights) <= one
+    for a, b in zip(nodes, reversed(nodes)):
+        assert abs(a + b - one) <= 1  # symmetric about 1/2
+    # every node is a root of P_20(2x - 1) to about the working precision
+    with mp.workprec(200):
+        for x in nodes:
+            assert abs(mp.legendre(20, 2 * mp.mpf((x, -200)) - 1)) < mp.mpf(2) ** -180
 
 
 def test_kernel_evaluations_do_not_grow_with_the_shift():
