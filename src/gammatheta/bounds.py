@@ -10,11 +10,11 @@ Upward-rounding policy: bounds are mathematical suprema, so every floating
 chain that produces a bound is topped with ``(1 + 2**-40)`` guard factors —
 enough to swamp double rounding, far too small to matter against the >1%
 slack the bounds themselves carry.  Below the normal range (2**-1022) a
-guard factor no longer moves a value and a term may be rounded low or have
-underflowed, so there a bound is also formed from logs (a factor times a
-term as ``exp(log factor + log|T|)``), raised by 2**-30 relative and stepped
-up once.  A bound whose true magnitude falls below the smallest subnormal is
-clamped to it, never to zero; a bound on a term that overflows is ``inf``.
+guard factor no longer moves a value, so there a factor times a term is
+formed from the term's mantissa and binary exponent (see ``series``), a bound
+from logs is raised by 2**-30 relative, and either is stepped up once.  A
+bound below the smallest subnormal is clamped to it, a bound on an
+overflowing term is ``inf``.
 
 The catalog:
 
@@ -52,14 +52,15 @@ sqrt(pi k) (the quadratic forms need k <= |z|, c_k also k <= 100), times
 eta_k for the half and theta rungs.  Rounding, including the step below the
 normal range, is monotone, so no later applicable rung is smaller in doubles
 either.  ``best_bound`` builds only the first applicable rung and the
-classical bounds at the target and returns the smallest.  Ties: a classical
-bound replaces the rung only when strictly smaller, so at a tie the kind
-reported is the ladder's first applicable family (then the classical bounds
-in catalog order).
+classical bounds at the target and returns the smallest; after k terms
+Behnke-Sommer is at least 1.69 times a quadratic rung (exact |c_(k+1)/c_k|,
+k < 1000), so it is not built behind one.  Ties: a classical bound replaces
+the rung only when strictly smaller, so at a tie the kind reported is the
+ladder's first applicable family (then the classical bounds in catalog
+order).
 """
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 import threading
@@ -75,10 +76,11 @@ from .errors import DomainError
 from .fputil import ceil_float, log_abs_fraction, up
 from .series import (
     TINY,
+    _inverse_scaled,
     _log_theta_term,
+    _scaled_term,
     gauss_term,
     stirling_term,
-    term_coefficient,
     theta_term,
 )
 
@@ -220,19 +222,17 @@ def _times_term(
     normalized: float, family: str, k: int, argument: complex, chains: int = _CHAINS
 ) -> float:
     """``normalized * |T_k(argument)|`` of a series family, rounded up, and
-    ``inf`` when the term overflows (its power may have left NaN parts).
-    Below the normal range the term may be rounded low or have underflowed,
-    so there the product is also formed from logs."""
+    ``inf`` when the term overflows; below the normal range it is formed
+    from the term's mantissa and exponent, rounded once and stepped up."""
     term = _modulus(_TERMS[family](k, argument))
     if not term < math.inf:
         return math.inf
     value = up(normalized * term, chains)
-    if 0.0 < normalized and value < sys.float_info.min:
-        # cmath.log scales internally, so |argument| may exceed the range
-        log_term = log_abs_fraction(term_coefficient(family, k)) - (
-            2 * k - 1
-        ) * cmath.log(argument).real
-        value = max(value, _exp_up(math.log(normalized) + log_term))
+    if term < sys.float_info.min or value < sys.float_info.min:
+        mantissa, exponent = _scaled_term(family, k, *_inverse_scaled(complex(argument)))
+        fraction, shift = math.frexp(abs(mantissa))
+        value = math.ldexp(up(normalized * fraction, chains), exponent + shift)
+        value = math.nextafter(value, math.inf)
     return _clamp(value)
 
 
@@ -702,8 +702,9 @@ def best_bound(
     by construction — they are not in the candidate set).
 
     Only the first applicable ladder entry and the classical bounds can be
-    the minimum, so only they are built; a classical bound replaces the
-    ladder entry only when strictly smaller.
+    the minimum (after k terms, behind a quadratic rung, only the rung), so
+    only they are built; a classical bound replaces the ladder entry only
+    when strictly smaller.
     """
     ladder, classical = _tables(context, target)
     best: BoundResult | None = None
@@ -712,6 +713,9 @@ def best_bound(
         if candidate.applicable:
             best = candidate
             break
+    quadratic = (BoundKind.CK_QUADRATIC, BoundKind.QUADRATIC)
+    if target is Target.R_KP1 and best is not None and best.kind in quadratic:
+        return best
     for kind in classical:
         candidate = literature_bound(kind, k, argument, target)
         if candidate.applicable and (best is None or candidate.value < best.value):

@@ -382,9 +382,11 @@ def _tail_series(w: mpc, k: int, family: str, tau: mpf):
     while True:
         term = _coeff(family, j) * p
         acc += term
-        bound = safety * mp.sqrt(mp.pi * j) * abs(term)
+        bound = abs(term)  # safety * sqrt(pi j) > 1: only |term| < tau can pass
         if bound < tau:
-            return acc, j, bound
+            bound *= safety * mp.sqrt(mp.pi * j)
+            if bound < tau:
+                return acc, j, bound
         j += 1
         if j > _SERIES_INDEX_CAP:
             return None

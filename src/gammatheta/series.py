@@ -10,6 +10,11 @@ Three term families share one shape, ``coefficient / argument**(2j-1)``:
 * ``theta``: positive real terms of the argument-of-gamma expansion on the
   imaginary axis, ``|B_half(2j)| / (4j (2j-1) t**(2j-1))``.
 
+A stirling or gauss term keeps a binary exponent beside its mantissa, as
+Arb's ``mag_t`` does, and every scaling is exact: so it is within about one
+ulp per factor of its power at every magnitude, and bit for bit
+``c * (1/z)**p`` wherever that power is normal.
+
 The theta family is divergent with a well-defined least term; ``k_min``
 locates it by linear scan in log space, which is immune to double overflow
 and underflow of the terms themselves.
@@ -72,23 +77,23 @@ def _require_index(j: int) -> None:
 
 
 @lru_cache(maxsize=4096)
-def _stirling_coeff(j: int) -> Fraction:
-    return bernoulli_number(2 * j) / (2 * j * (2 * j - 1))
-
-
-@lru_cache(maxsize=4096)
-def _gauss_coeff(j: int) -> Fraction:
-    return bernoulli_half(2 * j) / (2 * j * (2 * j - 1))
-
-
-@lru_cache(maxsize=4096)
-def _theta_coeff(j: int) -> Fraction:
-    return abs(bernoulli_half(2 * j)) / (4 * j * (2 * j - 1))
+def _coefficient(kind: str, j: int) -> tuple[Fraction, float, int]:
+    """The exact coefficient c and ``(m, e)`` with ``c = m 2**e``, ``m``
+    rounded once and ``1/2 <= |m| < 1`` (also beyond the double range)."""
+    if kind == "stirling":
+        c = bernoulli_number(2 * j) / (2 * j * (2 * j - 1))
+    elif kind == "gauss":
+        c = bernoulli_half(2 * j) / (2 * j * (2 * j - 1))
+    else:
+        c = abs(bernoulli_half(2 * j)) / (4 * j * (2 * j - 1))
+    e = abs(c.numerator).bit_length() - c.denominator.bit_length()
+    m, shift = math.frexp(float(c / Fraction(2) ** e))
+    return c, m, e + shift
 
 
 @lru_cache(maxsize=4096)
 def _log_theta_coeff(j: int) -> float:
-    return log_abs_fraction(_theta_coeff(j))
+    return log_abs_fraction(_coefficient("theta", j)[0])
 
 
 def term_coefficient(kind: str, j: int) -> Fraction:
@@ -99,13 +104,9 @@ def term_coefficient(kind: str, j: int) -> Fraction:
     Bernoulli factor.
     """
     _require_index(j)
-    if kind == "stirling":
-        return _stirling_coeff(j)
-    if kind == "gauss":
-        return _gauss_coeff(j)
-    if kind == "theta":
-        return _theta_coeff(j)
-    raise DomainError(f"unknown series family {kind!r}")
+    if kind not in FAMILIES:
+        raise DomainError(f"unknown series family {kind!r}")
+    return _coefficient(kind, j)[0]
 
 
 def _ipow(w: complex, n: int) -> complex:
@@ -120,67 +121,56 @@ def _ipow(w: complex, n: int) -> complex:
     return result
 
 
-def _term_via_logs(coeff: Fraction, z: complex, p: int) -> complex:
-    """Scale-split fallback when the direct double path over/underflows.
-
-    Magnitude goes through ``exp(log)``; the phase is a binary power of the
-    *unit* vector ``1/z / |1/z|``, which cannot overflow.  Relative accuracy
-    is ~1e-12 for extreme ``p`` — these regimes are diagnostic, and the
-    certified evaluators never rely on them.
-    """
-    logmag = log_abs_fraction(coeff) - p * math.log(abs(z))
-    try:
-        mag = math.exp(logmag)
-    except OverflowError:
-        mag = math.inf
-    u = complex(z.real, -z.imag) / abs(z)
-    phase = _ipow(u, p)
-    if coeff < 0:
-        mag = -mag
-    # Each part alone: a zero phase part stays 0 (inf * 0 would be NaN), a
-    # nonzero one times an overflowing magnitude is +-inf.
-    return complex(_scale_part(mag, phase.real), _scale_part(mag, phase.imag))
-
-
-def _scale_part(mag: float, part: float) -> float:
-    return mag * part if part else part * math.copysign(1.0, mag)
-
-
-def _power_term(coeff: Fraction, z: complex, p: int) -> complex:
+def _inverse_scaled(z: complex) -> tuple[complex, int]:
+    """``(1 / (z 2**-s), s)`` with ``|z 2**-s|`` in ``[2**-1/2, 2**1/2]``, so
+    every power below the Bernoulli cap (p < 2000) stays in double range."""
     if z == 0:
         raise DomainError("series terms are undefined at argument 0")
+    s = math.frexp(max(abs(z.real), abs(z.imag)))[1]
+    re, im = math.ldexp(z.real, -s), math.ldexp(z.imag, -s)
+    if re * re + im * im < 0.5:
+        s -= 1
+        re, im = 2.0 * re, 2.0 * im
+    return 1.0 / complex(re, im), s
+
+
+def _scaled_term(kind: str, j: int, inverse: complex, s: int) -> tuple[complex, int]:
+    """The j-th term at the argument of ``(inverse, s)`` as ``(mantissa,
+    exponent)``, ``|mantissa|`` in ``[2**-1001, 2**1000]``."""
+    _, m, e = _coefficient(kind, j)
+    p = 2 * j - 1
+    return m * _ipow(inverse, p), e - p * s
+
+
+def _ldexp(x: float, n: int) -> float:
+    """``x * 2**n``, rounded once below the normal range, +-inf above it."""
     try:
-        c = float(coeff)
+        return math.ldexp(x, n)
     except OverflowError:
-        c = math.inf
-    if math.isfinite(c):
-        w = _ipow(1.0 / z, p)
-        out = c * w
-        if cmath.isfinite(out):
-            return out
-        if not cmath.isfinite(w) or c == 0.0:
-            # (1/z)^p overflowed into inf or NaN parts, or inf * 0 produced
-            # NaNs; recover the honest value.
-            return _term_via_logs(coeff, z, p)
-        return out
-    return _term_via_logs(coeff, z, p)
+        return math.copysign(math.inf, x)
+
+
+def _unscale(mantissa: complex, exponent: int) -> complex:
+    """Apply the exponent to each part once: a zero part stays 0, a part
+    past the double range is +-inf, and no part is NaN."""
+    return complex(_ldexp(mantissa.real, exponent), _ldexp(mantissa.imag, exponent))
 
 
 def stirling_term(j: int, z: complex) -> complex:
     """j-th term of the log-gamma expansion at ``z`` (any nonzero ``z``).
 
-    Overflow yields an infinite component, full underflow yields 0.0, per
-    binary floating-point semantics.
+    A part past the double range is +-inf, one below it rounds once (to 0.0
+    when it underflows fully); no part is NaN.
     """
     _require_index(j)
-    return _power_term(_stirling_coeff(j), complex(z), 2 * j - 1)
+    return _unscale(*_scaled_term("stirling", j, *_inverse_scaled(complex(z))))
 
 
 def gauss_term(j: int, z: complex) -> complex:
     """j-th term of the half-shifted expansion; equals
     ``-(1 - 2**(1-2j)) * stirling_term(j, z)`` exactly."""
     _require_index(j)
-    return _power_term(_gauss_coeff(j), complex(z), 2 * j - 1)
+    return _unscale(*_scaled_term("gauss", j, *_inverse_scaled(complex(z))))
 
 
 def _log_theta_term(j: int, t: float, log_t: float | None = None) -> float:
@@ -200,7 +190,7 @@ def theta_term(j: int, t: float) -> float:
     t = float(t)
     if not (t > 0.0) or math.isinf(t):
         raise DomainError(f"theta terms require finite t > 0, got {t!r}")
-    coeff = _theta_coeff(j)
+    coeff = _coefficient("theta", j)[0]
     p = 2 * j - 1
     try:
         c = float(coeff)
@@ -230,10 +220,12 @@ def partial_sum(kind: str, k: int, argument: complex) -> complex:
         for j in range(1, k + 1):
             total += theta_term(j, t)
         return total
-    term = stirling_term if kind == "stirling" else gauss_term
     acc = complex(0.0, 0.0)
+    if k == 0:
+        return acc
+    scaled = _inverse_scaled(complex(argument))
     for j in range(1, k + 1):
-        t = term(j, complex(argument))
+        t = _unscale(*_scaled_term(kind, j, *scaled))
         total = acc + t
         if cmath.isnan(total):
             # inf + (-inf): terms overflow only where they grow with j (the

@@ -367,6 +367,36 @@ def test_best_bound_is_the_minimum_of_the_applicable_candidates():
             assert best.kind is winners[0].kind, (k, argument, context, target)
 
 
+def test_behnke_sommer_cannot_undercut_a_quadratic_rung():
+    # After k terms Behnke-Sommer is (1 + (2k+1)/2 sqrt(pi/k)) |T_(k+1)| and
+    # the rung r (k/|z|)^2 |T_k|; |T_(k+1)/T_k| = |c_(k+1)/c_k| / |z|^2, so
+    # their ratio does not depend on z.  best_bound relies on it to skip
+    # building Behnke-Sommer behind a quadratic rung.
+    ratios = []
+    for k in range(1, 1000):
+        coeff_ratio = abs(term_coefficient("stirling", k + 1) / term_coefficient("stirling", k))
+        rung = c_k(k) if k <= 100 else CK_LIMIT
+        with mp.workdps(30):
+            factor = 1 + mp.mpf(2 * k + 1) / 2 * mp.sqrt(mp.pi / k)
+            exact = mp.mpf(coeff_ratio.numerator) / coeff_ratio.denominator
+            ratios.append(factor * exact / (mp.mpf(rung) * k * k))
+    assert min(ratios) >= 1.69
+    assert min(ratios) == ratios[0]
+    z = complex(30.0, 40.0)
+    assert best_bound(5, z, "stirling").kind is BoundKind.CK_QUADRATIC
+    assert best_bound(150, 300.0 + 400j, "stirling").kind is BoundKind.QUADRATIC
+
+
+def test_plain_bounds_cover_the_exact_value_where_the_power_is_subnormal():
+    # (1/z)^119 is subnormal at 270+360j while the bound is normal; a power
+    # rounded there loses the bits the guard factors cannot cover.
+    z = complex(270.0, 360.0)
+    bound = gamma_ratio_bound(60, z)
+    assert bound.value >= 3.9315887623e-216
+    with mp.workdps(30):
+        assert mp.mpf(bound.value) >= bound.normalized * _exact_stirling_term(60, z)
+
+
 def test_theta_bounds_round_up_below_the_normal_range():
     # A rounded subnormal term can sit half a step low; the bound built on
     # it must still cover its factor times the exact term.

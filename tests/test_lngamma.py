@@ -8,6 +8,8 @@ import mpmath as mp
 import pytest
 
 from gammatheta import AccuracyError, DomainError
+from gammatheta.bounds import c_k
+from gammatheta.series import term_coefficient
 from gammatheta.lngamma import (
     CertifiedValue,
     TruncationPlan,
@@ -230,3 +232,20 @@ def test_the_evaluation_reports_the_plan_it_was_chosen_by(z):
         assert choose_k(z, eps, context="gauss") == half
         assert half.truncation_bound <= eps
 
+
+
+def test_truncation_bound_covers_its_exact_value_where_the_power_is_subnormal():
+    # Reflected, then shifted 83 times to |w| >= 83, where (1/w)^165 is
+    # subnormal but the ck-quadratic bound c_83 (83/|w|)^2 |T_83(w)| is not.
+    z = complex(-0.020876011093886353, 0.013285529497193258)
+    plan = eval_lngamma(z, k=83).plan
+    w = -z
+    for _ in range(plan.shifts):
+        w += 1.0
+    coeff = term_coefficient("stirling", 83)
+    with mp.workdps(30):
+        ww = mp.mpc(w)
+        term = abs(mp.mpf(coeff.numerator) / coeff.denominator / ww**165)
+        exact = mp.mpf(c_k(83)) * (83 / abs(ww)) ** 2 * term
+    assert plan.bound_kind.value == "ck-quadratic"
+    assert mp.mpf(plan.truncation_bound) >= exact

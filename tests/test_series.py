@@ -1,7 +1,9 @@
 """Series terms for the three expansions and the least-term machinery."""
 from __future__ import annotations
 
+import cmath
 import math
+import random
 from fractions import Fraction
 
 import mpmath as mp
@@ -62,6 +64,57 @@ def test_stirling_terms_match_high_precision_reference(j, z):
                     assert part == 0.0
                 else:
                     assert part == math.copysign(math.inf, want_part)
+
+
+def _log2_coefficient(kind: str, k: int) -> float:
+    coeff = term_coefficient(kind, k)
+    return math.log2(abs(coeff.numerator)) - math.log2(coeff.denominator)
+
+
+def _term_sweep() -> list[tuple[str, int, complex]]:
+    """Seeded (family, k, z) over k = 1..999 and all four quadrants: per k
+    and family, one z in each quadrant with |z| log-uniform in
+    [1e-320, 1e308], where most terms leave the double range, and one z
+    placed so that log2 |T_k(z)| is uniform in [-1020, 1020]."""
+    rng = random.Random(20161018)
+    cases = [("stirling", 29, complex(406764.75077007414, 209527.8192131333))]
+    for k in range(1, 1000):
+        p = 2 * k - 1
+        for i, kind in enumerate(("stirling", "gauss")):
+            quadrant = [(q + rng.random()) * math.pi / 2 for q in range(4)]
+            for angle in quadrant:
+                modulus = 10.0 ** rng.uniform(-320.0, 308.0)
+                cases.append((kind, k, cmath.rect(modulus, angle)))
+            log_modulus = (_log2_coefficient(kind, k) - rng.uniform(-1020.0, 1020.0)) / p
+            if abs(log_modulus) < 1020.0:
+                cases.append((kind, k, cmath.rect(2.0**log_modulus, quadrant[(k + i) % 4])))
+    return cases
+
+
+def test_terms_carry_their_exponent_across_the_double_range():
+    # (1/z)^p in doubles carries about p roundings, so the tolerance is
+    # 4 ulp per factor of the power; a term formed from logs is off by
+    # about p log|z| ulp, and one whose power went subnormal by far more.
+    checked = 0
+    for kind, k, z in _term_sweep():
+        p = 2 * k - 1
+        got = (stirling_term if kind == "stirling" else gauss_term)(k, z)
+        assert not (math.isnan(got.real) or math.isnan(got.imag)), (kind, k, z)
+        log2_size = _log2_coefficient(kind, k) - p * math.log2(abs(z))
+        if log2_size > 1025.0:
+            assert abs(got) == math.inf, (kind, k, z)
+        elif log2_size < -1076.0:
+            assert got == 0, (kind, k, z)
+        else:
+            coeff = term_coefficient(kind, k)
+            with mp.workdps(30):
+                want = mp.mpf(coeff.numerator) / coeff.denominator / mp.mpc(z) ** p
+                size = abs(want)
+                if size < mp.mpf(2) ** 1024:
+                    error = abs(mp.mpc(got) - want)
+                    assert error <= 4 * p * math.ulp(float(size)), (kind, k, z)
+                    checked += 1
+    assert checked > 2000
 
 
 @pytest.mark.parametrize("j", [1, 2, 7, 40, 100])
