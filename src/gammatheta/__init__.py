@@ -6,7 +6,15 @@ derived from proven truncation bounds plus a coarse floating-point noise
 budget.  The slow path (`oracle_*`) is an arbitrary-precision, self-verifying
 reference used to test the fast path and to reproduce the published constant
 tables.
+
+The fast path loads no mpmath.  ``gammatheta.oracle`` is registered lazily:
+its code, and mpmath with it, runs on the first access to one of its
+attributes, and the package serves the oracle's public names from it.
 """
+
+import importlib.util as _util
+import sys as _sys
+import threading as _threading
 
 from .errors import (
     AccuracyError,
@@ -21,8 +29,6 @@ from .bernoulli import (
     bernoulli_poly,
     half_shift_identity_check,
     periodic_bernoulli,
-    recurrence_identity_check,
-    zeta_even,
 )
 from .series import (
     MinTermReport,
@@ -31,9 +37,7 @@ from .series import (
     partial_sum,
     stirling_term,
     term_coefficient,
-    term_ratio,
     theta_term,
-    unimodality_check,
 )
 from .bounds import (
     CONTAINMENT_T,
@@ -62,25 +66,50 @@ from .theta import (
     ThetaVariant,
     arctan_term,
     eval_theta,
-    re_rhat_identity,
 )
-from .oracle import (
-    MAX_DIGITS,
-    SHARPNESS_SPOTS,
-    ConjectureSample,
-    NormalizedErrorRow,
-    RemainderWitness,
-    conjecture_grid,
-    conjecture_scan,
-    oracle_lngamma,
-    oracle_remainder,
-    oracle_theta,
-    oracle_theta_remainder,
-    required_table2_digits,
-    sharpness_ratio,
-    table2_row,
-    theta_series_value,
+
+
+def _lazy_submodule(name: str):
+    """Register ``gammatheta.<name>`` in ``sys.modules`` without running it."""
+    spec = _util.find_spec(f"{__name__}.{name}")
+    spec.loader = _util.LazyLoader(spec.loader)
+    module = _util.module_from_spec(spec)
+    _sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+oracle = _lazy_submodule("oracle")
+#: Serializes the first load: before Python 3.12 a lazy module is not
+#: thread-safe while it executes.
+_ORACLE_LOCK = _threading.Lock()
+
+#: The oracle's public names, served from it on first use.
+_ORACLE_NAMES = (
+    "MAX_DIGITS",
+    "SHARPNESS_SPOTS",
+    "ConjectureSample",
+    "NormalizedErrorRow",
+    "RemainderWitness",
+    "conjecture_grid",
+    "conjecture_scan",
+    "oracle_lngamma",
+    "oracle_remainder",
+    "oracle_theta",
+    "oracle_theta_remainder",
+    "required_table2_digits",
+    "sharpness_ratio",
+    "table2_row",
+    "theta_series_value",
 )
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        with _ORACLE_LOCK:
+            return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"
 
@@ -95,17 +124,13 @@ __all__ = [
     "bernoulli_poly",
     "half_shift_identity_check",
     "periodic_bernoulli",
-    "recurrence_identity_check",
-    "zeta_even",
     "MinTermReport",
     "gauss_term",
     "k_min",
     "partial_sum",
     "stirling_term",
     "term_coefficient",
-    "term_ratio",
     "theta_term",
-    "unimodality_check",
     "CONTAINMENT_T",
     "BoundKind",
     "BoundResult",
@@ -128,21 +153,6 @@ __all__ = [
     "ThetaVariant",
     "arctan_term",
     "eval_theta",
-    "re_rhat_identity",
-    "MAX_DIGITS",
-    "SHARPNESS_SPOTS",
-    "ConjectureSample",
-    "NormalizedErrorRow",
-    "RemainderWitness",
-    "conjecture_grid",
-    "conjecture_scan",
-    "oracle_lngamma",
-    "oracle_remainder",
-    "oracle_theta",
-    "oracle_theta_remainder",
-    "required_table2_digits",
-    "sharpness_ratio",
-    "table2_row",
-    "theta_series_value",
+    *_ORACLE_NAMES,
     "__version__",
 ]

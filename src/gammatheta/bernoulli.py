@@ -1,10 +1,14 @@
 """Exact Bernoulli numbers, Bernoulli polynomials, and periodic extensions.
 
 All arithmetic is exact, over integers and ``fractions.Fraction``; floating
-point enters only in the final rounding of a polynomial or zeta evaluation.
-A polynomial is evaluated in the half-argument form ``B_j(1/2 + y)``, a
-polynomial in ``y^2``, at the exact binary value of its mpf argument, and
-the result is rounded once, correctly, to the working precision.
+point enters only in the final rounding of a polynomial evaluation.  The
+even Bernoulli numbers come from the tangent numbers by the integer
+recurrence of Brent and Harvey ("Fast computation of Bernoulli, tangent and
+secant numbers", 2013), so they need no multiprecision floats.  A polynomial
+is evaluated in the half-argument form ``B_j(1/2 + y)``, a polynomial in
+``y^2``, at the exact binary value of its mpf argument, and the result is
+rounded once, correctly, to the working precision.  Only the functions that
+take or return an mpf import mpmath, when called.
 Conventions:
 
 * ``bernoulli_number(j)`` takes the *even* index ``j`` and returns ``B_j``,
@@ -23,11 +27,12 @@ from __future__ import annotations
 import math
 import threading
 from fractions import Fraction
-
-from mpmath import mp, mpf
-from mpmath.libmp import from_rational, round_nearest
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, ResourceLimitError
+
+if TYPE_CHECKING:
+    from mpmath import mpf
 
 __all__ = [
     "MAX_INDEX",
@@ -37,8 +42,6 @@ __all__ = [
     "bernoulli_poly",
     "periodic_bernoulli",
     "half_shift_identity_check",
-    "recurrence_identity_check",
-    "zeta_even",
     "shared_table",
 ]
 
@@ -48,17 +51,30 @@ __all__ = [
 MAX_INDEX = 2000
 
 
+def _tangent_numbers(n: int) -> list[int]:
+    """``[0, T_1, ..., T_n]`` with ``T_m`` the m-th tangent number
+    (1, 2, 16, 272, ...), by Brent and Harvey's O(n^2) integer recurrence."""
+    t = [0, 1] + [0] * (n - 1)
+    for m in range(2, n + 1):
+        t[m] = (m - 1) * t[m - 1]
+    for k in range(2, n + 1):
+        prev = t[k - 1]
+        for j in range(k, n + 1):
+            prev = t[j] = (j - k) * prev + (j - k + 2) * t[j]
+    return t
+
+
 class BernoulliTable:
     """Grow-on-demand cache of even-index Bernoulli numbers.
 
-    ``values[m]`` holds ``B_{2m}`` (``values[0] = 1``); ``half_values[m]``
-    holds ``B_{2m}(1/2)``.  Odd-index numbers beyond ``B_1 = -1/2`` vanish
-    and are not stored.  Growth delegates to ``mpmath.bernfrac``, which is
-    exact (von Staudt-Clausen denominator, zeta-series numerator) and far
-    faster than the classical convolution recurrence; that recurrence is
-    kept in :func:`recurrence_identity_check` as an independent witness.
-    Reads of already-grown entries take no lock (list reads are atomic);
-    growth is serialized.
+    ``_even[m]`` holds ``B_{2m}`` (``_even[0] = 1``); ``_half[m]`` holds
+    ``B_{2m}(1/2)``.  Odd-index numbers beyond ``B_1 = -1/2`` vanish
+    and are not stored.  Growth recomputes the tangent numbers ``T_m`` and
+    sets ``B_{2m} = (-1)^(m-1) 2m T_m / (4^m (4^m - 1))``; it at least
+    doubles the table each time (up to the cap), so the O(n^2) recurrence
+    costs a constant factor over one run to the final size.  Reads of
+    already-grown entries take no lock (list reads are atomic); growth is
+    serialized.
     """
 
     def __init__(self) -> None:
@@ -81,9 +97,14 @@ class BernoulliTable:
         """Ensure B_{2m} is cached for all m <= upto_m."""
         with self._lock:
             evens = self._even
-            for m in range(len(evens), upto_m + 1):
-                p, q = mp.bernfrac(2 * m)
-                evens.append(Fraction(int(p), int(q)))
+            if upto_m < len(evens):
+                return
+            n = min(max(upto_m, 2 * (len(evens) - 1)), MAX_INDEX // 2)
+            tangent = _tangent_numbers(n)
+            for m in range(len(evens), n + 1):
+                q = 1 << (2 * m)
+                b = Fraction(2 * m * tangent[m], q * (q - 1))
+                evens.append(b if m % 2 else -b)
             # keep the half-value cache aligned
             half = self._half
             for m in range(len(half), len(evens)):
@@ -153,6 +174,9 @@ def _eval_dyadic(j: int, num: int, s: int) -> mpf:
     ``Y = yn^2`` and ``n = j/2``: one Horner recursion on integers, exact,
     and a single rounding of the quotient.
     """
+    from mpmath import mp
+    from mpmath.libmp import from_rational, round_nearest
+
     coeffs = _SHARED.half_coefficients(j)
     den = math.lcm(*(c.denominator for c in coeffs))
     y2 = (2 * num - (1 << s)) ** 2
@@ -169,6 +193,8 @@ def _eval_dyadic(j: int, num: int, s: int) -> mpf:
 def bernoulli_poly(j: int, u) -> mpf:
     """``B_j(u)`` for even ``j`` and ``0 <= u <= 1`` (taken as an mpf at
     working precision), correctly rounded."""
+    from mpmath import mpf
+
     _SHARED._check_index(j)
     u = mpf(u)
     if not 0 <= u <= 1:
@@ -182,6 +208,8 @@ def periodic_bernoulli(j: int, u) -> mpf:
     (taken as an mpf at working precision), correctly rounded.  ``{u}`` is
     formed exactly from the mantissa, so arguments near integer boundaries
     never land in the wrong unit interval."""
+    from mpmath import mp, mpf
+
     u = mpf(u)
     if not mp.isfinite(u):
         raise DomainError(f"periodic_bernoulli argument must be finite, got {u}")
@@ -201,6 +229,8 @@ def half_shift_identity_check(k: int, u, digits: int | None = None) -> bool:
     (the values themselves grow like |B_{2k}|, so a purely absolute test
     would be vacuous for large k).
     """
+    from mpmath import mp, mpf
+
     if k < 1:
         raise DomainError(f"half_shift_identity_check needs k >= 1, got {k}")
     if digits is None:
@@ -214,43 +244,3 @@ def half_shift_identity_check(k: int, u, digits: int | None = None) -> bool:
         rhs = periodic_bernoulli(2 * k, uu + mpf(1) / 2)
         scale = max(mpf(1), abs(lhs), abs(rhs))
         return bool(abs(lhs - rhs) < scale * mpf(10) ** (5 - digits))
-
-
-def recurrence_identity_check(upto_m: int) -> bool:
-    """Self-test of the number table against the classical binomial
-    convolution
-
-        B_m = -1/(m+1) * [ C(m+1,1)*B_1 + sum_{i even < m} C(m+1,i)*B_i ],
-
-    evaluated over exact rationals, independently of how the table entries
-    were produced.  Returns whether ``B_2 .. B_{2 upto_m}`` all agree.
-    """
-    if upto_m < 1:
-        raise DomainError(f"recurrence check needs upto_m >= 1, got {upto_m}")
-    evens = [Fraction(1)]
-    for m2 in range(2, 2 * upto_m + 1, 2):
-        acc = Fraction(-(m2 + 1), 2)  # C(m2+1, 1) * B_1
-        for i, known in enumerate(evens):
-            acc += math.comb(m2 + 1, 2 * i) * known
-        value = -acc / (m2 + 1)
-        if value != bernoulli_number(m2):
-            return False
-        evens.append(value)
-    return True
-
-
-def zeta_even(k: int, digits: int) -> mpf:
-    """``zeta(2k)`` to ``digits`` digits from the exact Bernoulli number.
-
-    Uses ``|B_{2k}| = 2 (2k)! zeta(2k) / (2 pi)^{2k}`` rearranged; the only
-    rounding is in ``pi`` and the final division.
-    """
-    if k < 1:
-        raise DomainError(f"zeta_even needs k >= 1, got {k}")
-    b = abs(bernoulli_number(2 * k))
-    with mp.workdps(digits + 15):
-        num = mpf(b.numerator) / b.denominator * (2 * mp.pi) ** (2 * k)
-        den = 2 * mp.factorial(2 * k)
-        value = num / den
-    with mp.workdps(digits):
-        return +value

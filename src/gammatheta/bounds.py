@@ -69,8 +69,6 @@ from enum import Enum
 from fractions import Fraction
 from functools import partial
 
-from mpmath import mp
-
 from .bernoulli import bernoulli_number
 from .errors import DomainError
 from .fputil import ceil_float, log_abs_fraction, up
@@ -260,9 +258,39 @@ def eta(k: int) -> float:
 #: Largest k with a stored constant c_k.
 CK_MAX_K = 100
 
-#: k -> (c_k as the exact value of its 50-digit print, that value rounded up
-#: to a double).  Filled under the lock: mpmath's working precision is global.
-_CK: dict[int, tuple[Fraction, float]] = {}
+#: c_1 .. c_100, each the double just above the exact value of its 50-digit
+#: print in ``_compute_ck`` (a test recomputes every one).
+_CK_UP = (
+    0.0720950487984711, 0.10396004048581073, 0.1042937853269217, 0.1053035262187288,
+    0.10645984220609717, 0.10738388017790125, 0.10808821262442529, 0.10863369726261157,
+    0.10906673214713522, 0.10941827683384735, 0.10970909540374776, 0.10995352481743288,
+    0.11016175798624664, 0.11034122884846281, 0.11049747990621103, 0.11063472371715158,
+    0.11075621683075286, 0.11086451503482045, 0.11096165140860767, 0.1110492629640643,
+    0.11112868231484437, 0.11120100509711085, 0.11126714028231673, 0.1113278482255247,
+    0.11138376979174865, 0.11143544890370354, 0.1114833501780964, 0.11152787285265985,
+    0.11156936188181976, 0.11160811684959226, 0.11164439918413693, 0.11167843803946409,
+    0.11171043512268856, 0.111740568680766, 0.1117689968124881, 0.1117958602352047,
+    0.11182128460813064, 0.11184538249293204, 0.11186825501594096, 0.11188999328363185,
+    0.11191067959303401, 0.11193038847090431, 0.11194918756925842, 0.11196713843989252,
+    0.11198429720654363, 0.11200071515012483, 0.11201643921986842, 0.11203151248109036,
+    0.11204597450855562, 0.11205986173299906, 0.11207320774718177, 0.11208604357688835,
+    0.11209839792146163, 0.11211029736779513, 0.1121217665811377, 0.11213282847558896,
+    0.11214350436676294, 0.11215381410875795, 0.1121637762172829, 0.1121734079805448,
+    0.11218272555929357, 0.1121917440772408, 0.11220047770291593, 0.11220893972389089,
+    0.11221714261419037, 0.1122250980956067, 0.11223281719355241, 0.11224031028801011,
+    0.1122475871600742, 0.11225465703452306, 0.1122615286188112, 0.11226821013882757,
+    0.1122747093717287, 0.11228103367612208, 0.11228719001984572, 0.11229318500556469,
+    0.11229902489438168, 0.11230471562763941, 0.11231026284707428, 0.11231567191346471,
+    0.1123209479239041, 0.11232609572781486, 0.11233111994180973, 0.11233602496349553,
+    0.11234081498430658, 0.11234549400144613, 0.11235006582900742, 0.11235453410833937,
+    0.11235890231771596, 0.11236317378136351, 0.11236735167789479, 0.11237143904819506,
+    0.11237543880280126, 0.11237935372881164, 0.11238318649636066, 0.11238693966469049,
+    0.1123906156878483, 0.11239421692003582, 0.11239774562063577, 0.11240120395893777,
+)
+
+#: k -> c_k as the exact value of its 50-digit print, for ``c_k_string``.
+#: Filled under the lock: mpmath's working precision is global.
+_CK: dict[int, Fraction] = {}
 _CK_LOCK = threading.Lock()
 
 
@@ -274,6 +302,8 @@ def _compute_ck(k: int) -> tuple[Fraction, float]:
     stored value is an upper bound on the true constant that is correct to
     well over 40 digits.
     """
+    from mpmath import mp
+
     with mp.workdps(60):
         b2k = bernoulli_number(2 * k)
         base = abs(mp.mpf(b2k.numerator)) / mp.mpf(b2k.denominator)
@@ -296,26 +326,27 @@ def _compute_ck(k: int) -> tuple[Fraction, float]:
     return fr, ceil_float(fr)
 
 
-def _ck_entry(k: int) -> tuple[Fraction, float]:
+def _check_ck_index(k: int) -> None:
     _check_k(k)
     if k > CK_MAX_K:
         raise DomainError(
             f"c_k constants are verified only for k <= {CK_MAX_K}, got {k}"
         )
-    with _CK_LOCK:
-        if k not in _CK:
-            _CK[k] = _compute_ck(k)
-        return _CK[k]
 
 
 def c_k(k: int) -> float:
     """Upper bound on the k-th quadratic-bound constant (k <= 100)."""
-    return _ck_entry(k)[1]
+    _check_ck_index(k)
+    return _CK_UP[k - 1]
 
 
 def c_k_string(k: int, decimals: int = 6) -> str:
     """``c_k`` rounded up at ``decimals`` places, as a decimal string."""
-    fr = _ck_entry(k)[0]
+    _check_ck_index(k)
+    with _CK_LOCK:
+        if k not in _CK:
+            _CK[k] = _compute_ck(k)[0]
+        fr = _CK[k]
     scale = 10**decimals
     units = -((-fr.numerator * scale) // fr.denominator)
     whole, frac = divmod(units, scale)

@@ -44,8 +44,6 @@ import signal
 import sys
 from decimal import ROUND_HALF_EVEN, Decimal
 
-from mpmath import mp
-
 from .bounds import CONTAINMENT_T, Target, best_bound, c_k_string, containment_grid
 from .errors import (
     AccuracyError,
@@ -54,12 +52,6 @@ from .errors import (
     ResourceLimitError,
 )
 from .lngamma import eval_lngamma, eval_lngamma_half
-from .oracle import (
-    SHARPNESS_SPOTS,
-    conjecture_scan,
-    sharpness_ratio,
-    table2_row,
-)
 from .theta import ThetaVariant, eval_theta
 
 __all__ = ["main", "build_parser"]
@@ -171,6 +163,8 @@ def _fixed_dec2(x: Decimal) -> str:
 
 
 def _mpf_str(x, digits: int = 25) -> str:
+    from mpmath import mp
+
     return mp.nstr(x, digits)
 
 
@@ -260,6 +254,8 @@ def cmd_table1(ns, emitter: Emitter) -> None:
 
 
 def cmd_table2(ns, emitter: Emitter) -> None:
+    from .oracle import table2_row
+
     try:
         heights = [float(part) for part in ns.t_list.split(",") if part.strip()]
     except ValueError as exc:
@@ -351,6 +347,8 @@ _CONJECTURE_FIELDS = (
 
 
 def _scan_conjecture(ns, emitter: Emitter, inputs: dict) -> None:
+    from .oracle import conjecture_scan
+
     grid = _parse_grid(ns.grid)
     kmax = _grid_int(grid, "kmax", 40)
     if kmax < 1:
@@ -397,6 +395,8 @@ def _scan_conjecture(ns, emitter: Emitter, inputs: dict) -> None:
 
 
 def _scan_sharpness(ns, emitter: Emitter, inputs: dict) -> None:
+    from .oracle import SHARPNESS_SPOTS, sharpness_ratio
+
     digits = ns.digits if ns.digits is not None else 20
     inputs = dict(inputs, digits=str(digits))
     for k, y in SHARPNESS_SPOTS:

@@ -42,8 +42,6 @@ __all__ = [
     "partial_sum",
     "k_min",
     "EMPIRICAL_CONSTANT",
-    "unimodality_check",
-    "term_ratio",
 ]
 
 FAMILIES = ("stirling", "gauss", "theta")
@@ -263,37 +261,3 @@ def k_min(t: float) -> MinTermReport:
     if t_min == 0.0:
         t_min = TINY
     return MinTermReport(t=t, k_min=k, t_min=t_min)
-
-
-def unimodality_check(t: float, k_max: int) -> bool:
-    """Verify the theta terms strictly decrease up to the least term and
-    strictly increase after it, through index ``k_max``."""
-    report = k_min(t)
-    log_t = math.log(float(t))
-    logs = [_log_theta_term(j, float(t), log_t) for j in range(1, k_max + 2)]
-    for j in range(1, min(report.k_min, k_max + 1)):
-        if not logs[j - 1] > logs[j]:
-            return False
-    for j in range(report.k_min + 1, k_max):
-        if not logs[j - 1] < logs[j]:
-            return False
-    return True
-
-
-def term_ratio(j: int, t: float) -> float:
-    """``theta_term(j, t) / theta_term(j+1, t)``, stable against over- and
-    underflow of the individual terms.
-
-    For growing ``j`` this approaches ``4 pi^2 t^2 / (2j (2j-1))`` from
-    below at the stated ``O(4**-j)`` relative distance.
-    """
-    a = theta_term(j, t)
-    b = theta_term(j + 1, t)
-    if 0.0 < a < math.inf and 0.0 < b < math.inf:
-        ratio = a / b
-        if 0.0 < ratio < math.inf:
-            return ratio
-    log_t = math.log(float(t))
-    return math.exp(
-        _log_theta_term(j, float(t), log_t) - _log_theta_term(j + 1, float(t), log_t)
-    )

@@ -34,7 +34,6 @@ __all__ = [
     "ThetaResult",
     "eval_theta",
     "arctan_term",
-    "re_rhat_identity",
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -71,17 +70,6 @@ def arctan_term(t: float) -> float:
     except OverflowError:
         return 0.25 * math.pi
     return 0.5 * math.atan(a)
-
-
-def re_rhat_identity(t: float) -> float:
-    """``-log(1 + e^(-2 pi t)) / 2``: the k-independent exact real part of
-    the half-family remainder at purely imaginary argument ``i t``."""
-    t = float(t)
-    if t < 0.0:
-        raise DomainError(f"identity requires t >= 0, got {t!r}")
-    if t > _EXP_UNDERFLOW_T:
-        return -0.0
-    return -0.5 * math.log1p(math.exp(-2.0 * math.pi * t))
 
 
 def eval_theta(

@@ -18,10 +18,48 @@ from gammatheta.bernoulli import (
     bernoulli_poly,
     half_shift_identity_check,
     periodic_bernoulli,
-    recurrence_identity_check,
     shared_table,
-    zeta_even,
 )
+
+
+def recurrence_identity_check(upto_m: int) -> bool:
+    """Check the number table against the classical binomial convolution
+
+        B_m = -1/(m+1) * [ C(m+1,1)*B_1 + sum_{i even < m} C(m+1,i)*B_i ],
+
+    evaluated over exact rationals, independently of how the table entries
+    were produced.  Returns whether ``B_2 .. B_{2 upto_m}`` all agree.
+    """
+    if upto_m < 1:
+        raise DomainError(f"recurrence check needs upto_m >= 1, got {upto_m}")
+    evens = [Fraction(1)]
+    for m2 in range(2, 2 * upto_m + 1, 2):
+        acc = Fraction(-(m2 + 1), 2)  # C(m2+1, 1) * B_1
+        for i, known in enumerate(evens):
+            acc += math.comb(m2 + 1, 2 * i) * known
+        value = -acc / (m2 + 1)
+        if value != bernoulli_number(m2):
+            return False
+        evens.append(value)
+    return True
+
+
+def zeta_even(k: int, digits: int) -> mp.mpf:
+    """``zeta(2k)`` to ``digits`` digits from the exact Bernoulli number.
+
+    Uses ``|B_{2k}| = 2 (2k)! zeta(2k) / (2 pi)^{2k}`` rearranged; the only
+    rounding is in ``pi`` and the final division.
+    """
+    if k < 1:
+        raise DomainError(f"zeta_even needs k >= 1, got {k}")
+    b = abs(bernoulli_number(2 * k))
+    with mp.workdps(digits + 15):
+        num = mp.mpf(b.numerator) / b.denominator * (2 * mp.pi) ** (2 * k)
+        den = 2 * mp.factorial(2 * k)
+        value = num / den
+    with mp.workdps(digits):
+        return +value
+
 
 # B_2 .. B_16, the classical exact values.
 LOW_BERNOULLI = {
@@ -199,6 +237,41 @@ def test_table_agrees_with_the_convolution_recurrence():
     assert recurrence_identity_check(60)
     with pytest.raises(DomainError):
         recurrence_identity_check(0)
+
+
+def _bernfrac(j: int) -> Fraction:
+    p, q = mp.bernfrac(j)
+    return Fraction(int(p), int(q))
+
+
+def test_numbers_equal_mpmath_bernfrac_exactly():
+    for j in [*range(2, 601, 2), 1000, 1500, 1998, 2000]:
+        assert bernoulli_number(j) == _bernfrac(j), j
+
+
+def test_growth_in_steps_equals_growth_in_one_call():
+    stepped = BernoulliTable()
+    for j in (12, 14, 700, 2000):
+        stepped.number(j)
+    whole = BernoulliTable()
+    whole.number(2000)
+    assert stepped._even == whole._even
+    assert stepped._half == whole._half
+    assert len(whole._even) == MAX_INDEX // 2 + 1
+    with pytest.raises(ResourceLimitError):
+        stepped.number(MAX_INDEX + 2)
+
+
+def test_growth_at_least_doubles_up_to_the_cap():
+    table = BernoulliTable()
+    table.number(24)
+    assert len(table._even) == 13
+    table.number(26)
+    assert len(table._even) == 25
+    table.number(1200)
+    assert len(table._even) == 601
+    table.number(1204)
+    assert len(table._even) == MAX_INDEX // 2 + 1
 
 
 def test_fresh_table_is_independent_of_the_shared_one():

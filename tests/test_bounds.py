@@ -12,7 +12,9 @@ import pytest
 
 from gammatheta import DomainError
 from gammatheta.bounds import (
+    CK_MAX_K,
     CONTAINMENT_T,
+    _compute_ck,
     _gamma_ratio,
     BoundKind,
     Target,
@@ -33,6 +35,7 @@ from gammatheta.bounds import (
     sqrt_pik_bound,
     theta_bound,
 )
+from gammatheta.fputil import ceil_float
 from gammatheta.series import _log_theta_term, stirling_term, term_coefficient, theta_term
 
 # Frozen six-decimal (rounded-up) presentation of the quadratic-bound
@@ -98,6 +101,11 @@ def test_ck_decimal_rounding_never_decreases_the_value():
             rounded = Fraction(c_k_string(k, decimals))
             assert rounded >= previous
             previous = rounded
+
+
+def test_ck_literals_are_the_computed_constants_rounded_up():
+    for k in range(1, CK_MAX_K + 1):
+        assert c_k(k) == ceil_float(_compute_ck(k)[0]), k
 
 
 def test_ck_table_rejects_out_of_range_indices():

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -179,6 +180,12 @@ def test_table1_emits_the_pinned_constants():
     assert values["1"] == "0.072096"
     assert values["10"] == "0.109419"
     assert values["50"] == "0.112060"
+
+
+def test_table1_bytes_at_full_range_and_precision_are_pinned():
+    result = run_cli("table1", "--kmax", "100", "--digits", "30")
+    digest = hashlib.sha256(result.out.encode()).hexdigest()
+    assert digest == "ddf706952d23232274178edc9e43f7c7ac77424cd6039d147e3542006d5e80eb"
 
 
 def test_table1_validates_kmax():

@@ -13,10 +13,20 @@ from gammatheta.theta import (
     ThetaVariant,
     arctan_term,
     eval_theta,
-    re_rhat_identity,
 )
 
 CONTAINMENT_T = (0.5, 1.0, 2.0, 5.0, 10.0, 20.0)
+
+
+def re_rhat_identity(t: float) -> float:
+    """``-log(1 + e^(-2 pi t)) / 2``: the k-independent exact real part of
+    the half-family remainder at purely imaginary argument ``i t``."""
+    t = float(t)
+    if t < 0.0:
+        raise DomainError(f"identity requires t >= 0, got {t!r}")
+    if t > 745.0 / math.pi:
+        return -0.0
+    return -0.5 * math.log1p(math.exp(-2.0 * math.pi * t))
 
 
 def reference_theta(t: float) -> float:
@@ -142,3 +152,9 @@ def test_real_part_identity_closed_form():
     for t in (0.3, 1.0, 6.0):
         want = -0.5 * math.log1p(math.exp(-2 * math.pi * t))
         assert re_rhat_identity(t) == pytest.approx(want, rel=1e-12)
+        # Re ln Gamma(1/2 + it) less the real part -pi t/2 + log(2 pi)/2 of
+        # the main terms; every series term at it is purely imaginary.
+        with mp.workdps(40):
+            rest = mp.re(mp.loggamma(mp.mpc(0.5, t))) + mp.pi * t / 2
+            rest -= mp.log(2 * mp.pi) / 2
+        assert re_rhat_identity(t) == pytest.approx(float(rest), rel=1e-12)
