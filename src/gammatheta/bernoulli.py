@@ -27,12 +27,8 @@ from __future__ import annotations
 import math
 import threading
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from .errors import DomainError, ResourceLimitError
-
-if TYPE_CHECKING:
-    from mpmath import mpf
 
 __all__ = [
     "MAX_INDEX",
@@ -72,9 +68,10 @@ class BernoulliTable:
     and are not stored.  Growth recomputes the tangent numbers ``T_m`` and
     sets ``B_{2m} = (-1)^(m-1) 2m T_m / (4^m (4^m - 1))``; it at least
     doubles the table each time (up to the cap), so the O(n^2) recurrence
-    costs a constant factor over one run to the final size.  Reads of
-    already-grown entries take no lock (list reads are atomic); growth is
-    serialized.
+    costs a constant factor over one run to the final size; a caller that
+    knows its final size (``series.k_min``) asks for it first and runs it
+    once.  Reads of already-grown entries take no lock (list reads are
+    atomic); growth is serialized.
     """
 
     def __init__(self) -> None:

@@ -64,7 +64,7 @@ from __future__ import annotations
 import math
 import sys
 import threading
-from dataclasses import dataclass, field
+from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 from functools import partial
@@ -156,15 +156,16 @@ class Target(str, Enum):
     R_K = "before-k-th-term"
 
 
-@dataclass(frozen=True)
-class BoundResult:
-    kind: BoundKind
-    target: Target
-    value: float
-    normalized: float
-    applicable: bool = True
-    reason: str = ""
-    flags: tuple[str, ...] = field(default=())
+class BoundResult(namedtuple(
+    "BoundResult",
+    "kind target value normalized applicable reason flags",
+    defaults=(True, "", ()),
+)):
+    """One bound: ``kind`` (BoundKind), ``target`` (Target), ``value`` and
+    ``normalized`` (float), ``applicable`` (bool), ``reason`` (str) and
+    ``flags`` (tuple of str)."""
+
+    __slots__ = ()
 
 
 def _not_applicable(kind: BoundKind, target: Target, reason: str) -> BoundResult:

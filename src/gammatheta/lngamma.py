@@ -23,10 +23,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import bernoulli as _bernoulli_mod
-from .bounds import BoundKind, Target, best_bound
+from .bounds import Target, best_bound
 from .errors import AccuracyError, DomainError, ResourceLimitError
 from .fputil import FpAccumulator
 from .series import partial_sum
@@ -47,24 +47,24 @@ _LOG_2 = math.log(2.0)
 _K_CAP = _bernoulli_mod.MAX_INDEX // 2 - 1
 
 
-@dataclass(frozen=True)
-class TruncationPlan:
-    """How a certified value was produced: terms, shifts, winning bound."""
+class TruncationPlan(namedtuple(
+    "TruncationPlan", "k shifts bound_kind truncation_bound"
+)):
+    """How a certified value was produced: terms ``k`` and ``shifts`` (int),
+    winning bound ``bound_kind`` (BoundKind) and ``truncation_bound``
+    (float)."""
 
-    k: int
-    shifts: int
-    bound_kind: BoundKind
-    truncation_bound: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CertifiedValue:
-    """Value and a radius guaranteed to contain the true function value."""
+class CertifiedValue(namedtuple(
+    "CertifiedValue", "value radius plan flags", defaults=((),)
+)):
+    """Value and a radius guaranteed to contain the true function value:
+    ``value`` (complex), ``radius`` (float), ``plan`` (TruncationPlan) and
+    ``flags`` (tuple of str)."""
 
-    value: complex
-    radius: float
-    plan: TruncationPlan
-    flags: tuple[str, ...] = ()
+    __slots__ = ()
 
 
 def _on_cut(z: complex) -> bool:

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 import mpmath as mp
@@ -307,20 +307,17 @@ def oracle_lngamma(z, digits: int = 30) -> mpc:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RemainderWitness:
-    """Both methods' values and the agreement evidence for one remainder."""
+class RemainderWitness(namedtuple(
+    "RemainderWitness",
+    "value method_a method_b digits_a shift tail_terms tail_value "
+    "crude_tail_bound difference tolerance",
+)):
+    """Both methods' values and the agreement evidence for one remainder:
+    ``value``, ``method_a``, ``method_b`` and ``tail_value`` (mpc);
+    ``digits_a``, ``shift`` and ``tail_terms`` (int); ``crude_tail_bound``,
+    ``difference`` and ``tolerance`` (mpf)."""
 
-    value: mpc
-    method_a: mpc
-    method_b: mpc
-    digits_a: int
-    shift: int
-    tail_terms: int
-    tail_value: mpc
-    crude_tail_bound: mpf
-    difference: mpf
-    tolerance: mpf
+    __slots__ = ()
 
 
 def _require_remainder_args(z, k: int, family: str) -> complex:
@@ -785,9 +782,12 @@ def theta_series_value(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NormalizedErrorRow:
-    """One row of the normalized-error table at height t.
+class NormalizedErrorRow(namedtuple(
+    "NormalizedErrorRow",
+    "t k_min standard_error proven_bound arctan_error empirical_error",
+)):
+    """One row of the normalized-error table at height ``t`` (float), with
+    least-term index ``k_min`` (int) and four mpf columns.
 
     All normalizations are by the least term T_min = T_{k_min}(t):
     ``standard_error``  = (theta - standard approximation) / T_min,
@@ -798,12 +798,7 @@ class NormalizedErrorRow:
     of the empirical correction.  Values carry 25 significant digits.
     """
 
-    t: float
-    k_min: int
-    standard_error: mpf
-    proven_bound: mpf
-    arctan_error: mpf
-    empirical_error: mpf
+    __slots__ = ()
 
 
 def required_table2_digits(t) -> int:
@@ -877,18 +872,16 @@ def sharpness_ratio(k: int, y, digits: int = 20) -> mpf:
         return +ratio
 
 
-@dataclass(frozen=True)
-class ConjectureSample:
-    """One grid point of the conjectured-quadratic-bound scan."""
+class ConjectureSample(namedtuple(
+    "ConjectureSample",
+    "k abs_z arg_z true_over_term conjectured ratio violation status",
+)):
+    """One grid point of the conjectured-quadratic-bound scan: ``k`` (int),
+    ``abs_z``, ``arg_z``, ``true_over_term``, ``conjectured`` and ``ratio``
+    (float), ``violation`` (bool) and ``status`` (str: "proven" for k >= 34,
+    "conjectured" below)."""
 
-    k: int
-    abs_z: float
-    arg_z: float
-    true_over_term: float
-    conjectured: float
-    ratio: float
-    violation: bool
-    status: str  # "proven" for k >= 34, "conjectured" below
+    __slots__ = ()
 
 
 def conjecture_grid(k_max: int = 40):

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -55,13 +55,11 @@ TINY = 5e-324
 EMPIRICAL_CONSTANT = Fraction(1, 12)
 
 
-@dataclass(frozen=True)
-class MinTermReport:
-    """Location and size of the least term of the theta family at ``t``."""
+class MinTermReport(namedtuple("MinTermReport", "t k_min t_min")):
+    """Location and size of the least term of the theta family at ``t``:
+    ``t`` (float), ``k_min`` (int), ``t_min`` (float)."""
 
-    t: float
-    k_min: int
-    t_min: float
+    __slots__ = ()
 
 
 def _require_index(j: int) -> None:
@@ -239,10 +237,15 @@ def partial_sum(kind: str, k: int, argument: complex) -> complex:
 def k_min(t: float) -> MinTermReport:
     """Index of the least theta term at ``t``: the first ``k`` with
     ``term(k) <= term(k+1)`` (ties count), found by linear scan of log
-    magnitudes."""
+    magnitudes.  The Bernoulli table is first grown once, to
+    ``m = min(ceil(pi t) + 3, MAX_INDEX/2)`` (k_min - pi t <= 1.26 for t in
+    [0.25, 318]), so a cold scan runs the tangent recurrence once, not at
+    every doubling."""
     t = float(t)
     if not (t > 0.0) or math.isinf(t):
         raise DomainError(f"k_min requires finite t > 0, got {t!r}")
+    cap = _bernoulli_mod.MAX_INDEX // 2
+    bernoulli_half(2 * min(math.ceil(min(math.pi * t, cap)) + 3, cap))
     log_t = math.log(t)
     prev = _log_theta_term(1, t, log_t)
     k = 1

@@ -21,10 +21,10 @@ exact special case: value 0, radius 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from enum import Enum
 
-from .bounds import BoundKind, Target, best_bound
+from .bounds import Target, best_bound
 from .errors import AccuracyError, DomainError
 from .fputil import FpAccumulator, up
 from .series import EMPIRICAL_CONSTANT, TINY, k_min, partial_sum
@@ -48,17 +48,17 @@ class ThetaVariant(str, Enum):
     EMPIRICAL = "empirical"
 
 
-@dataclass(frozen=True)
-class ThetaResult:
-    t: float
-    value: float
-    radius: float
-    k_used: int
-    variant: ThetaVariant
-    bound_kind: BoundKind | None = None
-    flags: tuple[str, ...] = ()
-    #: value of the empirical correction term (EMPIRICAL variant only)
-    advisory_correction: float | None = None
+class ThetaResult(namedtuple(
+    "ThetaResult",
+    "t value radius k_used variant bound_kind flags advisory_correction",
+    defaults=(None, (), None),
+)):
+    """Certified theta value: ``t``, ``value`` and ``radius`` (float),
+    ``k_used`` (int), ``variant`` (ThetaVariant), ``bound_kind`` (BoundKind
+    or None), ``flags`` (tuple of str) and ``advisory_correction``, the value
+    of the empirical correction term (float, EMPIRICAL variant only)."""
+
+    __slots__ = ()
 
 
 def arctan_term(t: float) -> float:
@@ -95,7 +95,7 @@ def eval_theta(
         advisory = (
             -pos.advisory_correction if pos.advisory_correction is not None else None
         )
-        return replace(pos, t=t, value=-pos.value, advisory_correction=advisory)
+        return pos._replace(t=t, value=-pos.value, advisory_correction=advisory)
     if math.isinf(t) or math.isnan(t):
         raise DomainError(f"t must be finite, got {t!r}")
 

@@ -1,6 +1,8 @@
-"""The certified path loads neither mpmath nor the oracle.
+"""Checks that need a fresh interpreter: the certified path loads neither
+mpmath, the oracle nor the heavy standard modules, and a cold least-term
+scan grows the Bernoulli table once.
 
-Run in a fresh interpreter: the test process itself has mpmath loaded.
+The test process itself has all of these loaded and its table grown.
 """
 from __future__ import annotations
 
@@ -12,7 +14,8 @@ from pathlib import Path
 import gammatheta
 
 _SCRIPT = r"""
-import contextlib, io, sys
+import sys; preloaded = set(sys.modules)
+import contextlib, io
 import gammatheta, gammatheta.cli
 from gammatheta import cli
 
@@ -27,7 +30,9 @@ for argv in records:
     with contextlib.redirect_stdout(io.StringIO()) as out:
         assert cli.main(argv) == 0, argv
     assert out.getvalue().count("\n") == 1, argv
-assert "mpmath" not in sys.modules, "mpmath loaded on the certified path"
+heavy = {"dataclasses", "inspect", "typing", "mpmath"}
+loaded = sorted(heavy & (set(sys.modules) - preloaded))
+assert not loaded, f"the certified path loaded {loaded}"
 assert type(sys.modules["gammatheta.oracle"]).__name__ == "_LazyModule"
 
 value = gammatheta.oracle_remainder(3 + 1j, 2, "stirling", 15)
@@ -42,12 +47,33 @@ print("ok")
 """
 
 
-def test_certified_path_runs_without_mpmath_and_the_oracle_loads_on_use():
+_COLD_SCAN = r"""
+from gammatheta import bernoulli
+from gammatheta.theta import eval_theta
+
+calls = []
+tangent_numbers = bernoulli._tangent_numbers
+bernoulli._tangent_numbers = lambda n: calls.append(n) or tangent_numbers(n)
+eval_theta(50.0)
+assert len(calls) == 1, calls
+print("ok")
+"""
+
+
+def _run_fresh(script: str) -> None:
     src = str(Path(gammatheta.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
-        [sys.executable, "-c", _SCRIPT],
+        [sys.executable, "-c", script],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "ok"
+
+
+def test_certified_path_runs_without_mpmath_and_the_oracle_loads_on_use():
+    _run_fresh(_SCRIPT)
+
+
+def test_cold_least_term_scan_runs_the_tangent_recurrence_once():
+    _run_fresh(_COLD_SCAN)
