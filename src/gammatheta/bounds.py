@@ -58,6 +58,14 @@ k < 1000), so it is not built behind one.  Ties: a classical bound replaces
 the rung only when strictly smaller, so at a tie the kind reported is the
 ladder's first applicable family (then the classical bounds in catalog
 order).
+
+The certified path shifts to |w| >= k with Re w >= 0, where ``best_bound``
+after k terms is the first rung, ``_quadratic_rung``: c_k (k/|w|)^2 |T_k(w)|
+up to k = 100, (k/|w|)^2 / (pi^2 - 1) |T_k(w)| above, times eta_k for gauss.
+``lngamma.choose_k`` screens k by an estimate of the rung's log (see
+``_screen_log``), skips k only where it exceeds log eps by a margin of 1e-6,
+far above the estimate's error, and builds the exact rung at the k it
+cannot rule out; so the smallest k that meets eps is never skipped.
 """
 from __future__ import annotations
 
@@ -67,17 +75,19 @@ import threading
 from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 
 from .bernoulli import bernoulli_number
 from .errors import DomainError
 from .fputil import ceil_float, log_abs_fraction, up
 from .series import (
     TINY,
+    _coefficient,
     _inverse_scaled,
     _log_theta_term,
+    _require_index,
     _scaled_term,
-    gauss_term,
+    _unscale,
     stirling_term,
     theta_term,
 )
@@ -169,19 +179,14 @@ class BoundResult(namedtuple(
 
 
 def _not_applicable(kind: BoundKind, target: Target, reason: str) -> BoundResult:
-    return BoundResult(
-        kind=kind,
-        target=target,
-        value=math.inf,
-        normalized=math.inf,
-        applicable=False,
-        reason=reason,
-    )
+    return BoundResult(kind, target, math.inf, math.inf, False, reason)
 
 
 #: Guard-chain count for assembled bound values; covers the worst observed
 #: lgamma / big-int-log / exp chains (~7e-12 relative) with slack.
 _CHAINS = 12
+
+_LOG_2 = math.log(2.0)
 
 #: pi^2 - 1 rounded down two places: a safe denominator for upper bounds.
 _PI2M1_DOWN = math.nextafter(math.nextafter(math.pi * math.pi - 1.0, 0.0), 0.0)
@@ -214,21 +219,26 @@ def _modulus(x: complex) -> float:
         return math.inf
 
 
-_TERMS = {"stirling": stirling_term, "gauss": gauss_term, "theta": theta_term}
-
-
 def _times_term(
     normalized: float, family: str, k: int, argument: complex, chains: int = _CHAINS
 ) -> float:
     """``normalized * |T_k(argument)|`` of a series family, rounded up, and
     ``inf`` when the term overflows; below the normal range it is formed
     from the term's mantissa and exponent, rounded once and stepped up."""
-    term = _modulus(_TERMS[family](k, argument))
+    scaled = None
+    if family == "theta":
+        term = theta_term(k, argument)
+    else:
+        _require_index(k)
+        scaled = _scaled_term(family, k, *_inverse_scaled(complex(argument)))
+        term = _modulus(_unscale(*scaled))
     if not term < math.inf:
         return math.inf
     value = up(normalized * term, chains)
     if term < sys.float_info.min or value < sys.float_info.min:
-        mantissa, exponent = _scaled_term(family, k, *_inverse_scaled(complex(argument)))
+        mantissa, exponent = scaled or _scaled_term(
+            family, k, *_inverse_scaled(complex(argument))
+        )
         fraction, shift = math.frexp(abs(mantissa))
         value = math.ldexp(up(normalized * fraction, chains), exponent + shift)
         value = math.nextafter(value, math.inf)
@@ -247,8 +257,10 @@ def eta_fraction(k: int) -> Fraction:
     return Fraction(p, p - 1)
 
 
+@lru_cache(maxsize=1024, typed=True)
 def eta(k: int) -> float:
-    """``1/(1 - 2**(1-2k))`` rounded upward in the last place (always > 1)."""
+    """``1/(1 - 2**(1-2k))`` rounded upward in the last place (always > 1),
+    cached per k."""
     return ceil_float(eta_fraction(k))
 
 
@@ -381,23 +393,52 @@ def _plain_factor(kind: BoundKind, k: int, z: complex) -> float | str:
     az = _modulus(z)
     if k > az:
         return "requires k <= |z|"
+    return _quadratic(k, az, kind is BoundKind.CK_QUADRATIC)
+
+
+def _quadratic(k: int, az: float, ck: bool) -> float:
+    """``c_k (k/|z|)^2``, or ``(k/|z|)^2 / (pi^2 - 1)`` if not ``ck``, rounded
+    up, from ``az = |z|``."""
     ratio = k / az
-    if kind is BoundKind.QUADRATIC:
-        return up(ratio * ratio / _PI2M1_DOWN, 2)
-    return up(c_k(k) * ratio * ratio, 2)
+    if ck:
+        return up(_CK_UP[k - 1] * ratio * ratio, 2)
+    return up(ratio * ratio / _PI2M1_DOWN, 2)
 
 
-def _plain_bound(kind: BoundKind, k: int, z: complex, target: Target) -> BoundResult:
-    """A right-half-plane bound from its after-k-terms normalized factor;
-    the before-k-th-term form adds exactly 1 (triangle inequality)."""
+def _family_value(
+    family: str, k: int, z: complex, factor: float, extra: float = 0.0
+) -> tuple[float, float]:
+    """``(normalized, value)`` of a stirling or gauss bound from its base's
+    after-k-terms factor: gauss carries eta_k (see ``half_bound``), and
+    ``extra = 1`` gives the before-k-th-term form (triangle inequality)."""
+    if family == "gauss":
+        factor = eta(k) * up(factor, _CHAINS)
+    normalized = up(factor + extra, _CHAINS)
+    return normalized, _times_term(normalized, family, k, z)
+
+
+def _quadratic_rung(family: str, k: int, w: complex) -> tuple[BoundKind, float]:
+    """Kind and value of ``best_bound`` after k terms at w with Re w >= 0 and
+    |w| >= k: the ladder's first rung, ``ck-quadratic`` for k <= 100 and
+    ``quadratic`` (``half-quadratic`` for gauss) above."""
+    ck = k <= CK_MAX_K
+    base = BoundKind.CK_QUADRATIC if ck else BoundKind.QUADRATIC
+    kind = base if family == "stirling" else _HALF_KIND[base]
+    return kind, _family_value(family, k, w, _quadratic(k, abs(w), ck))[1]
+
+
+def _ladder_bound(
+    family: str, base: BoundKind, k: int, z: complex, target: Target
+) -> BoundResult:
+    """A stirling or gauss bound of base kind ``base`` at ``z``."""
     _check_k(k)
     z = complex(z)
-    factor = _plain_factor(kind, k, z)
+    kind = base if family == "stirling" else _HALF_KIND[base]
+    factor = _plain_factor(base, k, z)
     if isinstance(factor, str):
         return _not_applicable(kind, target, factor)
-    normalized = factor + (1.0 if target is Target.R_K else 0.0)
-    normalized = up(normalized, _CHAINS)
-    value = _times_term(normalized, "stirling", k, z)
+    extra = 1.0 if target is Target.R_K else 0.0
+    normalized, value = _family_value(family, k, z, factor, extra)
     return BoundResult(kind=kind, target=target, value=value, normalized=normalized)
 
 
@@ -405,22 +446,22 @@ def gamma_ratio_bound(
     k: int, z: complex, target: Target = Target.R_KP1
 ) -> BoundResult:
     """Sharpest general right-half-plane bound for the plain family."""
-    return _plain_bound(BoundKind.GAMMA_RATIO, k, z, target)
+    return _ladder_bound("stirling", BoundKind.GAMMA_RATIO, k, z, target)
 
 
 def sqrt_pik_bound(k: int, z: complex, target: Target = Target.R_KP1) -> BoundResult:
     """Closed-form weakening of the gamma-ratio bound: sqrt(pi k)."""
-    return _plain_bound(BoundKind.SQRT_PIK, k, z, target)
+    return _ladder_bound("stirling", BoundKind.SQRT_PIK, k, z, target)
 
 
 def quadratic_bound(k: int, z: complex, target: Target = Target.R_KP1) -> BoundResult:
     """(k/|z|)^2 / (pi^2 - 1) bound, valid for k <= |z|."""
-    return _plain_bound(BoundKind.QUADRATIC, k, z, target)
+    return _ladder_bound("stirling", BoundKind.QUADRATIC, k, z, target)
 
 
 def ck_bound(k: int, z: complex, target: Target = Target.R_KP1) -> BoundResult:
     """c_k (k/|z|)^2 bound, valid for k <= |z| and k <= 100."""
-    return _plain_bound(BoundKind.CK_QUADRATIC, k, z, target)
+    return _ladder_bound("stirling", BoundKind.CK_QUADRATIC, k, z, target)
 
 
 # ---------------------------------------------------------------------------
@@ -449,17 +490,7 @@ def half_bound(
     _check_k(k)
     if base not in _HALF_KIND:
         raise DomainError(f"unsupported base bound kind {base!r}")
-    z = complex(z)
-    kind = _HALF_KIND[base]
-    base_factor = _plain_factor(base, k, z)
-    if isinstance(base_factor, str):
-        return _not_applicable(kind, target, base_factor)
-    normalized = eta(k) * up(base_factor, _CHAINS)
-    if target is Target.R_K:
-        normalized += 1.0
-    normalized = up(normalized, _CHAINS)
-    value = _times_term(normalized, "gauss", k, z)
-    return BoundResult(kind=kind, target=target, value=value, normalized=normalized)
+    return _ladder_bound("gauss", base, k, z, target)
 
 
 # ---------------------------------------------------------------------------
@@ -468,6 +499,19 @@ def half_bound(
 
 def _log_abs_bernoulli(k: int) -> float:
     return log_abs_fraction(Fraction(bernoulli_number(2 * k)))
+
+
+@lru_cache(maxsize=1024)
+def _log_theta_gamma_ratio(k: int) -> float:
+    """log of ``sqrt(pi) Gamma(k-1/2) |B_2k| / (8 k!)``, the k-only part of
+    the theta-gamma-ratio bound, cached per k."""
+    return (
+        0.5 * math.log(math.pi)
+        + math.lgamma(k - 0.5)
+        + _log_abs_bernoulli(k)
+        - math.log(8.0)
+        - math.lgamma(k + 1)
+    )
 
 
 def theta_bound(
@@ -483,14 +527,7 @@ def theta_bound(
         return _not_applicable(kind, target, "requires finite t > 0")
 
     if kind is BoundKind.THETA_GAMMA_RATIO:
-        logv = (
-            0.5 * math.log(math.pi)
-            + math.lgamma(k - 0.5)
-            + _log_abs_bernoulli(k)
-            - math.log(8.0)
-            - math.lgamma(k + 1)
-            - (2 * k - 1) * math.log(t)
-        )
+        logv = _log_theta_gamma_ratio(k) - (2 * k - 1) * math.log(t)
         try:
             value = _clamp(_exp_up(logv))
         except OverflowError:
@@ -698,10 +735,23 @@ _THETA_LADDER = (
     BoundKind.THETA_SQRT_PIK,
 )
 _LADDERS = {
-    "stirling": tuple(partial(_plain_bound, kind) for kind in _PLAIN_LADDER),
-    "gauss": tuple(partial(half_bound, base=kind) for kind in _PLAIN_LADDER),
+    "stirling": tuple(partial(_ladder_bound, "stirling", kind) for kind in _PLAIN_LADDER),
+    "gauss": tuple(partial(_ladder_bound, "gauss", kind) for kind in _PLAIN_LADDER),
     "theta": tuple(partial(_theta_at, kind) for kind in _THETA_LADDER),
 }
+
+
+@lru_cache(maxsize=2048)
+def _screen_log(family: str, k: int) -> float:
+    """``L_k + 2 log k``, cached per family and k: less (2k+1) log|w| it is
+    the log of ``_quadratic_rung`` at w, up to roundings and guard factors.
+    L_k is the log of the rung's constant (c_k, or 1/(pi^2 - 1) above
+    k = 100, times eta_k for gauss) times |coefficient_k|."""
+    _, mantissa, exponent = _coefficient(family, k)
+    constant = _CK_UP[k - 1] if k <= CK_MAX_K else 1.0 / _PI2M1_DOWN
+    if family == "gauss":
+        constant *= eta(k)
+    return math.log(constant * abs(mantissa) * k * k) + exponent * _LOG_2
 
 
 def _tables(context: str, target: Target) -> tuple[tuple, tuple[BoundKind, ...]]:

@@ -26,7 +26,7 @@ import math
 from collections import namedtuple
 
 from . import bernoulli as _bernoulli_mod
-from .bounds import Target, best_bound
+from .bounds import Target, _quadratic_rung, _screen_log, best_bound
 from .errors import AccuracyError, DomainError, ResourceLimitError
 from .fputil import FpAccumulator
 from .series import partial_sum
@@ -45,6 +45,9 @@ _LOG_PI = math.log(math.pi)
 _LOG_2 = math.log(2.0)
 #: Hard cap on series terms (Bernoulli index 2k stays under the table cap).
 _K_CAP = _bernoulli_mod.MAX_INDEX // 2 - 1
+#: How far above log eps the estimate of log bound_k must lie for
+#: ``choose_k`` to skip k.
+_SCREEN_MARGIN = 1e-6
 
 
 class TruncationPlan(namedtuple(
@@ -83,14 +86,17 @@ def _shift(z: complex, modulus: float) -> tuple[complex, int]:
     return w, steps
 
 
-def _plan(z: complex, k: int, family: str) -> TruncationPlan:
-    """Shift ``z`` until ``|w| >= max(k, 1)`` and bound the remainder there,
-    at the very ``w`` the evaluation sums at."""
-    w, shifts = _shift(z, float(k))
-    bound = best_bound(k, w, family, Target.R_KP1)
-    return TruncationPlan(
-        k=k, shifts=shifts, bound_kind=bound.kind, truncation_bound=bound.value
-    )
+def _plan(
+    z: complex, k: int, family: str, shifted: tuple[complex, int] | None = None
+) -> TruncationPlan:
+    """Shift ``z`` until ``|w| >= max(k, 1)``, unless ``shifted`` holds
+    ``(w, shifts)``, and bound the remainder there, at the very ``w`` the
+    evaluation sums at: by the ladder's first rung, or left of the axis by
+    ``best_bound``'s refusal."""
+    w, shifts = shifted or _shift(z, float(k))
+    if w.real < 0.0:
+        best_bound(k, w, family, Target.R_KP1)
+    return TruncationPlan(k, shifts, *_quadratic_rung(family, k, w))
 
 
 def _main_terms(w: complex, logw: complex, family: str) -> complex:
@@ -193,9 +199,16 @@ def _fp_floor(z: complex) -> float:
 def choose_k(z: complex, eps: float, context: str = "stirling") -> TruncationPlan:
     """Smallest k whose plan (shift, then bound) meets eps.
 
-    Deterministic upward scan under the shift rule |z'| >= max(k, 1).
-    Raises an accuracy error, reporting the best achievable radius, when eps
-    is below the floating-point floor or beyond the Bernoulli cap's reach.
+    Upward scan under the shift rule |w_k| >= max(k, 1), screened in log
+    space by log bound_k ~ L_k + 2 log k - (2k+1) log|w_k| (``_screen_log``).
+    A k is skipped only where that estimate exceeds log eps by
+    ``_SCREEN_MARGIN``.  It lies within 1e-9 of the exact bound's log (4e-11
+    measured), so a skipped k misses eps and the smallest k that meets eps
+    is never skipped.  Every other k, a non-finite estimate or Re w_k < 0
+    included, gets its exact bound: normally one per call.  Raises an
+    accuracy error with the best achievable radius when eps is below the
+    floating-point floor or beyond the Bernoulli cap; the least exact bound
+    lies among the k within the margin of the least estimate.
     """
     if not (eps > 0.0):
         raise DomainError(f"target accuracy must be positive, got {eps!r}")
@@ -204,11 +217,26 @@ def choose_k(z: complex, eps: float, context: str = "stirling") -> TruncationPla
     floor = _fp_floor(z)
     best_value = math.inf
     if eps >= floor:
+        limit = math.log(eps) + _SCREEN_MARGIN
+        w, shifts, estimates = z, 0, []
         for k in range(1, _K_CAP + 1):
-            plan = _plan(z, k, context)
-            best_value = min(best_value, plan.truncation_bound)
+            if k == 1 or abs(w) < k:
+                while abs(w) < k:
+                    w += 1.0
+                    shifts += 1
+                log_w = math.log(abs(w))
+            estimates.append(_screen_log(context, k) - (2 * k + 1) * log_w)
+            if limit < estimates[-1] < math.inf and w.real >= 0.0:
+                continue
+            plan = _plan(z, k, context, (w, shifts))
             if plan.truncation_bound <= eps:
                 return plan
+        least = min(filter(math.isfinite, estimates), default=math.inf) + _SCREEN_MARGIN
+        best_value = min(
+            _plan(z, k, context).truncation_bound
+            for k, estimate in enumerate(estimates, 1)
+            if not least < estimate < math.inf
+        )
     best_radius = floor + (best_value if math.isfinite(best_value) else 0.0)
     raise AccuracyError(
         f"target accuracy {eps:g} is unattainable (best achievable radius "

@@ -10,7 +10,8 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from gammatheta import DomainError
+from gammatheta import DomainError, bounds
+from gammatheta.bernoulli import bernoulli_number
 from gammatheta.bounds import (
     CK_MAX_K,
     CONTAINMENT_T,
@@ -35,7 +36,7 @@ from gammatheta.bounds import (
     sqrt_pik_bound,
     theta_bound,
 )
-from gammatheta.fputil import ceil_float
+from gammatheta.fputil import ceil_float, log_abs_fraction, up
 from gammatheta.series import _log_theta_term, stirling_term, term_coefficient, theta_term
 
 # Frozen six-decimal (rounded-up) presentation of the quadratic-bound
@@ -437,6 +438,68 @@ def test_theta_bounds_round_up_below_the_normal_range():
         with mp.workdps(30):
             exact = bound.normalized * _exact_stirling_term(j, z)
             assert mp.mpf(bound.value) >= exact, bound.kind
+
+
+_PI2M1_DOWN = math.nextafter(math.nextafter(math.pi * math.pi - 1.0, 0.0), 0.0)
+
+
+def _uncached_theta_bound(k: int, t: float, kind: BoundKind) -> tuple[float, float] | None:
+    """``(value, normalized)`` of ``theta_bound`` formed inline, with eta_k
+    and the gamma-ratio log recomputed at every call; None where refused."""
+    if kind is BoundKind.THETA_GAMMA_RATIO:
+        logv = (
+            0.5 * math.log(math.pi)
+            + math.lgamma(k - 0.5)
+            + log_abs_fraction(Fraction(bernoulli_number(2 * k)))
+            - math.log(8.0)
+            - math.lgamma(k + 1)
+            - (2 * k - 1) * math.log(t)
+        )
+        try:
+            value = bounds._clamp(bounds._exp_up(logv))
+        except OverflowError:
+            return None
+        return value, up(math.exp(logv - _log_theta_term(k, t)), 12)
+    eta_k = ceil_float(eta_fraction(k))
+    if kind is BoundKind.THETA_SQRT_PIK:
+        normalized = up(eta_k * math.sqrt(math.pi * k), 12)
+    elif t < k:
+        return None
+    else:
+        normalized = up(eta_k * (k / t) * (k / t) / _PI2M1_DOWN, 12)
+    return bounds._times_term(normalized, "theta", k, t), normalized
+
+
+def test_cached_constants_give_the_bits_of_the_uncached_formulas():
+    # eta_k and the k-only part of the theta-gamma-ratio log are cached per
+    # k; each bound is read twice, once to fill the caches and once from them.
+    # The eta_k rungs multiply theta_term, whose exact-Fraction path takes
+    # milliseconds, so off the subnormal band they are read only where the
+    # term's coefficient and power are doubles.
+    for k in range(1, 1000):
+        assert eta(k).hex() == ceil_float(eta_fraction(k)).hex()
+    rng = random.Random(20261023)
+    cases = [(rng.randint(1, 999), 10.0 ** rng.uniform(-6.0, 3.0)) for _ in range(8000)]
+    band = _theta_subnormal_band()
+    refused = subnormal = 0
+    for k, t in cases + band:
+        direct = max(_log_theta_term(k, 1.0), abs((2 * k - 1) * math.log(t))) < 700.0
+        for kind in (
+            BoundKind.THETA_GAMMA_RATIO,
+            BoundKind.THETA_SQRT_PIK,
+            BoundKind.THETA_QUADRATIC,
+        )[: 3 if direct or (k, t) in band else 1]:
+            want = _uncached_theta_bound(k, t, kind)
+            for _ in range(2):
+                got = theta_bound(k, t, kind)
+                if want is None:
+                    assert not got.applicable, (k, t, kind)
+                    continue
+                assert (got.value.hex(), got.normalized.hex()) == (
+                    want[0].hex(), want[1].hex()), (k, t, kind)
+            refused += want is None and kind is BoundKind.THETA_GAMMA_RATIO
+            subnormal += want is not None and want[0] < sys.float_info.min
+    assert refused > 100 and subnormal > 100
 
 
 def test_best_bound_raises_when_nothing_applies():

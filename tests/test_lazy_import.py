@@ -1,6 +1,7 @@
 """Checks that need a fresh interpreter: the certified path loads neither
-mpmath, the oracle nor the heavy standard modules, and a cold least-term
-scan grows the Bernoulli table once.
+mpmath, the oracle nor the heavy standard modules, a cold least-term scan
+grows the Bernoulli table once, and the import builds no table or cached
+constant (every CLI record pays for the import).
 
 The test process itself has all of these loaded and its table grown.
 """
@@ -60,6 +61,21 @@ print("ok")
 """
 
 
+_IMPORT_STATE = r"""
+import gammatheta, gammatheta.cli
+from gammatheta import bernoulli, bounds, series
+
+table = bernoulli.shared_table()
+assert len(table._even) == 1, "the import grew the Bernoulli table"
+caches = (bounds._screen_log, bounds.eta, bounds._log_theta_gamma_ratio, series._coefficient)
+filled = [c.__name__ for c in caches if c.cache_info().currsize]
+assert not filled, f"the import built {filled}"
+gammatheta.eval_lngamma(6 + 1j)
+assert len(table._even) - 1 <= 8, len(table._even) - 1
+print("ok")
+"""
+
+
 def _run_fresh(script: str) -> None:
     src = str(Path(gammatheta.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
@@ -77,3 +93,7 @@ def test_certified_path_runs_without_mpmath_and_the_oracle_loads_on_use():
 
 def test_cold_least_term_scan_runs_the_tangent_recurrence_once():
     _run_fresh(_COLD_SCAN)
+
+
+def test_the_import_builds_no_table_and_a_first_call_only_what_it_needs():
+    _run_fresh(_IMPORT_STATE)

@@ -3,12 +3,15 @@ from __future__ import annotations
 
 import cmath
 import math
+import random
 
 import mpmath as mp
 import pytest
 
 from gammatheta import AccuracyError, DomainError
-from gammatheta.bounds import c_k
+from gammatheta import bounds, lngamma
+from gammatheta.bounds import CK_MAX_K, BoundKind, c_k, eta_fraction
+from gammatheta.fputil import ceil_float, up
 from gammatheta.series import term_coefficient
 from gammatheta.lngamma import (
     CertifiedValue,
@@ -249,3 +252,147 @@ def test_truncation_bound_covers_its_exact_value_where_the_power_is_subnormal():
         exact = mp.mpf(c_k(83)) * (83 / abs(ww)) ** 2 * term
     assert plan.bound_kind.value == "ck-quadratic"
     assert mp.mpf(plan.truncation_bound) >= exact
+
+
+# -- the screen in choose_k --------------------------------------------------
+# The reference is the exhaustive upward scan the log-space screen replaced:
+# an exact plan at every k, with the quadratic rung written out as the
+# bounds module formed it before the rung was shared.
+
+_PI2M1_DOWN = math.nextafter(math.nextafter(math.pi * math.pi - 1.0, 0.0), 0.0)
+
+
+def reference_rung(family: str, k: int, w: complex) -> tuple[BoundKind, float]:
+    ratio = k / abs(w)
+    if k <= CK_MAX_K:
+        kind, factor = BoundKind.CK_QUADRATIC, up(c_k(k) * ratio * ratio, 2)
+    else:
+        kind = BoundKind.QUADRATIC if family == "stirling" else BoundKind.HALF_QUADRATIC
+        factor = up(ratio * ratio / _PI2M1_DOWN, 2)
+    normalized = up(factor, 12)
+    if family == "gauss":
+        normalized = up(ceil_float(eta_fraction(k)) * normalized, 12)
+    return kind, bounds._times_term(normalized, family, k, w)
+
+
+def reference_plan(z: complex, k: int, family: str) -> TruncationPlan:
+    w, shifts = lngamma._shift(z, float(k))
+    return TruncationPlan(k, shifts, *reference_rung(family, k, w))
+
+
+def exhaustive_choose_k(z: complex, eps: float, family: str) -> TruncationPlan:
+    floor = lngamma._fp_floor(z)
+    best_value = math.inf
+    if eps >= floor:
+        for k in range(1, lngamma._K_CAP + 1):
+            plan = reference_plan(z, k, family)
+            best_value = min(best_value, plan.truncation_bound)
+            if plan.truncation_bound <= eps:
+                return plan
+    best_radius = floor + (best_value if math.isfinite(best_value) else 0.0)
+    raise AccuracyError(
+        f"target accuracy {eps:g} is unattainable (best achievable radius "
+        f"~{best_radius:.3g})",
+        best_radius=best_radius,
+    )
+
+
+def outcome(choose, z: complex, eps: float, family: str):
+    """The plan, or the refusal's text and best radius."""
+    try:
+        return choose(z, eps, family)
+    except AccuracyError as exc:
+        return str(exc), exc.best_radius
+
+
+def screen_points(count: int, seed: int) -> list[complex]:
+    """|z| log-uniform in [1e-3, 1e15] over the whole plane; a point left of
+    the axis is planned at -z, as the reflection does."""
+    rng = random.Random(seed)
+    points = []
+    for _ in range(count):
+        z = cmath.rect(10.0 ** rng.uniform(-3.0, 15.0), rng.uniform(-math.pi, math.pi))
+        points.append(-z if z.real < 0.0 else z)
+    return points
+
+
+def test_the_screen_picks_the_plan_of_the_exhaustive_scan():
+    rng = random.Random(20261019)
+    checked = 0
+    for z in screen_points(2000, 20261019):
+        for family in ("stirling", "gauss"):
+            # the default target, then one explicit target from 1e-3 to
+            # below the floating-point floor
+            for eps in (
+                lngamma._default_accuracy(z, family),
+                10.0 ** rng.uniform(-17.0, -3.0),
+            ):
+                want = outcome(exhaustive_choose_k, z, eps, family)
+                assert outcome(choose_k, z, eps, family) == want, (z, eps, family)
+                checked += 1
+    assert checked == 8000
+
+
+def test_fixed_term_plans_keep_the_rung_across_its_switches():
+    # k in 1...999 crosses ck-quadratic -> quadratic at k = 100, and the
+    # gauss plans carry eta_k.
+    rng = random.Random(20261020)
+    for z in screen_points(2000, 20261020):
+        k = rng.randint(1, 999)
+        for family in ("stirling", "gauss"):
+            assert lngamma._plan(z, k, family) == reference_plan(z, k, family), (z, k)
+
+
+def test_the_screen_builds_one_exact_bound_per_call(monkeypatch):
+    built = []
+    rung = lngamma._quadratic_rung
+    monkeypatch.setattr(
+        lngamma, "_quadratic_rung", lambda *args: built.append(args) or rung(*args)
+    )
+    points = screen_points(500, 20261021)
+    for z in points:
+        eval_lngamma(z)
+    assert len(built) == len(points)
+
+
+@pytest.mark.parametrize("estimate", [math.inf, -math.inf, math.nan])
+def test_a_non_finite_estimate_is_decided_by_the_exact_bound(monkeypatch, estimate):
+    monkeypatch.setattr(lngamma, "_screen_log", lambda family, k: estimate)
+    for z in screen_points(40, 20261022):
+        for family in ("stirling", "gauss"):
+            eps = lngamma._default_accuracy(z, family)
+            want = outcome(exhaustive_choose_k, z, eps, family)
+            assert outcome(choose_k, z, eps, family) == want
+
+
+def test_when_no_k_meets_the_target_the_best_radius_is_unchanged(monkeypatch):
+    # With the scan cut at k = 3 no k meets these targets, so the refusal
+    # reports the least exact bound over k = 1...3 on top of the floor.
+    monkeypatch.setattr(lngamma, "_K_CAP", 3)
+    refused = 0
+    for z in (complex(1.5, 2.0), complex(6.0, 1.0), complex(0.0, 9.0), complex(2e-3, 0.0)):
+        for family in ("stirling", "gauss"):
+            for eps in (1e-9, 1e-12, 1e-13):
+                want = outcome(exhaustive_choose_k, z, eps, family)
+                assert outcome(choose_k, z, eps, family) == want, (z, eps, family)
+                refused += isinstance(want, tuple)
+    assert refused >= 18
+    # Every k within the margin of the least estimate is built: with the
+    # estimates put 1e-7 apart, the least one (k = 1, 2) is not the least
+    # exact bound (k = 3).
+    z = complex(6.0, 1.0)
+    monkeypatch.setattr(
+        lngamma,
+        "_screen_log",
+        lambda family, k: (2 * k + 1) * math.log(abs(z)) + (1e-7 if k == 3 else 0.0),
+    )
+    for family in ("stirling", "gauss"):
+        want = outcome(exhaustive_choose_k, z, 1e-13, family)
+        assert want[1] > lngamma._fp_floor(z)
+        assert outcome(choose_k, z, 1e-13, family) == want
+
+
+def test_a_public_plan_left_of_the_axis_is_refused_as_before():
+    # No rung applies at Re w < 0, so the screen defers to best_bound there.
+    with pytest.raises(DomainError, match="no applicable bound for k=1"):
+        choose_k(complex(-0.5, 3.0), 1e-6)
