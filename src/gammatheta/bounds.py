@@ -185,6 +185,8 @@ def _not_applicable(kind: BoundKind, target: Target, reason: str) -> BoundResult
 #: Guard-chain count for assembled bound values; covers the worst observed
 #: lgamma / big-int-log / exp chains (~7e-12 relative) with slack.
 _CHAINS = 12
+#: Smallest positive normal double.
+_NORMAL_MIN = sys.float_info.min
 
 _LOG_2 = math.log(2.0)
 
@@ -201,7 +203,7 @@ def _up_below_normal(x: float) -> float:
     """Below the normal range a guard factor no longer moves a value, so
     there ``x`` is raised by 2**-30 relative, far above the ~1e-11 a value
     formed from logs can be off by at k <= 1000, and then one step."""
-    if x < sys.float_info.min:
+    if x < _NORMAL_MIN:
         return math.nextafter(x * (1.0 + 2.0**-30), math.inf)
     return x
 
@@ -235,7 +237,7 @@ def _times_term(
     if not term < math.inf:
         return math.inf
     value = up(normalized * term, chains)
-    if term < sys.float_info.min or value < sys.float_info.min:
+    if term < _NORMAL_MIN or value < _NORMAL_MIN:
         mantissa, exponent = scaled or _scaled_term(
             family, k, *_inverse_scaled(complex(argument))
         )

@@ -29,9 +29,15 @@ GUARD = 1.0 + 2.0 ** -40
 
 
 def up(x: float, chains: int = 1) -> float:
-    """Round ``x >= 0`` upward by one guard factor per operation chain."""
-    for _ in range(chains):
-        x *= GUARD
+    """Round ``x >= 0`` upward by one guard factor per operation chain,
+    multiplying by ``GUARD`` once per chain, in turn."""
+    g = GUARD
+    while chains >= 4:
+        x = x * g * g * g * g
+        chains -= 4
+    while chains > 0:
+        x *= g
+        chains -= 1
     return x
 
 
@@ -69,11 +75,12 @@ class FpAccumulator:
     the same rate.  Callers may charge extra ulps for known-sloppier steps.
     """
 
+    __slots__ = ("total",)
+
     def __init__(self) -> None:
         self.total = 0.0
 
     def charge(self, magnitude: float, ops: int = 1, ulps: int = 2) -> None:
         mag = abs(magnitude)
-        if not math.isfinite(mag):
-            return
-        self.total += ops * ulps * math.ulp(max(mag, 1e-300))
+        if mag < math.inf:
+            self.total += ops * ulps * math.ulp(max(mag, 1e-300))

@@ -127,12 +127,11 @@ def _eval_right(z: complex, plan: TruncationPlan, family: str) -> CertifiedValue
 
     terms = partial_sum(family, plan.k, w)
     value = main + terms - log_sum
-    # k term additions plus assembly; terms carry <= ~3 ulp each relative
-    # to their own (geometrically decaying) magnitudes.
+    # k term additions plus assembly.  At |w| >= max(k, 1) the sum is off by
+    # under 2k ulp of 1 (``partial_sum``), which the k-operation share of
+    # this charge covers, since its scale is at least 1.
     fp.charge(max(abs(value), abs(main), 1.0), ops=plan.k + 6)
-    return _finite(CertifiedValue(
-        value=value, radius=plan.truncation_bound + fp.total, plan=plan
-    ))
+    return _finite(CertifiedValue(value, plan.truncation_bound + fp.total, plan))
 
 
 def _reflect(z: complex, inner: CertifiedValue) -> CertifiedValue:
@@ -144,10 +143,7 @@ def _reflect(z: complex, inner: CertifiedValue) -> CertifiedValue:
     value = complex(_LOG_PI, s * math.pi) - log_z - log_sin - inner.value
     fp.charge(max(abs(value), abs(log_sin), math.pi * abs(z), 1.0), ops=10)
     return _finite(CertifiedValue(
-        value=value,
-        radius=inner.radius + fp.total,
-        plan=inner.plan,
-        flags=inner.flags + ("REFLECTED",),
+        value, inner.radius + fp.total, inner.plan, inner.flags + ("REFLECTED",)
     ))
 
 
@@ -218,15 +214,18 @@ def choose_k(z: complex, eps: float, context: str = "stirling") -> TruncationPla
     best_value = math.inf
     if eps >= floor:
         limit = math.log(eps) + _SCREEN_MARGIN
-        w, shifts, estimates = z, 0, []
+        w, shifts, modulus, estimates = z, 0, 0.0, []
         for k in range(1, _K_CAP + 1):
-            if k == 1 or abs(w) < k:
+            if modulus < k:
                 while abs(w) < k:
                     w += 1.0
                     shifts += 1
-                log_w = math.log(abs(w))
-            estimates.append(_screen_log(context, k) - (2 * k + 1) * log_w)
-            if limit < estimates[-1] < math.inf and w.real >= 0.0:
+                modulus = abs(w)
+                log_w = math.log(modulus)
+                right = w.real >= 0.0
+            estimate = _screen_log(context, k) - (2 * k + 1) * log_w
+            estimates.append(estimate)
+            if limit < estimate < math.inf and right:
                 continue
             plan = _plan(z, k, context, (w, shifts))
             if plan.truncation_bound <= eps:
@@ -251,7 +250,9 @@ def _default_accuracy(z: complex, family: str) -> float:
     offset = 0.0 if family == "stirling" else 0.5
     w, shifts = _shift(z, 6.0)
     main = _main_terms(w, cmath.log(w), family)
-    logs = sum(cmath.log(z + offset + j) for j in range(shifts))
+    logs = 0
+    for j in range(shifts):
+        logs += cmath.log(z + offset + j)
     return 1e-12 * (abs(main - logs) + 1.0)
 
 

@@ -72,6 +72,13 @@ def arctan_term(t: float) -> float:
     return 0.5 * math.atan(a)
 
 
+def _overflow(k_used: int, t: float, value: float, radius: float) -> AccuracyError:
+    return AccuracyError(
+        f"theta with {k_used} terms overflows double precision at t={t!r} "
+        f"(value {value}, radius {radius})"
+    )
+
+
 def eval_theta(
     t: float,
     k: int | str | None = "auto",
@@ -112,6 +119,10 @@ def eval_theta(
     fp.charge(max(abs(main), t, 1.0), ops=4)
     value = main - _PI_OVER_8
     value += partial_sum("theta", k_used, t)
+    if value == math.inf:
+        # The terms are positive and grow past the double range, and so does
+        # every bound after them: refuse before one is built.
+        raise _overflow(k_used, t, value, math.inf)
     fp.charge(max(abs(value), 1.0), ops=k_used + 4)
 
     arctan_underflowed = t > _EXP_UNDERFLOW_T or math.exp(-math.pi * t) == 0.0
@@ -142,18 +153,6 @@ def eval_theta(
         radius += TINY
     if not (math.isfinite(value) and math.isfinite(radius)):
         # the fp charge skips infinite magnitudes: nothing would be certified
-        raise AccuracyError(
-            f"theta with {k_used} terms overflows double precision at t={t!r} "
-            f"(value {value}, radius {radius})"
-        )
+        raise _overflow(k_used, t, value, radius)
 
-    return ThetaResult(
-        t=t,
-        value=value,
-        radius=radius,
-        k_used=k_used,
-        variant=variant,
-        bound_kind=bound.kind,
-        flags=tuple(flags),
-        advisory_correction=advisory,
-    )
+    return ThetaResult(t, value, radius, k_used, variant, bound.kind, tuple(flags), advisory)

@@ -1,16 +1,23 @@
 """Seeded containment sweep of the right half-plane against
-``mpmath.loggamma`` at 50 digits, where ``choose_k``'s screen picks k.
+``mpmath.loggamma`` and of small theta heights against
+``mpmath.siegeltheta``, at 50 digits.
 
-Two families of points, each required to have zero violations:
+Each family of points is required to have zero violations:
 
 * lngamma(z) with Re z >= 0 and |z| log-uniform in [1e-3, 1e15], at every
   argument in the closed right half-plane (the positive imaginary and real
   axes included);
 * lngamma(z + 1/2) on the imaginary axis, z = iy with |y| log-uniform in
-  [1e-3, 1e14].
+  [1e-3, 1e14];
+* lngamma(z) within 1/4 of its zeros at z = 1 and z = 2, where the radius
+  is absolute, not relative;
+* theta(t) in all three variants at heights log-uniform in [1e-6, 0.24],
+  where auto mode sums one term;
+* both families at a fixed k in 21...999 with |z| >= k, so that the sum
+  runs the term-ratio recurrence at large k without a shift.
 
-Each point is evaluated at the default target and at one explicit target,
-1e-14 to 1e-3 relative to a rough |value| + 1; a target below the
+The first three are evaluated at the default target and at one explicit
+target, 1e-14 to 1e-3 relative to a rough |value| + 1; a target below the
 floating-point floor is refused, and the refusals are counted.  The
 comparison is done in mpmath, so the reference is never rounded to a double
 before it is checked against the radius.
@@ -26,6 +33,7 @@ import pytest
 
 from gammatheta import AccuracyError
 from gammatheta.lngamma import eval_lngamma, eval_lngamma_half
+from gammatheta.theta import ThetaVariant, eval_theta
 
 SEED = 20261019
 
@@ -45,6 +53,17 @@ def imaginary_axis_points(count: int) -> list[complex]:
     rng = random.Random(SEED + 1)
     return [
         complex(0.0, rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 14.0))
+        for _ in range(count)
+    ]
+
+
+def near_zero_points(count: int) -> list[complex]:
+    """``count`` points within 1/4 of each of z = 1 and z = 2, at distances
+    log-uniform in [2.5e-16, 1/4] and in every direction."""
+    rng = random.Random(SEED + 3)
+    return [
+        center + cmath.rect(0.25 * 10.0 ** rng.uniform(-15.0, 0.0), rng.uniform(-math.pi, math.pi))
+        for center in (1.0, 2.0)
         for _ in range(count)
     ]
 
@@ -73,11 +92,46 @@ def violations(points: list[complex], half: bool) -> tuple[list, int]:
 
 @pytest.mark.parametrize(
     ("points", "half"),
-    [(right_half_plane_points(3000), False), (imaginary_axis_points(1500), True)],
-    ids=["right-half-plane", "half-family-imaginary-axis"],
+    [
+        (right_half_plane_points(3000), False),
+        (imaginary_axis_points(1500), True),
+        (near_zero_points(400), False),
+    ],
+    ids=["right-half-plane", "half-family-imaginary-axis", "near-the-zeros-at-1-and-2"],
 )
 def test_right_half_plane_values_contain_mpmath_loggamma(points, half):
     found, refused = violations(points, half)
     assert found == []
     # only explicit targets next to the floor are refused
     assert refused <= len(points) // 100
+
+
+def test_small_theta_heights_contain_mpmath_siegeltheta():
+    rng = random.Random(SEED + 4)
+    found = []
+    with mp.workdps(50):
+        for _ in range(200):
+            t = 10.0 ** rng.uniform(-6.0, math.log10(0.24))
+            truth = mp.siegeltheta(t)
+            for variant in ThetaVariant:
+                result = eval_theta(t, variant=variant)
+                error = abs(mp.mpf(result.value) - truth)
+                if not error <= result.radius:
+                    found.append((t, variant, float(error / result.radius)))
+    assert found == []
+
+
+def test_fixed_large_k_values_contain_mpmath_loggamma():
+    rng = random.Random(SEED + 5)
+    found = []
+    with mp.workdps(50):
+        for _ in range(200):
+            k, half = rng.randint(21, 999), rng.random() < 0.5
+            z = cmath.rect(k * 10.0 ** rng.uniform(0.0, 3.0), rng.uniform(-0.5, 0.5) * math.pi)
+            result = (eval_lngamma_half if half else eval_lngamma)(z, k=k)
+            assert result.plan.k == k
+            truth = mp.loggamma(mp.mpc(z) + (mp.mpf(0.5) if half else 0))
+            error = abs(mp.mpc(result.value) - truth)
+            if not error <= result.radius:
+                found.append((z, k, half, float(error / result.radius)))
+    assert found == []

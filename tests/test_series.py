@@ -192,6 +192,80 @@ def test_partial_sum_equals_the_explicit_term_total():
     assert partial_sum("theta", 12, t).real == pytest.approx(total_theta, rel=1e-14)
     # T_2 = -inf and T_3 = +inf at 1e-200; the larger, later term decides
     assert partial_sum("stirling", 3, 1e-200) == complex(math.inf, 0.0)
+    # |z| >= k: the term-ratio recurrence, against the scaled terms
+    z = complex(6.0, 8.0)
+    total = sum(stirling_term(j, z) for j in range(1, 9))
+    assert partial_sum("stirling", 8, z) == pytest.approx(total, rel=1e-15)
+
+
+def _exact_partial_sum(kind: str, k: int, w: complex) -> tuple[Fraction, Fraction, Fraction]:
+    """``(Re, Im)`` of the sum of the first k terms at the dyadic ``w``, in
+    exact rationals, and ``|T_1|**2``.  With k <= |w| each term is below
+    1/pi**2 times the one before, so the terms stop once one falls under
+    2**-200 |T_1|: the tail left out is under 2**-199 |T_1|."""
+    re, im = Fraction(w.real), Fraction(w.imag)
+    norm = re * re + im * im
+    inv_re, inv_im = re / norm, -im / norm
+    x_re, x_im = inv_re * inv_re - inv_im * inv_im, 2 * inv_re * inv_im
+    c = term_coefficient(kind, 1)
+    t_re, t_im = c * inv_re, c * inv_im
+    first = t_re * t_re + t_im * t_im
+    s_re, s_im = t_re, t_im
+    for j in range(2, k + 1):
+        ratio = term_coefficient(kind, j) / c
+        c = term_coefficient(kind, j)
+        t_re, t_im = (
+            ratio * (t_re * x_re - t_im * x_im),
+            ratio * (t_re * x_im + t_im * x_re),
+        )
+        if (t_re * t_re + t_im * t_im) * 2**400 < first:
+            break
+        s_re, s_im = s_re + t_re, s_im + t_im
+    return s_re, s_im, first
+
+
+def _recurrence_points(k: int, rng: random.Random) -> list[complex]:
+    """Points with |w| from max(k, 1) to 1e300 over the closed right
+    half-plane: |w| = k on both axes, and one point in each of four angular
+    sectors of Re w >= 0 with |w| log-uniform; and two near the top of the
+    double range, where 1/w is formed from the scaled inverse."""
+    low = max(k, 1)
+    points = [complex(low, 0.0), complex(0.0, low), complex(0.0, -low)]
+    points += [complex(1e308, -1e308), complex(2.0**1000, 2.0**-1000)]
+    for sector in range(4):
+        angle = (sector - 2 + rng.random()) * math.pi / 4
+        w = cmath.rect(low * 10.0 ** rng.uniform(0.0, 300.0 - math.log10(low)), angle)
+        while abs(w) < low:
+            w *= 1.0 + 2.0**-50
+        points.append(w)
+    return points
+
+
+def test_recurrence_sum_matches_the_exact_rational_sum():
+    # At |w| >= max(k, 1) the sum runs the term-ratio recurrence.  Its
+    # error is a few ulp of |T_1| (partial_sum's docstring), far inside the
+    # k-operation share, 2k ulp of a scale >= 1, that ``_eval_right``
+    # charges for it; the scaled-term loop agrees to the same tolerance.
+    rng = random.Random(20261019)
+    checked = 0
+    for kind, term in (("stirling", stirling_term), ("gauss", gauss_term)):
+        for k in (1, 2, 5, 20, 100, 101, 500, 999):
+            for w in _recurrence_points(k, rng):
+                got = partial_sum(kind, k, w)
+                s_re, s_im, first_sq = _exact_partial_sum(kind, k, w)
+                d_re, d_im = Fraction(got.real) - s_re, Fraction(got.imag) - s_im
+                # relative to |T_1| first: squares of |w| ~ 1e300 underflow
+                first = abs(term(1, w))
+                error = math.sqrt(float((d_re * d_re + d_im * d_im) / first_sq)) * first
+                tolerance = 16 * math.ulp(first)
+                assert error <= tolerance, (kind, k, w, error / math.ulp(first))
+                assert error < 2 * k * math.ulp(1.0), (kind, k, w)
+                loop = complex(0.0, 0.0)
+                for j in range(1, k + 1):
+                    loop += term(j, w)
+                assert abs(got - loop) <= tolerance, (kind, k, w)
+                checked += 1
+    assert checked == 2 * 8 * 9
 
 
 @pytest.mark.parametrize(("t", "expected"), sorted(KMIN_PINS.items()))

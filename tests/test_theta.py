@@ -6,7 +6,7 @@ import math
 import mpmath as mp
 import pytest
 
-from gammatheta import AccuracyError, DomainError
+from gammatheta import AccuracyError, DomainError, series
 from gammatheta.series import k_min
 from gammatheta.theta import (
     ThetaResult,
@@ -88,6 +88,33 @@ def test_term_counts_whose_sum_overflows_are_refused():
     for t in (0.1, -0.1):
         with pytest.raises(AccuracyError):
             eval_theta(t, k=200)
+
+
+def test_an_overflowing_sum_forms_no_term_past_the_first_infinite_total(monkeypatch):
+    # Past the overflow every further theta term takes the exact-Fraction
+    # path; the sum stops at the first infinite total, where the refusal
+    # (value and radius inf) is already decided, so no bound is built.
+    t, k = 1e-3, 999
+    total, last = 0.0, 0
+    while total < math.inf:
+        last += 1
+        total += series.theta_term(last, t)
+    calls, real = [], series.theta_term
+
+    def counting(j, t):
+        calls.append(j)
+        return real(j, t)
+
+    def no_bound(*args):
+        raise AssertionError("a bound was built after the sum overflowed")
+
+    monkeypatch.setattr(series, "theta_term", counting)
+    monkeypatch.setattr("gammatheta.theta.best_bound", no_bound)
+    message = r"theta with 999 terms overflows double precision at t=0.001 \(value inf, radius inf\)"
+    with pytest.raises(AccuracyError, match=message):
+        eval_theta(t, k)
+    assert calls == list(range(1, last + 1))
+    assert last < 100
 
 
 def test_variant_value_differences_are_the_documented_corrections():
