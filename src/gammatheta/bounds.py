@@ -11,10 +11,10 @@ chain that produces a bound is topped with ``(1 + 2**-40)`` guard factors —
 enough to swamp double rounding, far too small to matter against the >1%
 slack the bounds themselves carry.  Below the normal range (2**-1022) a
 guard factor no longer moves a value, so there a factor times a term is
-formed from the term's mantissa and binary exponent (see ``series``), a bound
-from logs is raised by 2**-30 relative, and either is stepped up once.  A
-bound below the smallest subnormal is clamped to it, a bound on an
-overflowing term is ``inf``.
+formed from the term's mantissa and binary exponent (see ``series``), the
+one bound from logs (HARE) is raised by 2**-30 relative, and either is
+stepped up once.  A bound below the smallest subnormal is clamped to it, a
+bound on an overflowing term is ``inf``.
 
 The catalog:
 
@@ -31,10 +31,12 @@ HALF_GAMMA_RATIO,      the same three transported to the half-shifted
 HALF_SQRT_PIK,         family at the cost of the factor
 HALF_QUADRATIC         eta_k = 1/(1 - 2**(1-2k))  (CK transports too,
                        keeping its own kind tag)
-THETA_GAMMA_RATIO      absolute bound sqrt(pi) Gamma(k-1/2) |B_2k| /
-                       (8 k! t^(2k-1)) on the theta remainder
-THETA_SQRT_PIK         eta_k sqrt(pi k) relative to the theta term
-THETA_QUADRATIC        eta_k (k/t)^2 / (pi^2 - 1) when t >= k
+THETA_GAMMA_RATIO,     the half-family rungs GAMMA_RATIO, SQRT_PIK and
+THETA_SQRT_PIK,        QUADRATIC at z = t, on the theta term |T_k(t)|,
+THETA_QUADRATIC        which is half the half-family term's modulus:
+                       eta_k * factor * |T_k(t)| for finite t > 0
+                       (eta_k sqrt(pi) Gamma(k+1/2)/Gamma(k) |T_k(t)| is
+                       sqrt(pi) Gamma(k-1/2) |B_2k| / (8 k! t^(2k-1)))
 WHITTAKER_WATSON       classical |R_k| <= K(theta) |T_k|, Re z > 0
 STIELTJES              classical |R_k| <= sec(theta/2)^(2k) |T_k|
 BEHNKE_SOMMER          classical |R_{k+1}/T_{k+1}| < 1+(2k+1)/2*sqrt(pi/k)
@@ -45,19 +47,22 @@ CONJECTURED_QUADRATIC  sharper quadratic bound, unproven below k = 34
 
 Selection.  Each context has a ladder of the paper's own families, strongest
 first: CK_QUADRATIC, QUADRATIC, GAMMA_RATIO, SQRT_PIK for ``stirling``; the
-same four through ``half_bound`` for ``gauss``; THETA_QUADRATIC,
-THETA_GAMMA_RATIO, THETA_SQRT_PIK for ``theta``.  Their factors on the common
-term are c_k < 1/(pi^2 - 1) < pi/2 <= sqrt(pi) Gamma(k+1/2)/Gamma(k) <
-sqrt(pi k) (the quadratic forms need k <= |z|, c_k also k <= 100), times
-eta_k for the half and theta rungs.  Rounding, including the step below the
-normal range, is monotone, so no later applicable rung is smaller in doubles
-either.  ``best_bound`` builds only the first applicable rung and the
-classical bounds at the target and returns the smallest; after k terms
-Behnke-Sommer is at least 1.69 times a quadratic rung (exact |c_(k+1)/c_k|,
-k < 1000), so it is not built behind one.  Ties: a classical bound replaces
-the rung only when strictly smaller, so at a tie the kind reported is the
-ladder's first applicable family (then the classical bounds in catalog
-order).
+same four through ``half_bound`` for ``gauss``; the bases QUADRATIC,
+GAMMA_RATIO, SQRT_PIK for ``theta``, reported as THETA_QUADRATIC,
+THETA_GAMMA_RATIO, THETA_SQRT_PIK.  Every rung is its factor times one shared
+term, and the factors are c_k < 1/(pi^2 - 1) < pi/2 <= sqrt(pi)
+Gamma(k+1/2)/Gamma(k) < sqrt(pi k) (the quadratic forms need k <= |z|, c_k
+also k <= 100), times eta_k for the half and theta rungs.  Rounding,
+including the step below the normal range, is monotone, so no later
+applicable rung is smaller in doubles either.  ``best_bound`` builds only
+the first applicable rung and the classical bounds at the target and returns
+the smallest; after k terms Behnke-Sommer is at least 1.69 times a quadratic
+rung (exact |c_(k+1)/c_k|, k < 1000), so it is not built behind one.  Ties:
+a classical bound replaces the rung only when strictly smaller, so at a tie
+the kind reported is the ladder's first applicable family (then the
+classical bounds in catalog order).  Theta has no classical bounds, and
+``eval_theta`` builds its first applicable rung directly, ``_theta_rung``:
+THETA_QUADRATIC when t >= k, else THETA_GAMMA_RATIO.
 
 The certified path shifts to |w| >= k with Re w >= 0, where ``best_bound``
 after k terms is the first rung, ``_quadratic_rung``: c_k (k/|w|)^2 |T_k(w)|
@@ -84,12 +89,10 @@ from .series import (
     TINY,
     _coefficient,
     _inverse_scaled,
-    _log_theta_term,
     _require_index,
     _scaled_term,
     _unscale,
     stirling_term,
-    theta_term,
 )
 
 __all__ = [
@@ -227,20 +230,13 @@ def _times_term(
     """``normalized * |T_k(argument)|`` of a series family, rounded up, and
     ``inf`` when the term overflows; below the normal range it is formed
     from the term's mantissa and exponent, rounded once and stepped up."""
-    scaled = None
-    if family == "theta":
-        term = theta_term(k, argument)
-    else:
-        _require_index(k)
-        scaled = _scaled_term(family, k, *_inverse_scaled(complex(argument)))
-        term = _modulus(_unscale(*scaled))
+    _require_index(k)
+    mantissa, exponent = _scaled_term(family, k, *_inverse_scaled(complex(argument)))
+    term = _modulus(_unscale(mantissa, exponent))
     if not term < math.inf:
         return math.inf
     value = up(normalized * term, chains)
     if term < _NORMAL_MIN or value < _NORMAL_MIN:
-        mantissa, exponent = scaled or _scaled_term(
-            family, k, *_inverse_scaled(complex(argument))
-        )
         fraction, shift = math.frexp(abs(mantissa))
         value = math.ldexp(up(normalized * fraction, chains), exponent + shift)
         value = math.nextafter(value, math.inf)
@@ -410,10 +406,10 @@ def _quadratic(k: int, az: float, ck: bool) -> float:
 def _family_value(
     family: str, k: int, z: complex, factor: float, extra: float = 0.0
 ) -> tuple[float, float]:
-    """``(normalized, value)`` of a stirling or gauss bound from its base's
-    after-k-terms factor: gauss carries eta_k (see ``half_bound``), and
-    ``extra = 1`` gives the before-k-th-term form (triangle inequality)."""
-    if family == "gauss":
+    """``(normalized, value)`` of a family's bound from its base's
+    after-k-terms factor: gauss and theta carry eta_k (see ``half_bound``),
+    and ``extra = 1`` gives the before-k-th-term form (triangle inequality)."""
+    if family != "stirling":
         factor = eta(k) * up(factor, _CHAINS)
     normalized = up(factor + extra, _CHAINS)
     return normalized, _times_term(normalized, family, k, z)
@@ -432,10 +428,15 @@ def _quadratic_rung(family: str, k: int, w: complex) -> tuple[BoundKind, float]:
 def _ladder_bound(
     family: str, base: BoundKind, k: int, z: complex, target: Target
 ) -> BoundResult:
-    """A stirling or gauss bound of base kind ``base`` at ``z``."""
+    """A bound of base kind ``base`` for ``family`` at ``z``; theta reads
+    the real part of ``z`` as its height t."""
     _check_k(k)
     z = complex(z)
-    kind = base if family == "stirling" else _HALF_KIND[base]
+    kind = base if family == "stirling" else _FAMILY_KIND[family][base]
+    if family == "theta":
+        z = complex(z.real)
+        if not 0.0 < z.real < math.inf:
+            return _not_applicable(kind, target, "requires finite t > 0")
     factor = _plain_factor(base, k, z)
     if isinstance(factor, str):
         return _not_applicable(kind, target, factor)
@@ -496,24 +497,17 @@ def half_bound(
 
 
 # ---------------------------------------------------------------------------
-# Theta-family bounds (positive real argument).
+# Theta-family bounds (positive real argument): the half-family rungs at
+# z = t on the theta term, which is half the modulus of the half-family term.
 # ---------------------------------------------------------------------------
 
-def _log_abs_bernoulli(k: int) -> float:
-    return log_abs_fraction(Fraction(bernoulli_number(2 * k)))
-
-
-@lru_cache(maxsize=1024)
-def _log_theta_gamma_ratio(k: int) -> float:
-    """log of ``sqrt(pi) Gamma(k-1/2) |B_2k| / (8 k!)``, the k-only part of
-    the theta-gamma-ratio bound, cached per k."""
-    return (
-        0.5 * math.log(math.pi)
-        + math.lgamma(k - 0.5)
-        + _log_abs_bernoulli(k)
-        - math.log(8.0)
-        - math.lgamma(k + 1)
-    )
+#: Theta kind per base, in ladder order.
+_THETA_KIND = {
+    BoundKind.QUADRATIC: BoundKind.THETA_QUADRATIC,
+    BoundKind.GAMMA_RATIO: BoundKind.THETA_GAMMA_RATIO,
+    BoundKind.SQRT_PIK: BoundKind.THETA_SQRT_PIK,
+}
+_FAMILY_KIND = {"gauss": _HALF_KIND, "theta": _THETA_KIND}
 
 
 def theta_bound(
@@ -521,33 +515,24 @@ def theta_bound(
     t: float,
     kind: BoundKind = BoundKind.THETA_GAMMA_RATIO,
 ) -> BoundResult:
-    """Bound on the theta-family remainder after ``k`` summed terms."""
+    """Bound on the theta-family remainder after ``k`` summed terms:
+    ``eta_k * (base after-k-terms factor) * |T_k(t)|``."""
     _check_k(k)
-    t = float(t)
-    target = Target.R_KP1
-    if not (t > 0.0) or math.isinf(t):
-        return _not_applicable(kind, target, "requires finite t > 0")
-
-    if kind is BoundKind.THETA_GAMMA_RATIO:
-        logv = _log_theta_gamma_ratio(k) - (2 * k - 1) * math.log(t)
-        try:
-            value = _clamp(_exp_up(logv))
-        except OverflowError:
-            return _not_applicable(kind, target, "bound value exceeds double range")
-        normalized = up(math.exp(logv - _log_theta_term(k, t)), _CHAINS)
-        return BoundResult(kind=kind, target=target, value=value, normalized=normalized)
-
-    if kind is BoundKind.THETA_SQRT_PIK:
-        normalized = up(eta(k) * math.sqrt(math.pi * k), _CHAINS)
-    elif kind is BoundKind.THETA_QUADRATIC:
-        if t < k:
-            return _not_applicable(kind, target, "requires t >= k")
-        ratio = k / t
-        normalized = up(eta(k) * ratio * ratio / _PI2M1_DOWN, _CHAINS)
-    else:
+    base = next((b for b, theta in _THETA_KIND.items() if theta is kind), None)
+    if base is None:
         raise DomainError(f"unsupported theta bound kind {kind!r}")
-    value = _times_term(normalized, "theta", k, t)
-    return BoundResult(kind=kind, target=target, value=value, normalized=normalized)
+    return _ladder_bound("theta", base, k, t, Target.R_KP1)
+
+
+def _theta_rung(k: int, t: float) -> tuple[BoundKind, float]:
+    """Kind and value of ``best_bound(k, t, "theta")`` at finite t > 0: the
+    ladder's first applicable rung, ``theta-quadratic`` when t >= k and else
+    ``theta-gamma-ratio``, which applies at every such t."""
+    if t >= k:
+        kind, factor = BoundKind.THETA_QUADRATIC, _quadratic(k, t, False)
+    else:
+        kind, factor = BoundKind.THETA_GAMMA_RATIO, _gamma_ratio(k)
+    return kind, _family_value("theta", k, t, factor)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -621,7 +606,7 @@ def literature_bound(
             + 0.5 * math.log(math.pi)
             + math.lgamma(k + 0.5)
             - math.lgamma(k)
-            + _log_abs_bernoulli(k)
+            + log_abs_fraction(bernoulli_number(2 * k))
             - math.log(2 * k * (2 * k - 1))
             - (2 * k - 1) * math.log(abs(z.imag))
         )
@@ -706,40 +691,18 @@ def conjectured_bound(
 # Selection.
 # ---------------------------------------------------------------------------
 
-def _theta_at(
-    kind: BoundKind, k: int, argument: complex, target: Target
-) -> BoundResult:
-    """A theta-family bound at ``target``: the before-k-th-term remainder
-    adds the k-th term itself to the after-k-terms one."""
-    t = float(argument.real) if isinstance(argument, complex) else float(argument)
-    res = theta_bound(k, t, kind)
-    if not res.applicable or target is Target.R_KP1:
-        return res
-    return BoundResult(
-        kind=res.kind,
-        target=Target.R_K,
-        value=_clamp(_up_below_normal(up(res.value + theta_term(k, t), 2))),
-        normalized=up(res.normalized + 1.0, 2),
-        flags=res.flags,
-    )
-
-
-#: The ladders of the module docstring.
+#: The ladders of the module docstring (theta's in ``_THETA_KIND`` order).
 _PLAIN_LADDER = (
     BoundKind.CK_QUADRATIC,
     BoundKind.QUADRATIC,
     BoundKind.GAMMA_RATIO,
     BoundKind.SQRT_PIK,
 )
-_THETA_LADDER = (
-    BoundKind.THETA_QUADRATIC,
-    BoundKind.THETA_GAMMA_RATIO,
-    BoundKind.THETA_SQRT_PIK,
-)
 _LADDERS = {
-    "stirling": tuple(partial(_ladder_bound, "stirling", kind) for kind in _PLAIN_LADDER),
-    "gauss": tuple(partial(_ladder_bound, "gauss", kind) for kind in _PLAIN_LADDER),
-    "theta": tuple(partial(_theta_at, kind) for kind in _THETA_LADDER),
+    family: tuple(partial(_ladder_bound, family, base) for base in bases)
+    for family, bases in (
+        ("stirling", _PLAIN_LADDER), ("gauss", _PLAIN_LADDER), ("theta", _THETA_KIND)
+    )
 }
 
 

@@ -11,7 +11,6 @@ import mpmath as mp
 import pytest
 
 from gammatheta import DomainError, bounds
-from gammatheta.bernoulli import bernoulli_number
 from gammatheta.bounds import (
     CK_MAX_K,
     CONTAINMENT_T,
@@ -36,7 +35,7 @@ from gammatheta.bounds import (
     sqrt_pik_bound,
     theta_bound,
 )
-from gammatheta.fputil import ceil_float, log_abs_fraction, up
+from gammatheta.fputil import ceil_float, up
 from gammatheta.series import _log_theta_term, stirling_term, term_coefficient, theta_term
 
 # Frozen six-decimal (rounded-up) presentation of the quadratic-bound
@@ -333,8 +332,8 @@ def test_ladder_factors_are_ordered():
 
 def _theta_subnormal_band() -> list[tuple[int, float]]:
     """(k, t) with t < k where the k-th theta term is subnormal or just
-    underflows: there the gamma-ratio rung, formed in logs, and the
-    sqrt(pi k) rung, formed from the rounded term, could trade places."""
+    underflows: there the gamma-ratio and sqrt(pi k) rungs are their factors
+    times one rounded term, and monotone rounding must keep their order."""
     points = []
     for k in range(180, 1000, 61):
         for log10_term in (-310.0, -318.0, -321.0, -322.5, -323.5, -324.5):
@@ -422,7 +421,7 @@ def test_theta_bounds_round_up_below_the_normal_range():
                (912, 158.1491059604914), (957, 162.96342063652014)]
     for k, t in _theta_subnormal_band() + quadratic + large_k:
         exact = term_coefficient("theta", k) / Fraction(t) ** (2 * k - 1)
-        for kind in (BoundKind.THETA_SQRT_PIK, BoundKind.THETA_QUADRATIC):
+        for kind in THETA_KINDS:
             bound = theta_bound(k, t, kind)
             if bound.applicable:
                 assert Fraction(bound.value) >= Fraction(bound.normalized) * exact
@@ -442,53 +441,39 @@ def test_theta_bounds_round_up_below_the_normal_range():
 
 _PI2M1_DOWN = math.nextafter(math.nextafter(math.pi * math.pi - 1.0, 0.0), 0.0)
 
+THETA_KINDS = (
+    BoundKind.THETA_GAMMA_RATIO,
+    BoundKind.THETA_SQRT_PIK,
+    BoundKind.THETA_QUADRATIC,
+)
+
 
 def _uncached_theta_bound(k: int, t: float, kind: BoundKind) -> tuple[float, float] | None:
-    """``(value, normalized)`` of ``theta_bound`` formed inline, with eta_k
-    and the gamma-ratio log recomputed at every call; None where refused."""
+    """``(value, normalized)`` of ``theta_bound`` formed inline as eta_k
+    times the plain factor times the term, with eta_k recomputed at every
+    call; None where refused."""
     if kind is BoundKind.THETA_GAMMA_RATIO:
-        logv = (
-            0.5 * math.log(math.pi)
-            + math.lgamma(k - 0.5)
-            + log_abs_fraction(Fraction(bernoulli_number(2 * k)))
-            - math.log(8.0)
-            - math.lgamma(k + 1)
-            - (2 * k - 1) * math.log(t)
-        )
-        try:
-            value = bounds._clamp(bounds._exp_up(logv))
-        except OverflowError:
-            return None
-        return value, up(math.exp(logv - _log_theta_term(k, t)), 12)
-    eta_k = ceil_float(eta_fraction(k))
-    if kind is BoundKind.THETA_SQRT_PIK:
-        normalized = up(eta_k * math.sqrt(math.pi * k), 12)
+        factor = up(math.sqrt(math.pi) * math.exp(math.lgamma(k + 0.5) - math.lgamma(k)))
+    elif kind is BoundKind.THETA_SQRT_PIK:
+        factor = up(math.sqrt(math.pi * k))
     elif t < k:
         return None
     else:
-        normalized = up(eta_k * (k / t) * (k / t) / _PI2M1_DOWN, 12)
+        factor = up((k / t) * (k / t) / _PI2M1_DOWN, 2)
+    normalized = up(ceil_float(eta_fraction(k)) * up(factor, 12), 12)
     return bounds._times_term(normalized, "theta", k, t), normalized
 
 
 def test_cached_constants_give_the_bits_of_the_uncached_formulas():
-    # eta_k and the k-only part of the theta-gamma-ratio log are cached per
-    # k; each bound is read twice, once to fill the caches and once from them.
-    # The eta_k rungs multiply theta_term, whose exact-Fraction path takes
-    # milliseconds, so off the subnormal band they are read only where the
-    # term's coefficient and power are doubles.
+    # eta_k is cached per k; each bound is read twice, once to fill the
+    # cache and once from it.
     for k in range(1, 1000):
         assert eta(k).hex() == ceil_float(eta_fraction(k)).hex()
     rng = random.Random(20261023)
     cases = [(rng.randint(1, 999), 10.0 ** rng.uniform(-6.0, 3.0)) for _ in range(8000)]
-    band = _theta_subnormal_band()
-    refused = subnormal = 0
-    for k, t in cases + band:
-        direct = max(_log_theta_term(k, 1.0), abs((2 * k - 1) * math.log(t))) < 700.0
-        for kind in (
-            BoundKind.THETA_GAMMA_RATIO,
-            BoundKind.THETA_SQRT_PIK,
-            BoundKind.THETA_QUADRATIC,
-        )[: 3 if direct or (k, t) in band else 1]:
+    overflowed = subnormal = 0
+    for k, t in cases + _theta_subnormal_band():
+        for kind in THETA_KINDS:
             want = _uncached_theta_bound(k, t, kind)
             for _ in range(2):
                 got = theta_bound(k, t, kind)
@@ -497,9 +482,42 @@ def test_cached_constants_give_the_bits_of_the_uncached_formulas():
                     continue
                 assert (got.value.hex(), got.normalized.hex()) == (
                     want[0].hex(), want[1].hex()), (k, t, kind)
-            refused += want is None and kind is BoundKind.THETA_GAMMA_RATIO
-            subnormal += want is not None and want[0] < sys.float_info.min
-    assert refused > 100 and subnormal > 100
+            if want is None:
+                continue
+            overflowed += want[0] == math.inf and kind is BoundKind.THETA_GAMMA_RATIO
+            subnormal += want[0] < sys.float_info.min
+    assert overflowed > 100 and subnormal > 100
+
+
+def test_theta_rungs_are_the_half_family_rungs_at_t():
+    # The theta term is half the modulus of the half-family term at z = t,
+    # so each theta rung is the half-family rung of the same base: equal
+    # normalized factors bit for bit, and half the value wherever both
+    # values are normal doubles.
+    ladder = (
+        (BoundKind.QUADRATIC, BoundKind.THETA_QUADRATIC),
+        (BoundKind.GAMMA_RATIO, BoundKind.THETA_GAMMA_RATIO),
+        (BoundKind.SQRT_PIK, BoundKind.THETA_SQRT_PIK),
+    )
+    rng = random.Random(20261019)
+    cases = [
+        (k, t)
+        for k in range(1, 1000)
+        for t in (10.0 ** rng.uniform(-3.0, 4.0), k * rng.uniform(0.5, 2.0))
+    ]
+    for k, t in cases:
+        for target in (Target.R_KP1, Target.R_K):
+            rungs = applicable_bounds(k, t, "theta", target)
+            assert [r.kind for r in rungs] == [kind for _, kind in ladder]
+            for rung, (base, _) in zip(rungs, ladder):
+                half = half_bound(k, complex(t), target, base)
+                assert rung.applicable is half.applicable, (k, t, base)
+                if not rung.applicable:
+                    assert rung.reason == half.reason
+                    continue
+                assert rung.normalized.hex() == half.normalized.hex(), (k, t, target, base)
+                if 4 * sys.float_info.min < half.value < math.inf:
+                    assert rung.value * 2.0 == half.value, (k, t, target, base)
 
 
 def test_best_bound_raises_when_nothing_applies():

@@ -67,7 +67,7 @@ from gammatheta import bernoulli, bounds, series
 
 table = bernoulli.shared_table()
 assert len(table._even) == 1, "the import grew the Bernoulli table"
-caches = (bounds._screen_log, bounds.eta, bounds._log_theta_gamma_ratio, series._coefficient)
+caches = (bounds._screen_log, bounds.eta, series._coefficient)
 filled = [c.__name__ for c in caches if c.cache_info().currsize]
 assert not filled, f"the import built {filled}"
 gammatheta.eval_lngamma(6 + 1j)
