@@ -60,9 +60,8 @@ the smallest; after k terms Behnke-Sommer is at least 1.69 times a quadratic
 rung (exact |c_(k+1)/c_k|, k < 1000), so it is not built behind one.  Ties:
 a classical bound replaces the rung only when strictly smaller, so at a tie
 the kind reported is the ladder's first applicable family (then the
-classical bounds in catalog order).  Theta has no classical bounds, and
-``eval_theta`` builds its first applicable rung directly, ``_theta_rung``:
-THETA_QUADRATIC when t >= k, else THETA_GAMMA_RATIO.
+classical bounds in catalog order).  Theta has no classical bounds, so its
+best bound is its first applicable rung.
 
 The certified path shifts to |w| >= k with Re w >= 0, where ``best_bound``
 after k terms is the first rung, ``_quadratic_rung``: c_k (k/|w|)^2 |T_k(w)|
@@ -501,12 +500,12 @@ def half_bound(
 # z = t on the theta term, which is half the modulus of the half-family term.
 # ---------------------------------------------------------------------------
 
-#: Theta kind per base, in ladder order.
 _THETA_KIND = {
     BoundKind.QUADRATIC: BoundKind.THETA_QUADRATIC,
     BoundKind.GAMMA_RATIO: BoundKind.THETA_GAMMA_RATIO,
     BoundKind.SQRT_PIK: BoundKind.THETA_SQRT_PIK,
 }
+_THETA_BASE = {theta: base for base, theta in _THETA_KIND.items()}
 _FAMILY_KIND = {"gauss": _HALF_KIND, "theta": _THETA_KIND}
 
 
@@ -517,22 +516,9 @@ def theta_bound(
 ) -> BoundResult:
     """Bound on the theta-family remainder after ``k`` summed terms:
     ``eta_k * (base after-k-terms factor) * |T_k(t)|``."""
-    _check_k(k)
-    base = next((b for b, theta in _THETA_KIND.items() if theta is kind), None)
-    if base is None:
+    if kind not in _THETA_BASE:
         raise DomainError(f"unsupported theta bound kind {kind!r}")
-    return _ladder_bound("theta", base, k, t, Target.R_KP1)
-
-
-def _theta_rung(k: int, t: float) -> tuple[BoundKind, float]:
-    """Kind and value of ``best_bound(k, t, "theta")`` at finite t > 0: the
-    ladder's first applicable rung, ``theta-quadratic`` when t >= k and else
-    ``theta-gamma-ratio``, which applies at every such t."""
-    if t >= k:
-        kind, factor = BoundKind.THETA_QUADRATIC, _quadratic(k, t, False)
-    else:
-        kind, factor = BoundKind.THETA_GAMMA_RATIO, _gamma_ratio(k)
-    return kind, _family_value("theta", k, t, factor)[1]
+    return _ladder_bound("theta", _THETA_BASE[kind], k, t, Target.R_KP1)
 
 
 # ---------------------------------------------------------------------------
@@ -691,17 +677,18 @@ def conjectured_bound(
 # Selection.
 # ---------------------------------------------------------------------------
 
-#: The ladders of the module docstring (theta's in ``_THETA_KIND`` order).
+#: The ladders of the module docstring, as base kinds.
 _PLAIN_LADDER = (
     BoundKind.CK_QUADRATIC,
     BoundKind.QUADRATIC,
     BoundKind.GAMMA_RATIO,
     BoundKind.SQRT_PIK,
 )
+_THETA_LADDER = (BoundKind.QUADRATIC, BoundKind.GAMMA_RATIO, BoundKind.SQRT_PIK)
 _LADDERS = {
     family: tuple(partial(_ladder_bound, family, base) for base in bases)
     for family, bases in (
-        ("stirling", _PLAIN_LADDER), ("gauss", _PLAIN_LADDER), ("theta", _THETA_KIND)
+        ("stirling", _PLAIN_LADDER), ("gauss", _PLAIN_LADDER), ("theta", _THETA_LADDER)
     )
 }
 

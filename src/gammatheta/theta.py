@@ -24,7 +24,7 @@ import math
 from collections import namedtuple
 from enum import Enum
 
-from .bounds import _theta_rung
+from .bounds import Target, best_bound
 from .errors import AccuracyError, DomainError
 from .fputil import FpAccumulator, up
 from .series import EMPIRICAL_CONSTANT, TINY, k_min, partial_sum
@@ -141,8 +141,8 @@ def eval_theta(
         value += advisory
         fp.charge(max(abs(value), 1.0), ops=3)
 
-    bound_kind, bound = _theta_rung(k_used, t)
-    radius = bound + fp.total
+    bound = best_bound(k_used, t, "theta", Target.R_KP1)
+    radius = bound.value + fp.total
     if variant is ThetaVariant.STANDARD:
         if arctan_underflowed:
             radius += TINY
@@ -155,4 +155,4 @@ def eval_theta(
         # the fp charge skips infinite magnitudes: nothing would be certified
         raise _overflow(k_used, t, value, radius)
 
-    return ThetaResult(t, value, radius, k_used, variant, bound_kind, tuple(flags), advisory)
+    return ThetaResult(t, value, radius, k_used, variant, bound.kind, tuple(flags), advisory)

@@ -2,13 +2,11 @@
 from __future__ import annotations
 
 import math
-import random
 
 import mpmath as mp
 import pytest
 
-from gammatheta import AccuracyError, DomainError, bounds, series
-from gammatheta.bounds import best_bound
+from gammatheta import AccuracyError, DomainError, series
 from gammatheta.series import k_min
 from gammatheta.theta import (
     ThetaResult,
@@ -111,7 +109,7 @@ def test_an_overflowing_sum_forms_no_term_past_the_first_infinite_total(monkeypa
         raise AssertionError("a bound was built after the sum overflowed")
 
     monkeypatch.setattr(series, "theta_term", counting)
-    monkeypatch.setattr("gammatheta.theta._theta_rung", no_bound)
+    monkeypatch.setattr("gammatheta.theta.best_bound", no_bound)
     message = r"theta with 999 terms overflows double precision at t=0.001 \(value inf, radius inf\)"
     with pytest.raises(AccuracyError, match=message):
         eval_theta(t, k)
@@ -168,22 +166,6 @@ def test_underflow_regime_is_flagged_and_still_contained():
 def test_bound_kind_is_reported():
     result = eval_theta(5.0)
     assert result.bound_kind is not None
-
-
-def test_the_rung_eval_theta_builds_is_the_best_bound():
-    # eval_theta builds the ladder's first applicable rung directly, as the
-    # lngamma plans build their quadratic rung.
-    rng = random.Random(20261019)
-    cases = [(rng.randint(1, 999), 10.0 ** rng.uniform(-3.0, 4.0)) for _ in range(1000)]
-    for _ in range(300):
-        t = 10.0 ** rng.uniform(-3.0, 1.8)
-        cases.append((k_min(t).k_min, t))
-    for k in (1, 2, 37, 100, 999):
-        cases += [(k, float(k)), (k, math.nextafter(float(k), 0.0))]
-    for k, t in cases:
-        kind, value = bounds._theta_rung(k, t)
-        best = best_bound(k, t, "theta")
-        assert (kind, value.hex()) == (best.kind, best.value.hex()), (k, t)
 
 
 def test_arctan_term_shrinks_like_half_the_exponential():
