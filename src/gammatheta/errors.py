@@ -39,6 +39,6 @@ class ResourceLimitError(RuntimeError):
 class ConsistencyError(RuntimeError):
     """Two independent internal computations disagreed beyond tolerance.
 
-    Raised only by the oracle's self-checks; a test-failure signal, never an
-    expected runtime condition.
+    Raised by the oracle's self-checks and by internal checks no input should
+    reach; a test-failure signal, never an expected runtime condition.
     """

@@ -27,7 +27,7 @@ from collections import namedtuple
 
 from . import bernoulli as _bernoulli_mod
 from .bounds import Target, _quadratic_rung, _screen_log, best_bound
-from .errors import AccuracyError, DomainError, ResourceLimitError
+from .errors import AccuracyError, ConsistencyError, DomainError, ResourceLimitError
 from .fputil import FpAccumulator
 from .series import partial_sum
 
@@ -184,12 +184,19 @@ def _log_sin_pi(z: complex) -> complex:
     return linear + log_factor
 
 
-def _fp_floor(z: complex) -> float:
-    """Conservative lower limit on any achievable radius at ``z``: the
-    rounding noise of the assembled value alone."""
-    w, _ = _shift(z, 1.0)
+def _fp_floor(z: complex, w: complex) -> float:
+    """Conservative lower limit on any achievable radius at ``z``: the rounding
+    noise of the assembled value alone, at the walk's first ``|w| >= 1``."""
     scale = abs((w - 0.5) * cmath.log(w) - w) + abs(z) + 1.0
     return 32.0 * math.ulp(scale)
+
+
+def _check_argument(z: complex) -> None:
+    """Refuse a non-finite ``z`` or one whose modulus overflows, before any walk."""
+    if not cmath.isfinite(z):
+        raise DomainError(f"z must be finite, got z={z}")
+    if math.isinf(math.hypot(z.real, z.imag)):
+        raise AccuracyError("lngamma overflows double precision here (|z| overflows)")
 
 
 def choose_k(z: complex, eps: float, context: str = "stirling") -> TruncationPlan:
@@ -203,45 +210,39 @@ def choose_k(z: complex, eps: float, context: str = "stirling") -> TruncationPla
     is never skipped.  Every other k, a non-finite estimate or Re w_k < 0
     included, gets its exact bound: normally one per call.  Raises an
     accuracy error with the best achievable radius when eps is below the
-    floating-point floor or beyond the Bernoulli cap; the least exact bound
-    lies among the k within the margin of the least estimate.
+    floating-point floor.  No eps at or above it exhausts the scan: at
+    |w| >= k the remainder is under (k/|w|)^2/(pi^2 - 1) < 0.113 of the last
+    term, so the bound at k = 8 is under 1e-16 < 32 ulp(1) <= floor.
     """
+    _check_argument(z)
     if not (eps > 0.0):
         raise DomainError(f"target accuracy must be positive, got {eps!r}")
     if context not in ("stirling", "gauss"):
         raise DomainError(f"unknown truncation context {context!r}")
-    floor = _fp_floor(z)
-    best_value = math.inf
-    if eps >= floor:
-        limit = math.log(eps) + _SCREEN_MARGIN
-        w, shifts, modulus, estimates = z, 0, 0.0, []
-        for k in range(1, _K_CAP + 1):
-            if modulus < k:
-                while abs(w) < k:
-                    w += 1.0
-                    shifts += 1
-                modulus = abs(w)
-                log_w = math.log(modulus)
-                right = w.real >= 0.0
-            estimate = _screen_log(context, k) - (2 * k + 1) * log_w
-            estimates.append(estimate)
-            if limit < estimate < math.inf and right:
-                continue
-            plan = _plan(z, k, context, (w, shifts))
-            if plan.truncation_bound <= eps:
-                return plan
-        least = min(filter(math.isfinite, estimates), default=math.inf) + _SCREEN_MARGIN
-        best_value = min(
-            _plan(z, k, context).truncation_bound
-            for k, estimate in enumerate(estimates, 1)
-            if not least < estimate < math.inf
+    w, shifts = _shift(z, 1.0)
+    floor = _fp_floor(z, w)
+    if not eps >= floor:
+        raise AccuracyError(
+            f"target accuracy {eps:g} is unattainable (best achievable radius "
+            f"~{floor:.3g})",
+            best_radius=floor,
         )
-    best_radius = floor + (best_value if math.isfinite(best_value) else 0.0)
-    raise AccuracyError(
-        f"target accuracy {eps:g} is unattainable (best achievable radius "
-        f"~{best_radius:.3g})",
-        best_radius=best_radius,
-    )
+    limit = math.log(eps) + _SCREEN_MARGIN
+    modulus = 0.0
+    for k in range(1, _K_CAP + 1):
+        if modulus < k:
+            w, steps = _shift(w, float(k))
+            shifts += steps
+            modulus = abs(w)
+            log_w = math.log(modulus)
+            right = w.real >= 0.0
+        estimate = _screen_log(context, k) - (2 * k + 1) * log_w
+        if limit < estimate < math.inf and right:
+            continue
+        plan = _plan(z, k, context, (w, shifts))
+        if plan.truncation_bound <= eps:
+            return plan
+    raise ConsistencyError(f"internal: no k <= {_K_CAP} meets eps {eps:g} at z={z}")
 
 
 def _default_accuracy(z: complex, family: str) -> float:
@@ -259,14 +260,13 @@ def _default_accuracy(z: complex, family: str) -> float:
 def _resolve_request(
     z: complex, family: str, k: int | None, accuracy: float | None
 ) -> TruncationPlan:
-    if not cmath.isfinite(z):
-        raise DomainError(f"z must be finite, got z={z}")
+    _check_argument(z)
     if k is not None and accuracy is not None:
         raise DomainError("specify either a fixed term count or a target accuracy")
     if k is None:
         eps = accuracy if accuracy is not None else _default_accuracy(z, family)
         return choose_k(z, eps, family)
-    if not isinstance(k, int) or k < 1:
+    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise DomainError(f"term count must be a positive integer, got {k!r}")
     if k > _K_CAP:
         raise ResourceLimitError(

@@ -91,7 +91,10 @@ def eval_theta(
     regime.  A value or radius that overflows raises ``AccuracyError``.
     """
     t = float(t)
-    variant = ThetaVariant(variant)
+    try:
+        variant = ThetaVariant(variant)
+    except ValueError:
+        raise DomainError(f"unknown theta variant {variant!r}") from None
     if t == 0.0:
         return ThetaResult(
             t=0.0, value=0.0, radius=0.0, k_used=1, variant=variant,
@@ -107,7 +110,7 @@ def eval_theta(
         raise DomainError(f"t must be finite, got {t!r}")
 
     auto = k is None or k == "auto"
-    if not auto and (not isinstance(k, int) or k < 1):
+    if not auto and (not isinstance(k, int) or isinstance(k, bool) or k < 1):
         raise DomainError(f"term count must be a positive integer or 'auto', got {k!r}")
     # one least-term scan serves both auto mode and the empirical correction
     report = k_min(t) if auto or variant is ThetaVariant.EMPIRICAL else None
@@ -125,13 +128,16 @@ def eval_theta(
         raise _overflow(k_used, t, value, math.inf)
     fp.charge(max(abs(value), 1.0), ops=k_used + 4)
 
-    arctan_underflowed = t > _EXP_UNDERFLOW_T or math.exp(-math.pi * t) == 0.0
-    if variant is not ThetaVariant.STANDARD:
-        if arctan_underflowed:
-            flags.append("UNDERFLOW_FOLDED")
-        else:
-            value += arctan_term(t)
-            fp.charge(max(abs(value), 1.0), ops=2)
+    # the bound of what the value omits: e^(-pi t)/2, or TINY past its underflow
+    if t > _EXP_UNDERFLOW_T:
+        omitted = TINY
+        flags.append("UNDERFLOW_FOLDED")
+    elif variant is ThetaVariant.STANDARD:
+        omitted = up(0.5 * math.exp(-math.pi * t), 2)
+    else:
+        omitted = 0.0
+        value += arctan_term(t)
+        fp.charge(max(abs(value), 1.0), ops=2)
 
     advisory = None
     if variant is ThetaVariant.EMPIRICAL:
@@ -142,15 +148,7 @@ def eval_theta(
         fp.charge(max(abs(value), 1.0), ops=3)
 
     bound = best_bound(k_used, t, "theta", Target.R_KP1)
-    radius = bound.value + fp.total
-    if variant is ThetaVariant.STANDARD:
-        if arctan_underflowed:
-            radius += TINY
-            flags.append("UNDERFLOW_FOLDED")
-        else:
-            radius += up(0.5 * math.exp(-math.pi * t), 2)
-    elif arctan_underflowed:
-        radius += TINY
+    radius = bound.value + fp.total + omitted
     if not (math.isfinite(value) and math.isfinite(radius)):
         # the fp charge skips infinite magnitudes: nothing would be certified
         raise _overflow(k_used, t, value, radius)

@@ -128,6 +128,16 @@ def test_unattainable_accuracy_exits_with_the_accuracy_code():
     assert json.loads(result.err)["error"]["type"] == "AccuracyError"
 
 
+def test_lngamma_where_the_modulus_overflows_exits_with_the_accuracy_code():
+    for argv in (["--re", "1.5e308", "--im", "1e308"], ["--re=-1.5e308", "--im=1e308"]):
+        result = run_cli("lngamma", *argv)
+        assert result.code == 3
+        assert result.out == ""
+        error = json.loads(result.err)["error"]
+        assert error["type"] == "AccuracyError"
+        assert "overflows double precision" in error["message"]
+
+
 def test_theta_sum_that_overflows_exits_with_the_accuracy_code():
     result = run_cli("theta", "--t", "0.1", "--terms", "200")
     assert result.code == 3

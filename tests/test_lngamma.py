@@ -8,7 +8,7 @@ import random
 import mpmath as mp
 import pytest
 
-from gammatheta import AccuracyError, DomainError
+from gammatheta import AccuracyError, ConsistencyError, DomainError
 from gammatheta import bounds, lngamma
 from gammatheta.bounds import CK_MAX_K, BoundKind, c_k, eta_fraction
 from gammatheta.fputil import ceil_float, up
@@ -76,6 +76,9 @@ def test_non_finite_arguments_are_rejected(z, k):
     if z.real >= 0.0:
         with pytest.raises(DomainError):
             eval_lngamma_half(z, k=k)
+    for family in ("stirling", "gauss"):
+        with pytest.raises(DomainError, match="z must be finite"):
+            choose_k(z, 1e-6, family)
 
 
 def test_reflection_is_flagged_and_contained():
@@ -130,6 +133,17 @@ def test_term_count_and_accuracy_are_mutually_exclusive():
         eval_lngamma(complex(5.0, 0.0), k=4, accuracy=1e-10)
 
 
+@pytest.mark.parametrize("k", [0, -3, "many", 2.0, True])
+def test_term_count_validation(k):
+    for evaluate, z in (
+        (eval_lngamma, complex(5.0, 1.0)),
+        (eval_lngamma, complex(-5.0, 1.0)),
+        (eval_lngamma_half, complex(5.0, 1.0)),
+    ):
+        with pytest.raises(DomainError, match="term count"):
+            evaluate(z, k=k)
+
+
 def test_requested_accuracy_bounds_the_radius():
     for eps in (1e-4, 1e-8, 1e-11):
         result = eval_lngamma(complex(2.0, 3.0), accuracy=eps)
@@ -141,13 +155,20 @@ def test_requested_accuracy_bounds_the_radius():
 def test_values_that_overflow_are_refused(k):
     # ln Gamma(1e306) ~ 7e308 is not a double; the fp charge skips infinite
     # magnitudes, so an unchecked result would carry a 5e-324 radius.
+    # Where |z| itself overflows, the refusal comes before any walk.
     for evaluate, z in (
         (eval_lngamma, complex(1e306, 0.0)),
         (eval_lngamma, complex(-1e306, 1.0)),
         (eval_lngamma_half, complex(1e306, 0.0)),
+        (eval_lngamma, complex(1.5e308, 1e308)),
+        (eval_lngamma, complex(-1.5e308, 1e308)),
+        (eval_lngamma_half, complex(1.5e308, 1e308)),
     ):
-        with pytest.raises(AccuracyError):
+        with pytest.raises(AccuracyError, match="overflows double precision"):
             evaluate(z, k=k)
+    for family in ("stirling", "gauss"):
+        with pytest.raises(AccuracyError, match="overflows double precision"):
+            choose_k(complex(1.5e308, 1e308), 1e-6, family)
     assert math.isfinite(eval_lngamma(complex(1e305, 0.0), k=k).value.real)
 
 
@@ -280,20 +301,23 @@ def reference_plan(z: complex, k: int, family: str) -> TruncationPlan:
     return TruncationPlan(k, shifts, *reference_rung(family, k, w))
 
 
+def fp_floor(z: complex) -> float:
+    """The floating-point floor where the shift walk first reaches |w| >= 1."""
+    return lngamma._fp_floor(z, lngamma._shift(z, 1.0)[0])
+
+
 def exhaustive_choose_k(z: complex, eps: float, family: str) -> TruncationPlan:
-    floor = lngamma._fp_floor(z)
-    best_value = math.inf
+    floor = fp_floor(z)
     if eps >= floor:
         for k in range(1, lngamma._K_CAP + 1):
             plan = reference_plan(z, k, family)
-            best_value = min(best_value, plan.truncation_bound)
             if plan.truncation_bound <= eps:
                 return plan
-    best_radius = floor + (best_value if math.isfinite(best_value) else 0.0)
+        raise ConsistencyError(f"no k meets {eps:g} at z={z}")
     raise AccuracyError(
         f"target accuracy {eps:g} is unattainable (best achievable radius "
-        f"~{best_radius:.3g})",
-        best_radius=best_radius,
+        f"~{floor:.3g})",
+        best_radius=floor,
     )
 
 
@@ -365,31 +389,25 @@ def test_a_non_finite_estimate_is_decided_by_the_exact_bound(monkeypatch, estima
             assert outcome(choose_k, z, eps, family) == want
 
 
-def test_when_no_k_meets_the_target_the_best_radius_is_unchanged(monkeypatch):
-    # With the scan cut at k = 3 no k meets these targets, so the refusal
-    # reports the least exact bound over k = 1...3 on top of the floor.
+def test_every_target_at_the_floor_is_met_by_eight_terms():
+    # At |w| >= k the bound at k = 8 is under 1e-16, below the floor's
+    # 32 ulp(1): no target the floor admits can exhaust the scan.
+    for z in screen_points(2000, 20261023):
+        for family in ("stirling", "gauss"):
+            assert choose_k(z, fp_floor(z), family).k <= 8, (z, family)
+
+
+def test_an_exhausted_scan_is_an_internal_error(monkeypatch):
+    # Cut at k = 3 the scan can end without a plan; the refusal below the
+    # floor and the plans within reach are unchanged.
     monkeypatch.setattr(lngamma, "_K_CAP", 3)
-    refused = 0
     for z in (complex(1.5, 2.0), complex(6.0, 1.0), complex(0.0, 9.0), complex(2e-3, 0.0)):
         for family in ("stirling", "gauss"):
-            for eps in (1e-9, 1e-12, 1e-13):
+            with pytest.raises(ConsistencyError, match="internal: no k <= 3"):
+                choose_k(z, 1e-12, family)
+            for eps in (1e-2, fp_floor(z) / 2.0):
                 want = outcome(exhaustive_choose_k, z, eps, family)
                 assert outcome(choose_k, z, eps, family) == want, (z, eps, family)
-                refused += isinstance(want, tuple)
-    assert refused >= 18
-    # Every k within the margin of the least estimate is built: with the
-    # estimates put 1e-7 apart, the least one (k = 1, 2) is not the least
-    # exact bound (k = 3).
-    z = complex(6.0, 1.0)
-    monkeypatch.setattr(
-        lngamma,
-        "_screen_log",
-        lambda family, k: (2 * k + 1) * math.log(abs(z)) + (1e-7 if k == 3 else 0.0),
-    )
-    for family in ("stirling", "gauss"):
-        want = outcome(exhaustive_choose_k, z, 1e-13, family)
-        assert want[1] > lngamma._fp_floor(z)
-        assert outcome(choose_k, z, 1e-13, family) == want
 
 
 def test_a_public_plan_left_of_the_axis_is_refused_as_before():

@@ -63,6 +63,10 @@ def test_term_count_validation():
         eval_theta(5.0, k=0)
     with pytest.raises(DomainError):
         eval_theta(5.0, k="many")
+    with pytest.raises(DomainError, match="term count"):
+        eval_theta(5.0, k=True)
+    with pytest.raises(DomainError, match="unknown theta variant"):
+        eval_theta(1.0, variant="x")
 
 
 @pytest.mark.parametrize("t", CONTAINMENT_T)
