@@ -9,12 +9,12 @@ Behnke–Sommer bound is natively relative to the first omitted term).
 Upward-rounding policy: bounds are mathematical suprema, so every floating
 chain that produces a bound is topped with ``(1 + 2**-40)`` guard factors —
 enough to swamp double rounding, far too small to matter against the >1%
-slack the bounds themselves carry.  Below the normal range (2**-1022) a
-guard factor no longer moves a value, so there a factor times a term is
-formed from the term's mantissa and binary exponent (see ``series``), the
-one bound from logs (HARE) is raised by 2**-30 relative, and either is
-stepped up once.  A bound below the smallest subnormal is clamped to it, a
-bound on an overflowing term is ``inf``.
+slack the bounds themselves carry.  A factor times a term is formed from
+the term's modulus |c_k| / |z|**(2k-1) alone, as a mantissa and a binary
+exponent applied once (``_times_term``).  Below the normal range (2**-1022),
+where a guard factor no longer moves a value, it and the one bound from logs
+(HARE, first raised by 2**-30 relative) are stepped up once.  A bound below
+the smallest subnormal is clamped to it, one past the double range is ``inf``.
 
 The catalog:
 
@@ -84,15 +84,7 @@ from functools import lru_cache, partial
 from .bernoulli import bernoulli_number
 from .errors import DomainError
 from .fputil import ceil_float, log_abs_fraction, up
-from .series import (
-    TINY,
-    _coefficient,
-    _inverse_scaled,
-    _require_index,
-    _scaled_term,
-    _unscale,
-    stirling_term,
-)
+from .series import TINY, _coefficient, _require_index, stirling_term
 
 __all__ = [
     "BoundKind",
@@ -189,6 +181,7 @@ def _not_applicable(kind: BoundKind, target: Target, reason: str) -> BoundResult
 _CHAINS = 12
 #: Smallest positive normal double.
 _NORMAL_MIN = sys.float_info.min
+_SQRT_HALF = math.sqrt(0.5)
 
 _LOG_2 = math.log(2.0)
 
@@ -226,20 +219,31 @@ def _modulus(x: complex) -> float:
 def _times_term(
     normalized: float, family: str, k: int, argument: complex, chains: int = _CHAINS
 ) -> float:
-    """``normalized * |T_k(argument)|`` of a series family, rounded up, and
-    ``inf`` when the term overflows; below the normal range it is formed
-    from the term's mantissa and exponent, rounded once and stepped up."""
+    """``normalized * |T_k(argument)|`` of a series family, rounded up, from
+    the modulus alone: ``|T_k(z)| = |m| 2**e / |z|**p`` with p = 2k - 1.
+
+    The parts are scaled exactly by 2**-s, so ``a = |z| 2**-s`` lies in
+    [2**-1/2, 2**1/2] and neither ``hypot`` nor ``a**p`` (p < 2000) leaves
+    the double range.  With a within 1u and the power within 1 ulp, ``|m| /
+    a**p`` is within (p + 3)u <= 2.3e-13, inside one of the guard factors.
+    The exponent ``e - p s`` is applied once: a value below the normal range
+    is rounded once and stepped up, one past the double range is ``inf``."""
     _require_index(k)
-    mantissa, exponent = _scaled_term(family, k, *_inverse_scaled(complex(argument)))
-    term = _modulus(_unscale(mantissa, exponent))
-    if not term < math.inf:
+    _, mantissa, exponent = _coefficient(family, k)
+    x, y = argument.real, argument.imag
+    s = math.frexp(max(abs(x), abs(y)))[1]
+    a = math.hypot(math.ldexp(x, -s), math.ldexp(y, -s))
+    if a < _SQRT_HALF:
+        a, s = 2.0 * a, s - 1
+    p = 2 * k - 1
+    fraction, shift = math.frexp(abs(mantissa) / a ** p)
+    try:
+        value = math.ldexp(up(normalized * fraction, chains), exponent - p * s + shift)
+    except OverflowError:
         return math.inf
-    value = up(normalized * term, chains)
-    if term < _NORMAL_MIN or value < _NORMAL_MIN:
-        fraction, shift = math.frexp(abs(mantissa))
-        value = math.ldexp(up(normalized * fraction, chains), exponent + shift)
-        value = math.nextafter(value, math.inf)
-    return _clamp(value)
+    if value < _NORMAL_MIN:
+        return math.nextafter(value, math.inf)
+    return value if value < math.inf else math.inf  # a NaN part bounds nothing
 
 
 def _check_k(k: int) -> None:

@@ -5,9 +5,9 @@ Two concerns live here:
 * upward rounding of bound values — a bound computed in doubles must never
   come out below the mathematical supremum it implements, so every operation
   chain is topped off with a relative guard factor;
-* coarse accumulation of rounding error for evaluated values — each log and
-  each term addition is charged a couple of ulps of the running magnitude,
-  and the total is folded into the certified radius.
+* coarse rounding-error charges for evaluated values — each log and each
+  term addition is charged 2 ulp of the running magnitude (``fp_charge``),
+  and an evaluator adds its charges, in order, to the certified radius.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ __all__ = [
     "up",
     "ceil_float",
     "log_abs_fraction",
-    "FpAccumulator",
+    "fp_charge",
 ]
 
 #: Relative guard applied per floating operation chain when rounding a bound
@@ -66,21 +66,9 @@ def log_abs_fraction(value: Fraction) -> float:
     return math.log(num) - math.log(value.denominator)
 
 
-class FpAccumulator:
-    """Coarse rounding-error budget for a double-precision evaluation.
-
-    The policy (documented with the certified evaluators): every log
-    evaluation and every term addition contributes 2 ulp of the running
-    magnitude; argument perturbations from shift arithmetic are charged at
-    the same rate.  Callers may charge extra ulps for known-sloppier steps.
-    """
-
-    __slots__ = ("total",)
-
-    def __init__(self) -> None:
-        self.total = 0.0
-
-    def charge(self, magnitude: float, ops: int = 1, ulps: int = 2) -> None:
-        mag = abs(magnitude)
-        if mag < math.inf:
-            self.total += ops * ulps * math.ulp(max(mag, 1e-300))
+def fp_charge(magnitude: float, ops: int, ulps: int = 2) -> float:
+    """Rounding-error charge of ``ops`` operations at ``magnitude``: ``ulps``
+    ulp each of ``|magnitude|`` (of 1e-300 at the least), and nothing for a
+    non-finite magnitude, where no radius is certified."""
+    mag = abs(magnitude)
+    return ops * ulps * math.ulp(max(mag, 1e-300)) if mag < math.inf else 0.0

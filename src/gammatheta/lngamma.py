@@ -28,7 +28,7 @@ from collections import namedtuple
 from . import bernoulli as _bernoulli_mod
 from .bounds import Target, _quadratic_rung, _screen_log, best_bound
 from .errors import AccuracyError, ConsistencyError, DomainError, ResourceLimitError
-from .fputil import FpAccumulator
+from .fputil import fp_charge
 from .series import partial_sum
 
 __all__ = [
@@ -110,7 +110,7 @@ def _main_terms(w: complex, logw: complex, family: str) -> complex:
 
 def _eval_right(z: complex, plan: TruncationPlan, family: str) -> CertifiedValue:
     """Shift-sum-subtract evaluation for Re(z) >= 0 along ``plan``."""
-    fp = FpAccumulator()
+    fp = 0.0
     offset = 0.0 if family == "stirling" else 0.5
     w = z
     log_sum = complex(0.0, 0.0)
@@ -118,32 +118,31 @@ def _eval_right(z: complex, plan: TruncationPlan, family: str) -> CertifiedValue
         lw = cmath.log(w + offset)
         log_sum += lw
         # One log, one add, plus the rounding of the shifted argument itself.
-        fp.charge(max(abs(log_sum), abs(lw), 1.0), ops=2, ulps=4)
+        fp += fp_charge(max(abs(log_sum), abs(lw), 1.0), 2, 4)
         w += 1.0
 
     logw = cmath.log(w)
     main = _main_terms(w, logw, family)
-    fp.charge(max(abs(main), abs(w) * abs(logw), 1.0), ops=6)
+    fp += fp_charge(max(abs(main), abs(w) * abs(logw), 1.0), 6)
 
     terms = partial_sum(family, plan.k, w)
     value = main + terms - log_sum
     # k term additions plus assembly.  At |w| >= max(k, 1) the sum is off by
     # under 2k ulp of 1 (``partial_sum``), which the k-operation share of
     # this charge covers, since its scale is at least 1.
-    fp.charge(max(abs(value), abs(main), 1.0), ops=plan.k + 6)
-    return _finite(CertifiedValue(value, plan.truncation_bound + fp.total, plan))
+    fp += fp_charge(max(abs(value), abs(main), 1.0), plan.k + 6)
+    return _finite(CertifiedValue(value, plan.truncation_bound + fp, plan))
 
 
 def _reflect(z: complex, inner: CertifiedValue) -> CertifiedValue:
     """Assemble lngamma(z) for Re(z) < 0, Im(z) != 0, from lngamma(-z)."""
     s = 1.0 if z.imag > 0.0 else -1.0
-    fp = FpAccumulator()
     log_z = cmath.log(z)
     log_sin = _log_sin_pi(z)
     value = complex(_LOG_PI, s * math.pi) - log_z - log_sin - inner.value
-    fp.charge(max(abs(value), abs(log_sin), math.pi * abs(z), 1.0), ops=10)
+    fp = fp_charge(max(abs(value), abs(log_sin), math.pi * abs(z), 1.0), 10)
     return _finite(CertifiedValue(
-        value, inner.radius + fp.total, inner.plan, inner.flags + ("REFLECTED",)
+        value, inner.radius + fp, inner.plan, inner.flags + ("REFLECTED",)
     ))
 
 
@@ -228,16 +227,18 @@ def choose_k(z: complex, eps: float, context: str = "stirling") -> TruncationPla
             best_radius=floor,
         )
     limit = math.log(eps) + _SCREEN_MARGIN
-    modulus = 0.0
+    screen = _screen_log
+    modulus = abs(w)
+    log_w = math.log(modulus)
     for k in range(1, _K_CAP + 1):
         if modulus < k:
-            w, steps = _shift(w, float(k))
-            shifts += steps
-            modulus = abs(w)
+            while modulus < k:
+                w += 1.0
+                shifts += 1
+                modulus = abs(w)
             log_w = math.log(modulus)
-            right = w.real >= 0.0
-        estimate = _screen_log(context, k) - (2 * k + 1) * log_w
-        if limit < estimate < math.inf and right:
+        estimate = screen(context, k) - (2 * k + 1) * log_w
+        if limit < estimate < math.inf and w.real >= 0.0:
             continue
         plan = _plan(z, k, context, (w, shifts))
         if plan.truncation_bound <= eps:
@@ -247,9 +248,13 @@ def choose_k(z: complex, eps: float, context: str = "stirling") -> TruncationPla
 
 def _default_accuracy(z: complex, family: str) -> float:
     """Default truncation target: 1e-12 relative to a cheap estimate of
-    |value| + 1 (main terms at a shifted point minus the shift logs)."""
+    |value| + 1 (main terms at a shifted point minus the shift logs), made
+    before ``choose_k`` checks z: ``inf`` where |z| overflows."""
     offset = 0.0 if family == "stirling" else 0.5
-    w, shifts = _shift(z, 6.0)
+    try:
+        w, shifts = _shift(z, 6.0)
+    except OverflowError:
+        return math.inf
     main = _main_terms(w, cmath.log(w), family)
     logs = 0
     for j in range(shifts):
@@ -260,12 +265,13 @@ def _default_accuracy(z: complex, family: str) -> float:
 def _resolve_request(
     z: complex, family: str, k: int | None, accuracy: float | None
 ) -> TruncationPlan:
-    _check_argument(z)
     if k is not None and accuracy is not None:
         raise DomainError("specify either a fixed term count or a target accuracy")
     if k is None:
+        # choose_k checks z
         eps = accuracy if accuracy is not None else _default_accuracy(z, family)
         return choose_k(z, eps, family)
+    _check_argument(z)
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise DomainError(f"term count must be a positive integer, got {k!r}")
     if k > _K_CAP:

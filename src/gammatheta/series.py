@@ -15,7 +15,7 @@ Arb's ``mag_t`` does, and every scaling is exact: so it is within about one
 ulp per factor of its power at every magnitude, and bit for bit
 ``c * (1/z)**p`` wherever that power is normal.  A sum at ``|z| >= k``,
 the certified path's case, runs a term-ratio recurrence in plain doubles
-instead (``partial_sum``).
+instead (``partial_sum``).  The bounds form a term's modulus from |z|.
 
 The theta family is divergent with a well-defined least term; ``k_min``
 locates it by linear scan in log space, which is immune to double overflow

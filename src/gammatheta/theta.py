@@ -26,7 +26,7 @@ from enum import Enum
 
 from .bounds import Target, best_bound
 from .errors import AccuracyError, DomainError
-from .fputil import FpAccumulator, up
+from .fputil import fp_charge, up
 from .series import EMPIRICAL_CONSTANT, TINY, k_min, partial_sum
 
 __all__ = [
@@ -95,6 +95,9 @@ def eval_theta(
         variant = ThetaVariant(variant)
     except ValueError:
         raise DomainError(f"unknown theta variant {variant!r}") from None
+    auto = k is None or k == "auto"
+    if not auto and (not isinstance(k, int) or isinstance(k, bool) or k < 1):
+        raise DomainError(f"term count must be a positive integer or 'auto', got {k!r}")
     if t == 0.0:
         return ThetaResult(
             t=0.0, value=0.0, radius=0.0, k_used=1, variant=variant,
@@ -109,24 +112,20 @@ def eval_theta(
     if math.isinf(t) or math.isnan(t):
         raise DomainError(f"t must be finite, got {t!r}")
 
-    auto = k is None or k == "auto"
-    if not auto and (not isinstance(k, int) or isinstance(k, bool) or k < 1):
-        raise DomainError(f"term count must be a positive integer or 'auto', got {k!r}")
     # one least-term scan serves both auto mode and the empirical correction
     report = k_min(t) if auto or variant is ThetaVariant.EMPIRICAL else None
     k_used = report.k_min if auto else k
-    fp = FpAccumulator()
     flags: list[str] = []
 
     main = 0.5 * t * (math.log(t) - _LOG_2PI - 1.0)
-    fp.charge(max(abs(main), t, 1.0), ops=4)
+    fp = fp_charge(max(abs(main), t, 1.0), 4)
     value = main - _PI_OVER_8
     value += partial_sum("theta", k_used, t)
     if value == math.inf:
         # The terms are positive and grow past the double range, and so does
         # every bound after them: refuse before one is built.
         raise _overflow(k_used, t, value, math.inf)
-    fp.charge(max(abs(value), 1.0), ops=k_used + 4)
+    fp += fp_charge(max(abs(value), 1.0), k_used + 4)
 
     # the bound of what the value omits: e^(-pi t)/2, or TINY past its underflow
     if t > _EXP_UNDERFLOW_T:
@@ -137,7 +136,7 @@ def eval_theta(
     else:
         omitted = 0.0
         value += arctan_term(t)
-        fp.charge(max(abs(value), 1.0), ops=2)
+        fp += fp_charge(max(abs(value), 1.0), 2)
 
     advisory = None
     if variant is ThetaVariant.EMPIRICAL:
@@ -145,10 +144,10 @@ def eval_theta(
             math.pi * t - report.k_min + float(EMPIRICAL_CONSTANT)
         ) * report.t_min
         value += advisory
-        fp.charge(max(abs(value), 1.0), ops=3)
+        fp += fp_charge(max(abs(value), 1.0), 3)
 
     bound = best_bound(k_used, t, "theta", Target.R_KP1)
-    radius = bound.value + fp.total + omitted
+    radius = bound.value + fp + omitted
     if not (math.isfinite(value) and math.isfinite(radius)):
         # the fp charge skips infinite magnitudes: nothing would be certified
         raise _overflow(k_used, t, value, radius)

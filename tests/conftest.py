@@ -4,17 +4,23 @@ Every test runs with the process-wide mpmath precision restored afterwards,
 so a test that raises mid-``workdps`` (or sets ``mp.mp.dps`` directly) cannot
 poison its neighbours.  The CLI harness drives ``cli.main`` in-process and
 captures both streams, which keeps the full suite subprocess-free and fast.
+``brackets_exact_product`` checks a bound's ``normalized * |T_k|`` against
+the exact rational product.
 """
 from __future__ import annotations
 
 import io
+import math
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
 from gammatheta import cli
+from gammatheta.series import term_coefficient
 
 
 @pytest.fixture(autouse=True)
@@ -46,3 +52,48 @@ def run_cli(*argv: str) -> CliResult:
 @pytest.fixture
 def cli_runner():
     return run_cli
+
+
+def _dyadic(x: float) -> tuple[int, int]:
+    """``(n, e)`` with ``|x| = n 2**e`` exactly and n odd (or zero)."""
+    m, e = math.frexp(abs(x))
+    n = int(m * 2**53)
+    zeros = (n & -n).bit_length() - 1 if n else 0
+    return n >> zeros, e - 53 + zeros
+
+
+def _at_most(a: int, ea: int, b: int, eb: int) -> bool:
+    """``a 2**ea <= b 2**eb`` for integers a, b >= 0."""
+    e = min(ea, eb)
+    return a << (ea - e) <= b << (eb - e)
+
+
+def brackets_exact_product(
+    value: float, normalized: float, family: str, k: int, argument: complex
+) -> bool:
+    """Whether ``value`` lies between the exact ``normalized * |c_k| / |z|**p``
+    (p = 2k - 1, all from the double inputs) and (1 + 2**-30) times it, plus
+    two steps of the smallest subnormal below the normal range.  ``inf``
+    passes only where (1 + 2**-30) times the product passes the largest
+    double.  Squares are compared in integers: ``|z|**(2p)`` is dyadic."""
+    product = Fraction(normalized) * abs(term_coefficient(family, k))
+    num, den = product.numerator ** 2, product.denominator ** 2
+    parts = [_dyadic(argument.real), _dyadic(argument.imag)]
+    e = min(ex for n, ex in parts if n)
+    p = 2 * k - 1
+    # |z|**(2p) = power 2**shift
+    power, shift = sum(n * n << 2 * (ex - e) for n, ex in parts if n) ** p, 2 * e * p
+    top = num * (2**30 + 1) ** 2  # (1 + 2**-30)**2 numerator**2, over 2**60
+    if value == math.inf:
+        m, ex = _dyadic(sys.float_info.max)
+        return _at_most(m * m * power * den, 2 * ex + shift + 60, top, 0)
+    m, ex = _dyadic(value)
+    if not _at_most(num, 0, m * m * power * den, 2 * ex + shift):
+        return False
+    if value < sys.float_info.min:
+        # two steps of 2**-1074 off the value
+        low = min(ex, -1073)
+        m, ex = (m << (ex - low)) - (1 << (-1073 - low)), low
+        if m <= 0:
+            return True
+    return _at_most(m * m * power * den, 2 * ex + shift + 60, top, 0)

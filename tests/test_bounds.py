@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from conftest import brackets_exact_product
 
 from gammatheta import DomainError, bounds
 from gammatheta.bounds import (
@@ -35,7 +36,7 @@ from gammatheta.bounds import (
     sqrt_pik_bound,
     theta_bound,
 )
-from gammatheta.fputil import ceil_float, up
+from gammatheta.fputil import ceil_float, log_abs_fraction, up
 from gammatheta.series import _log_theta_term, stirling_term, term_coefficient, theta_term
 
 # Frozen six-decimal (rounded-up) presentation of the quadratic-bound
@@ -439,6 +440,60 @@ def test_theta_bounds_round_up_below_the_normal_range():
             assert mp.mpf(bound.value) >= exact, bound.kind
 
 
+def _log2_modulus_for(family: str, k: int, log2_result: float) -> float:
+    """log2 of the |z| at which |T_k(z)| is 2**log2_result."""
+    log2_coefficient = log_abs_fraction(term_coefficient(family, k)) / math.log(2.0)
+    return (log2_coefficient - log2_result) / (2 * k - 1)
+
+
+def test_times_term_brackets_the_exact_product():
+    # The term is formed from the modulus alone, |c_k| / |z|**p: the value is
+    # at least normalized times the exact product and within the guard
+    # factors of it, at every |z|, beyond hypot's range, below the normal
+    # range and where it overflows.
+    rng = random.Random(20261104)
+    huge = sys.float_info.max
+
+    def argument(family: str, modulus: float) -> complex:
+        if family == "theta":
+            return complex(modulus)
+        return cmath.rect(modulus, rng.uniform(-0.5 * math.pi, 0.5 * math.pi))
+
+    cases = [
+        (family, k, argument(family, 2.0 ** rng.uniform(-1000.0, 1000.0)))
+        for family in ("stirling", "gauss", "theta")
+        for k in range(1, 101)
+    ]
+    cases += [
+        (family, k, argument(family, k * 2.0 ** rng.uniform(-2.0, 20.0)))
+        for family in ("stirling", "gauss", "theta")
+        for k in range(1, 101, 3)
+    ]
+    cases += [
+        ("theta", rng.randint(101, 999), complex(2.0 ** rng.uniform(-1000.0, 1000.0)))
+        for _ in range(100)
+    ]
+    for z in (complex(1e308, 1e308), complex(1.7e308, -1.7e308), complex(-huge, huge),
+              complex(huge, 5e-324), complex(5e-324, -5e-324)):
+        cases += [(family, k, z) for family in ("stirling", "gauss") for k in (1, 3)]
+    for family in ("stirling", "gauss", "theta"):
+        for k in (1, 2, 7, 40, 100) + ((500, 999) if family == "theta" else ()):
+            for log2_result in (-1020.5, -1030.0, -1060.3, -1073.5, -1080.0, 1023.5, 1024.5):
+                log2_modulus = _log2_modulus_for(family, k, log2_result)
+                if -1070.0 < log2_modulus < 1020.0:
+                    cases.append((family, k, argument(family, 2.0**log2_modulus)))
+    kinds = {"normal": 0, "subnormal": 0, "inf": 0}
+    for family, k, z in cases:
+        normalized = rng.choice((1.0, 0.0721, 5.317, 2.0**70))
+        value = bounds._times_term(normalized, family, k, z)
+        assert brackets_exact_product(value, normalized, family, k, z), (family, k, z)
+        if value == math.inf:
+            kinds["inf"] += 1
+        else:
+            kinds["subnormal" if value < sys.float_info.min else "normal"] += 1
+    assert min(kinds.values()) > 50, kinds
+
+
 _PI2M1_DOWN = math.nextafter(math.nextafter(math.pi * math.pi - 1.0, 0.0), 0.0)
 
 THETA_KINDS = (
@@ -472,9 +527,13 @@ def test_cached_constants_give_the_bits_of_the_uncached_formulas():
     rng = random.Random(20261023)
     cases = [(rng.randint(1, 999), 10.0 ** rng.uniform(-6.0, 3.0)) for _ in range(8000)]
     overflowed = subnormal = 0
-    for k, t in cases + _theta_subnormal_band():
+    band = _theta_subnormal_band()
+    in_band = set(band)
+    for k, t in cases + band:
         for kind in THETA_KINDS:
             want = _uncached_theta_bound(k, t, kind)
+            if want is not None and (k, t) in in_band:
+                assert brackets_exact_product(*want, "theta", k, complex(t)), (k, t, kind)
             for _ in range(2):
                 got = theta_bound(k, t, kind)
                 if want is None:

@@ -7,6 +7,7 @@ import random
 
 import mpmath as mp
 import pytest
+from conftest import brackets_exact_product
 
 from gammatheta import AccuracyError, ConsistencyError, DomainError
 from gammatheta import bounds, lngamma
@@ -283,7 +284,8 @@ def test_truncation_bound_covers_its_exact_value_where_the_power_is_subnormal():
 _PI2M1_DOWN = math.nextafter(math.nextafter(math.pi * math.pi - 1.0, 0.0), 0.0)
 
 
-def reference_rung(family: str, k: int, w: complex) -> tuple[BoundKind, float]:
+def reference_factor(family: str, k: int, w: complex) -> tuple[BoundKind, float]:
+    """Kind and normalized factor of the quadratic rung at w."""
     ratio = k / abs(w)
     if k <= CK_MAX_K:
         kind, factor = BoundKind.CK_QUADRATIC, up(c_k(k) * ratio * ratio, 2)
@@ -293,6 +295,11 @@ def reference_rung(family: str, k: int, w: complex) -> tuple[BoundKind, float]:
     normalized = up(factor, 12)
     if family == "gauss":
         normalized = up(ceil_float(eta_fraction(k)) * normalized, 12)
+    return kind, normalized
+
+
+def reference_rung(family: str, k: int, w: complex) -> tuple[BoundKind, float]:
+    kind, normalized = reference_factor(family, k, w)
     return kind, bounds._times_term(normalized, family, k, w)
 
 
@@ -360,11 +367,18 @@ def test_the_screen_picks_the_plan_of_the_exhaustive_scan():
 def test_fixed_term_plans_keep_the_rung_across_its_switches():
     # k in 1...999 crosses ck-quadratic -> quadratic at k = 100, and the
     # gauss plans carry eta_k.
+    # Every 50th rung is also held against the exact product at its w.
     rng = random.Random(20261020)
-    for z in screen_points(2000, 20261020):
+    for i, z in enumerate(screen_points(2000, 20261020)):
         k = rng.randint(1, 999)
         for family in ("stirling", "gauss"):
-            assert lngamma._plan(z, k, family) == reference_plan(z, k, family), (z, k)
+            plan = lngamma._plan(z, k, family)
+            assert plan == reference_plan(z, k, family), (z, k)
+            if i % 50 == 0:
+                w = lngamma._shift(z, float(k))[0]
+                normalized = reference_factor(family, k, w)[1]
+                assert brackets_exact_product(
+                    plan.truncation_bound, normalized, family, k, w), (z, k, family)
 
 
 def test_the_screen_builds_one_exact_bound_per_call(monkeypatch):

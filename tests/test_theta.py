@@ -67,6 +67,12 @@ def test_term_count_validation():
         eval_theta(5.0, k=True)
     with pytest.raises(DomainError, match="unknown theta variant"):
         eval_theta(1.0, variant="x")
+    # t = 0 returns the exact zero and t < 0 recurses on -t: a bad k is
+    # refused there too
+    for t in (0.0, -0.0, -5.0):
+        for k in (-5, "many", True):
+            with pytest.raises(DomainError, match="term count"):
+                eval_theta(t, k=k)
 
 
 @pytest.mark.parametrize("t", CONTAINMENT_T)
