@@ -1,13 +1,11 @@
 """Floating-point helpers for certified (never under-reported) quantities.
 
-Two concerns live here:
-
-* upward rounding of bound values — a bound computed in doubles must never
-  come out below the mathematical supremum it implements, so every operation
-  chain is topped off with a relative guard factor;
-* coarse rounding-error charges for evaluated values — each log and each
-  term addition is charged 2 ulp of the running magnitude (``fp_charge``),
-  and an evaluator adds its charges, in order, to the certified radius.
+A bound computed in doubles must never come out below the mathematical
+supremum it implements, so every operation chain is topped off with a
+relative guard factor (``up``); ``ceil_float`` and ``log_abs_fraction`` round
+and take logs of exact rationals.  The evaluators' coarse rounding-error
+charge, 2 ulp of the running magnitude per log or term addition, is added
+to a plain float where each value is assembled (``lngamma``, ``theta``).
 """
 from __future__ import annotations
 
@@ -19,7 +17,6 @@ __all__ = [
     "up",
     "ceil_float",
     "log_abs_fraction",
-    "fp_charge",
 ]
 
 #: Relative guard applied per floating operation chain when rounding a bound
@@ -64,11 +61,3 @@ def log_abs_fraction(value: Fraction) -> float:
         raise ValueError("log of zero")
     num = abs(value.numerator)
     return math.log(num) - math.log(value.denominator)
-
-
-def fp_charge(magnitude: float, ops: int, ulps: int = 2) -> float:
-    """Rounding-error charge of ``ops`` operations at ``magnitude``: ``ulps``
-    ulp each of ``|magnitude|`` (of 1e-300 at the least), and nothing for a
-    non-finite magnitude, where no radius is certified."""
-    mag = abs(magnitude)
-    return ops * ulps * math.ulp(max(mag, 1e-300)) if mag < math.inf else 0.0

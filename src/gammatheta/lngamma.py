@@ -28,7 +28,6 @@ from collections import namedtuple
 from . import bernoulli as _bernoulli_mod
 from .bounds import Target, _quadratic_rung, _screen_log, best_bound
 from .errors import AccuracyError, ConsistencyError, DomainError, ResourceLimitError
-from .fputil import fp_charge
 from .series import partial_sum
 
 __all__ = [
@@ -109,7 +108,11 @@ def _main_terms(w: complex, logw: complex, family: str) -> complex:
 
 
 def _eval_right(z: complex, plan: TruncationPlan, family: str) -> CertifiedValue:
-    """Shift-sum-subtract evaluation for Re(z) >= 0 along ``plan``."""
+    """Shift-sum-subtract evaluation for Re(z) >= 0 along ``plan``.
+
+    The fp charge is 2 ulp of the running magnitude (at least 1) per
+    operation; a magnitude past the double range is not charged, and
+    ``_finite`` refuses the value it belongs to."""
     fp = 0.0
     offset = 0.0 if family == "stirling" else 0.5
     w = z
@@ -117,20 +120,23 @@ def _eval_right(z: complex, plan: TruncationPlan, family: str) -> CertifiedValue
     for _ in range(plan.shifts):
         lw = cmath.log(w + offset)
         log_sum += lw
-        # One log, one add, plus the rounding of the shifted argument itself.
-        fp += fp_charge(max(abs(log_sum), abs(lw), 1.0), 2, 4)
+        # One log, one add, plus the rounding of the shifted argument itself:
+        # 2 operations at 4 ulp; these logs are finite.
+        fp += 8 * math.ulp(max(abs(log_sum), abs(lw), 1.0))
         w += 1.0
 
     logw = cmath.log(w)
     main = _main_terms(w, logw, family)
-    fp += fp_charge(max(abs(main), abs(w) * abs(logw), 1.0), 6)
+    scale = max(abs(main), abs(w) * abs(logw), 1.0)
+    fp += 12 * math.ulp(scale) if scale < math.inf else 0.0
 
     terms = partial_sum(family, plan.k, w)
     value = main + terms - log_sum
     # k term additions plus assembly.  At |w| >= max(k, 1) the sum is off by
     # under 2k ulp of 1 (``partial_sum``), which the k-operation share of
     # this charge covers, since its scale is at least 1.
-    fp += fp_charge(max(abs(value), abs(main), 1.0), plan.k + 6)
+    scale = max(abs(value), abs(main), 1.0)
+    fp += (plan.k + 6) * 2 * math.ulp(scale) if scale < math.inf else 0.0
     return _finite(CertifiedValue(value, plan.truncation_bound + fp, plan))
 
 
@@ -140,7 +146,8 @@ def _reflect(z: complex, inner: CertifiedValue) -> CertifiedValue:
     log_z = cmath.log(z)
     log_sin = _log_sin_pi(z)
     value = complex(_LOG_PI, s * math.pi) - log_z - log_sin - inner.value
-    fp = fp_charge(max(abs(value), abs(log_sin), math.pi * abs(z), 1.0), 10)
+    scale = max(abs(value), abs(log_sin), math.pi * abs(z), 1.0)
+    fp = 20 * math.ulp(scale) if scale < math.inf else 0.0  # 10 operations
     return _finite(CertifiedValue(
         value, inner.radius + fp, inner.plan, inner.flags + ("REFLECTED",)
     ))

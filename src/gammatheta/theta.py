@@ -26,7 +26,7 @@ from enum import Enum
 
 from .bounds import Target, best_bound
 from .errors import AccuracyError, DomainError
-from .fputil import fp_charge, up
+from .fputil import up
 from .series import EMPIRICAL_CONSTANT, TINY, k_min, partial_sum
 
 __all__ = [
@@ -118,14 +118,16 @@ def eval_theta(
     flags: list[str] = []
 
     main = 0.5 * t * (math.log(t) - _LOG_2PI - 1.0)
-    fp = fp_charge(max(abs(main), t, 1.0), 4)
     value = main - _PI_OVER_8
     value += partial_sum("theta", k_used, t)
     if value == math.inf:
         # The terms are positive and grow past the double range, and so does
         # every bound after them: refuse before one is built.
         raise _overflow(k_used, t, value, math.inf)
-    fp += fp_charge(max(abs(value), 1.0), k_used + 4)
+    # fp charge: 2 ulp of the running magnitude per operation, 4 for the main
+    # terms and k + 4 for the sum; past the refusal every magnitude is finite
+    fp = 8 * math.ulp(max(abs(main), t, 1.0))
+    fp += (k_used + 4) * 2 * math.ulp(max(abs(value), 1.0))
 
     # the bound of what the value omits: e^(-pi t)/2, or TINY past its underflow
     if t > _EXP_UNDERFLOW_T:
@@ -136,7 +138,7 @@ def eval_theta(
     else:
         omitted = 0.0
         value += arctan_term(t)
-        fp += fp_charge(max(abs(value), 1.0), 2)
+        fp += 4 * math.ulp(max(abs(value), 1.0))
 
     advisory = None
     if variant is ThetaVariant.EMPIRICAL:
@@ -144,12 +146,12 @@ def eval_theta(
             math.pi * t - report.k_min + float(EMPIRICAL_CONSTANT)
         ) * report.t_min
         value += advisory
-        fp += fp_charge(max(abs(value), 1.0), 3)
+        fp += 6 * math.ulp(max(abs(value), 1.0))
 
     bound = best_bound(k_used, t, "theta", Target.R_KP1)
     radius = bound.value + fp + omitted
     if not (math.isfinite(value) and math.isfinite(radius)):
-        # the fp charge skips infinite magnitudes: nothing would be certified
+        # a value or bound past the double range: nothing would be certified
         raise _overflow(k_used, t, value, radius)
 
     return ThetaResult(t, value, radius, k_used, variant, bound.kind, tuple(flags), advisory)

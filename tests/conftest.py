@@ -5,7 +5,8 @@ so a test that raises mid-``workdps`` (or sets ``mp.mp.dps`` directly) cannot
 poison its neighbours.  The CLI harness drives ``cli.main`` in-process and
 captures both streams, which keeps the full suite subprocess-free and fast.
 ``brackets_exact_product`` checks a bound's ``normalized * |T_k|`` against
-the exact rational product.
+the exact rational product, and ``ChargeReference`` keeps the evaluators'
+rounding-error charge in a separate accumulator.
 """
 from __future__ import annotations
 
@@ -97,3 +98,17 @@ def brackets_exact_product(
         if m <= 0:
             return True
     return _at_most(m * m * power * den, 2 * ex + shift + 60, top, 0)
+
+
+class ChargeReference:
+    """The evaluators' rounding-error charge kept as an accumulator: ``ulps``
+    ulp of max(|magnitude|, 1e-300) per operation, added in call order, and
+    nothing for a non-finite magnitude."""
+
+    def __init__(self) -> None:
+        self.total = 0.0
+
+    def charge(self, magnitude: float, ops: int, ulps: int = 2) -> None:
+        mag = abs(magnitude)
+        if mag < math.inf:
+            self.total += ops * ulps * math.ulp(max(mag, 1e-300))

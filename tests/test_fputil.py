@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gammatheta.fputil import GUARD, ceil_float, fp_charge, log_abs_fraction, up
+from gammatheta.fputil import GUARD, ceil_float, log_abs_fraction, up
 
 
 def test_guard_factor_is_a_hair_above_one():
@@ -61,21 +61,3 @@ def test_log_abs_fraction_handles_values_beyond_float_range():
 def test_log_abs_fraction_rejects_zero():
     with pytest.raises(ValueError):
         log_abs_fraction(Fraction(0))
-
-
-def test_accumulator_charges_scale_with_magnitude_and_ops():
-    # The evaluators add their charges, in order, to a plain float.
-    acc = fp_charge(1.0, 1)
-    one = acc
-    assert one == 2 * math.ulp(1.0)
-    acc += fp_charge(1.0, 3)
-    assert acc == pytest.approx(one + 3 * one, rel=1e-12)
-    assert fp_charge(1e10, 1) == pytest.approx(2 * math.ulp(1e10), rel=1e-12)
-    assert fp_charge(-1e10, 2, 4) == 8 * math.ulp(1e10)
-
-
-def test_accumulator_ignores_non_finite_and_clamps_tiny_magnitudes():
-    acc = fp_charge(math.inf, 1) + fp_charge(-math.inf, 2) + fp_charge(math.nan, 3)
-    assert acc == 0.0
-    acc += fp_charge(0.0, 1)
-    assert acc == 2 * math.ulp(1e-300)  # charged at the 1e-300 floor, not zero

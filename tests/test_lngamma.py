@@ -7,13 +7,13 @@ import random
 
 import mpmath as mp
 import pytest
-from conftest import brackets_exact_product
+from conftest import ChargeReference, brackets_exact_product
 
 from gammatheta import AccuracyError, ConsistencyError, DomainError
 from gammatheta import bounds, lngamma
 from gammatheta.bounds import CK_MAX_K, BoundKind, c_k, eta_fraction
 from gammatheta.fputil import ceil_float, up
-from gammatheta.series import term_coefficient
+from gammatheta.series import partial_sum, term_coefficient
 from gammatheta.lngamma import (
     CertifiedValue,
     TruncationPlan,
@@ -274,6 +274,54 @@ def test_truncation_bound_covers_its_exact_value_where_the_power_is_subnormal():
         exact = mp.mpf(c_k(83)) * (83 / abs(ww)) ** 2 * term
     assert plan.bound_kind.value == "ck-quadratic"
     assert mp.mpf(plan.truncation_bound) >= exact
+
+
+def charged(z: complex, family: str, k: int | None = None) -> tuple[complex, float]:
+    """Value and radius of ``_eval_right`` at ``z`` along its own plan, with
+    the fp charge kept in the reference accumulator."""
+    plan = lngamma._resolve_request(z, family, k, None)
+    fp = ChargeReference()
+    offset = 0.0 if family == "stirling" else 0.5
+    w, log_sum = z, complex(0.0, 0.0)
+    for _ in range(plan.shifts):
+        lw = cmath.log(w + offset)
+        log_sum += lw
+        fp.charge(max(abs(log_sum), abs(lw), 1.0), 2, 4)
+        w += 1.0
+    logw = cmath.log(w)
+    main = lngamma._main_terms(w, logw, family)
+    fp.charge(max(abs(main), abs(w) * abs(logw), 1.0), 6)
+    value = main + partial_sum(family, plan.k, w) - log_sum
+    fp.charge(max(abs(value), abs(main), 1.0), plan.k + 6)
+    return value, plan.truncation_bound + fp.total
+
+
+def test_the_radius_adds_the_fp_charges_in_order():
+    # The evaluators add their charges to a plain float: equal bits show the
+    # reference's amounts, added in its order.  Where a magnitude overflows it
+    # is not charged, and the refusal reports the radius without it.
+    rng = random.Random(20261106)
+    for z in screen_points(300, 20261106):
+        k = rng.choice((None, rng.randint(1, 40)))
+        for family, evaluate in (("stirling", eval_lngamma), ("gauss", eval_lngamma_half)):
+            value, radius = charged(z, family, k)
+            got = evaluate(z, k=k)
+            assert (got.value, got.radius) == (value, radius), (z, k, family)
+        if z.real > 0.0 and z.imag != 0.0:
+            # left of the axis the reflection adds its own 10 operations
+            inner_value, inner_radius = charged(z, "stirling", k)
+            log_sin = lngamma._log_sin_pi(-z)
+            s = 1.0 if -z.imag > 0.0 else -1.0
+            value = complex(math.log(math.pi), s * math.pi) - cmath.log(-z) - log_sin
+            value -= inner_value
+            fp = ChargeReference()
+            fp.charge(max(abs(value), abs(log_sin), math.pi * abs(z), 1.0), 10)
+            got = eval_lngamma(-z, k=k)
+            assert (got.value, got.radius) == (value, inner_radius + fp.total), z
+    for z in (complex(1e306, 0.0), complex(1e306, 1e300)):
+        value, radius = charged(z, "stirling", 5)
+        with pytest.raises(AccuracyError, match=f"radius {radius}"):
+            eval_lngamma(z, k=5)
 
 
 # -- the screen in choose_k --------------------------------------------------

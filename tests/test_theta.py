@@ -2,11 +2,15 @@
 from __future__ import annotations
 
 import math
+import random
 
 import mpmath as mp
 import pytest
+from conftest import ChargeReference
 
 from gammatheta import AccuracyError, DomainError, series
+from gammatheta.bounds import Target, best_bound
+from gammatheta.fputil import up
 from gammatheta.series import k_min
 from gammatheta.theta import (
     ThetaResult,
@@ -126,6 +130,39 @@ def test_an_overflowing_sum_forms_no_term_past_the_first_infinite_total(monkeypa
     assert calls == list(range(1, last + 1))
     assert last < 100
 
+
+def test_the_radius_adds_the_fp_charges_in_order():
+    # eval_theta adds its charges to a plain float: equal bits show the
+    # reference's amounts, added in its order, for every variant and both
+    # auto and fixed k.
+    rng = random.Random(20261107)
+    checked = 0
+    for _ in range(300):
+        t = 10.0 ** rng.uniform(-2.0, 1.7)
+        variant = rng.choice(list(ThetaVariant))
+        try:
+            got = eval_theta(t, rng.choice(("auto", rng.randint(1, 30))), variant)
+        except AccuracyError:
+            continue
+        fp = ChargeReference()
+        main = 0.5 * t * (math.log(t) - math.log(2.0 * math.pi) - 1.0)
+        fp.charge(max(abs(main), t, 1.0), 4)
+        value = main - math.pi / 8.0
+        value += series.partial_sum("theta", got.k_used, t)
+        fp.charge(max(abs(value), 1.0), got.k_used + 4)
+        omitted = 0.0
+        if variant is ThetaVariant.STANDARD:
+            omitted = up(0.5 * math.exp(-math.pi * t), 2)
+        else:
+            value += arctan_term(t)
+            fp.charge(max(abs(value), 1.0), 2)
+        if variant is ThetaVariant.EMPIRICAL:
+            value += got.advisory_correction
+            fp.charge(max(abs(value), 1.0), 3)
+        bound = best_bound(got.k_used, t, "theta", Target.R_KP1).value
+        assert (got.value, got.radius) == (value, bound + fp.total + omitted), (t, variant)
+        checked += 1
+    assert checked > 200
 
 def test_variant_value_differences_are_the_documented_corrections():
     t = 3.0
