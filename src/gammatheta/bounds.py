@@ -181,6 +181,7 @@ def _not_applicable(kind: BoundKind, target: Target, reason: str) -> BoundResult
 _CHAINS = 12
 #: Smallest positive normal double.
 _NORMAL_MIN = sys.float_info.min
+#: 2**-1/2, the least scaled modulus ``_times_term`` raises to a power.
 _SQRT_HALF = math.sqrt(0.5)
 
 _LOG_2 = math.log(2.0)
