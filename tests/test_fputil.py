@@ -8,7 +8,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import ChargeReference
 from gammatheta.fputil import GUARD, ceil_float, log_abs_fraction, up
+
+
+# The evaluators add their rounding-error charges to a plain float; the radius
+# tests in test_lngamma and test_theta compare those radii bit for bit with
+# ChargeReference, so its charge rule is pinned here.
+def test_accumulator_charges_scale_with_magnitude_and_ops():
+    acc = ChargeReference()
+    acc.charge(1.0, ops=1)
+    one = acc.total
+    assert one == 2 * math.ulp(1.0)
+    acc.charge(1.0, ops=3)
+    assert acc.total == pytest.approx(one + 3 * one, rel=1e-12)
+    big = ChargeReference()
+    big.charge(1e10, ops=1)
+    assert big.total == pytest.approx(2 * math.ulp(1e10), rel=1e-12)
+
+
+def test_accumulator_ignores_non_finite_and_clamps_tiny_magnitudes():
+    acc = ChargeReference()
+    acc.charge(math.inf, ops=1)
+    acc.charge(math.nan, ops=1)
+    assert acc.total == 0.0
+    acc.charge(0.0, ops=1)
+    assert acc.total > 0.0  # charged at the 1e-300 floor, not zero
 
 
 def test_guard_factor_is_a_hair_above_one():
