@@ -73,6 +73,7 @@ cannot rule out; so the smallest k that meets eps is never skipped.
 """
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 import threading
@@ -373,7 +374,7 @@ def c_k_string(k: int, decimals: int = 6) -> str:
 # ---------------------------------------------------------------------------
 
 def _right_half_plane(z: complex) -> bool:
-    return z != 0 and z.real >= 0.0
+    return z != 0 and z.real >= 0.0 and not cmath.isnan(z)
 
 
 def _gamma_ratio(k: int) -> float:
@@ -551,6 +552,8 @@ def literature_bound(
     z = complex(z)
     if z == 0:
         return _not_applicable(kind, target, "argument must be nonzero")
+    if cmath.isnan(z):
+        return _not_applicable(kind, target, "argument has a NaN part")
     native = next((tgt for tgt, kinds in _CLASSICAL.items() if kind in kinds), target)
     if target is not native:
         return _not_applicable(kind, target, f"bounds only the {native.value} remainder")

@@ -497,7 +497,8 @@ def build_parser() -> argparse.ArgumentParser:
     # conflicts surface as structured domain-error records, not usage text
     p.add_argument("--terms", type=int, help="fixed series term count k")
     p.add_argument(
-        "--accuracy", type=float, help="truncation-bound target epsilon"
+        "--accuracy", type=float, help="truncation-bound target epsilon "
+        "(default: the floating-point floor)"
     )
     p.add_argument(
         "--half",

@@ -7,6 +7,8 @@ recurrence until its modulus reaches max(k, 1) — this keeps the quadratic
 bounds applicable and kills any truncation floor — sum k series terms plus
 the main terms there, then subtract the shift logs.  The plan (k, shift
 count, winning bound) is made once, at the shifted argument the sum uses.
+With neither ``k`` nor ``accuracy`` the target is the floating-point floor
+that ``choose_k`` takes on its own walk.
 Arguments left of the imaginary axis are reflected, not shifted:
 ``lngamma(z) = ln pi + s i pi - log z - L_s(z) - lngamma(-z)`` with
 s = sign(Im z), where ``L_s(z) = -ln 2 + s i pi/2 - s i pi z +
@@ -127,7 +129,9 @@ def _eval_right(z: complex, plan: TruncationPlan, family: str) -> CertifiedValue
 
     logw = cmath.log(w)
     main = _main_terms(w, logw, family)
-    scale = max(abs(main), abs(w) * abs(logw), 1.0)
+    # hypot gives inf, where abs raises, if finite parts overflow the modulus
+    main_modulus = math.hypot(main.real, main.imag)
+    scale = max(main_modulus, abs(w) * abs(logw), 1.0)
     fp += 12 * math.ulp(scale) if scale < math.inf else 0.0
 
     terms = partial_sum(family, plan.k, w)
@@ -135,7 +139,7 @@ def _eval_right(z: complex, plan: TruncationPlan, family: str) -> CertifiedValue
     # k term additions plus assembly.  At |w| >= max(k, 1) the sum is off by
     # under 2k ulp of 1 (``partial_sum``), which the k-operation share of
     # this charge covers, since its scale is at least 1.
-    scale = max(abs(value), abs(main), 1.0)
+    scale = max(math.hypot(value.real, value.imag), main_modulus, 1.0)
     fp += (plan.k + 6) * 2 * math.ulp(scale) if scale < math.inf else 0.0
     return _finite(CertifiedValue(value, plan.truncation_bound + fp, plan))
 
@@ -146,7 +150,8 @@ def _reflect(z: complex, inner: CertifiedValue) -> CertifiedValue:
     log_z = cmath.log(z)
     log_sin = _log_sin_pi(z)
     value = complex(_LOG_PI, s * math.pi) - log_z - log_sin - inner.value
-    scale = max(abs(value), abs(log_sin), math.pi * abs(z), 1.0)
+    modulus = math.hypot(value.real, value.imag)
+    scale = max(modulus, math.hypot(log_sin.real, log_sin.imag), math.pi * abs(z), 1.0)
     fp = 20 * math.ulp(scale) if scale < math.inf else 0.0  # 10 operations
     return _finite(CertifiedValue(
         value, inner.radius + fp, inner.plan, inner.flags + ("REFLECTED",)
@@ -154,11 +159,12 @@ def _reflect(z: complex, inner: CertifiedValue) -> CertifiedValue:
 
 
 def _finite(result: CertifiedValue) -> CertifiedValue:
-    """Refuse a value or radius that overflowed: the fp charge skips infinite
-    magnitudes, so no radius would be certified."""
-    if not (cmath.isfinite(result.value) and math.isfinite(result.radius)):
+    """Refuse a value, its modulus or radius that overflowed: the fp charge
+    skips infinite magnitudes, so no radius would be certified."""
+    value = result.value
+    if not (math.hypot(value.real, value.imag) < math.inf and math.isfinite(result.radius)):
         raise AccuracyError(
-            f"lngamma overflows double precision here (value {result.value}, "
+            f"lngamma overflows double precision here (value {value}, "
             f"radius {result.radius})"
         )
     return result
@@ -193,7 +199,8 @@ def _log_sin_pi(z: complex) -> complex:
 def _fp_floor(z: complex, w: complex) -> float:
     """Conservative lower limit on any achievable radius at ``z``: the rounding
     noise of the assembled value alone, at the walk's first ``|w| >= 1``."""
-    scale = abs((w - 0.5) * cmath.log(w) - w) + abs(z) + 1.0
+    main = (w - 0.5) * cmath.log(w) - w
+    scale = math.hypot(main.real, main.imag) + abs(z) + 1.0
     return 32.0 * math.ulp(scale)
 
 
@@ -205,8 +212,9 @@ def _check_argument(z: complex) -> None:
         raise AccuracyError("lngamma overflows double precision here (|z| overflows)")
 
 
-def choose_k(z: complex, eps: float, context: str = "stirling") -> TruncationPlan:
-    """Smallest k whose plan (shift, then bound) meets eps.
+def choose_k(z: complex, eps: float | None, context: str = "stirling") -> TruncationPlan:
+    """Smallest k whose plan (shift, then bound) meets eps; ``eps=None``
+    means the floating-point floor (``_fp_floor``).
 
     Upward scan under the shift rule |w_k| >= max(k, 1), screened in log
     space by log bound_k ~ L_k + 2 log k - (2k+1) log|w_k| (``_screen_log``).
@@ -221,13 +229,15 @@ def choose_k(z: complex, eps: float, context: str = "stirling") -> TruncationPla
     term, so the bound at k = 8 is under 1e-16 < 32 ulp(1) <= floor.
     """
     _check_argument(z)
-    if not (eps > 0.0):
+    if eps is not None and not (eps > 0.0):
         raise DomainError(f"target accuracy must be positive, got {eps!r}")
     if context not in ("stirling", "gauss"):
         raise DomainError(f"unknown truncation context {context!r}")
     w, shifts = _shift(z, 1.0)
     floor = _fp_floor(z, w)
-    if not eps >= floor:
+    if eps is None:
+        eps = floor
+    elif not eps >= floor:
         raise AccuracyError(
             f"target accuracy {eps:g} is unattainable (best achievable radius "
             f"~{floor:.3g})",
@@ -253,31 +263,14 @@ def choose_k(z: complex, eps: float, context: str = "stirling") -> TruncationPla
     raise ConsistencyError(f"internal: no k <= {_K_CAP} meets eps {eps:g} at z={z}")
 
 
-def _default_accuracy(z: complex, family: str) -> float:
-    """Default truncation target: 1e-12 relative to a cheap estimate of
-    |value| + 1 (main terms at a shifted point minus the shift logs), made
-    before ``choose_k`` checks z: ``inf`` where |z| overflows."""
-    offset = 0.0 if family == "stirling" else 0.5
-    try:
-        w, shifts = _shift(z, 6.0)
-    except OverflowError:
-        return math.inf
-    main = _main_terms(w, cmath.log(w), family)
-    logs = 0
-    for j in range(shifts):
-        logs += cmath.log(z + offset + j)
-    return 1e-12 * (abs(main - logs) + 1.0)
-
-
 def _resolve_request(
     z: complex, family: str, k: int | None, accuracy: float | None
 ) -> TruncationPlan:
     if k is not None and accuracy is not None:
         raise DomainError("specify either a fixed term count or a target accuracy")
     if k is None:
-        # choose_k checks z
-        eps = accuracy if accuracy is not None else _default_accuracy(z, family)
-        return choose_k(z, eps, family)
+        # choose_k checks z, and takes a missing accuracy as its floor
+        return choose_k(z, accuracy, family)
     _check_argument(z)
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise DomainError(f"term count must be a positive integer, got {k!r}")
@@ -294,7 +287,7 @@ def eval_lngamma(
     """Certified lngamma(z) anywhere off the cut (-inf, 0].
 
     Request either a fixed term count ``k`` or a target ``accuracy``;
-    with neither, the target defaults to 1e-12 relative to |value| + 1.
+    with neither, the target is the floating-point floor at z.
     """
     z = complex(z)
     if _on_cut(z):

@@ -5,8 +5,9 @@ so a test that raises mid-``workdps`` (or sets ``mp.mp.dps`` directly) cannot
 poison its neighbours.  The CLI harness drives ``cli.main`` in-process and
 captures both streams, which keeps the full suite subprocess-free and fast.
 ``brackets_exact_product`` checks a bound's ``normalized * |T_k|`` against
-the exact rational product, and ``ChargeReference`` keeps the evaluators'
-rounding-error charge in a separate accumulator.
+the exact rational product, ``ChargeReference`` keeps the evaluators'
+rounding-error charge in a separate accumulator, and ``fp_floor`` is the
+floating-point floor that is the default lngamma target.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from gammatheta import cli
+from gammatheta import cli, lngamma
 from gammatheta.series import term_coefficient
 
 
@@ -112,3 +113,9 @@ class ChargeReference:
         mag = abs(magnitude)
         if mag < math.inf:
             self.total += ops * ulps * math.ulp(max(mag, 1e-300))
+
+
+def fp_floor(z: complex) -> float:
+    """The floating-point floor where the shift walk first reaches |w| >= 1:
+    the target of a request with neither a term count nor an accuracy."""
+    return lngamma._fp_floor(z, lngamma._shift(z, 1.0)[0])

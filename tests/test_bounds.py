@@ -586,6 +586,26 @@ def test_best_bound_raises_when_nothing_applies():
         applicable_bounds(2, 1.0 + 0j, "fresnel")
 
 
+@pytest.mark.parametrize(
+    "z", [complex(1.0, math.nan), complex(math.nan, 1.0), complex(math.nan, math.nan)]
+)
+def test_an_argument_with_a_nan_part_has_no_applicable_bound(z):
+    for target in Target:
+        for build in (gamma_ratio_bound, sqrt_pik_bound, quadratic_bound, ck_bound,
+                      half_bound, conjectured_bound):
+            assert build(5, z, target).applicable is False, build
+        for kind in bounds._CLASSICAL[Target.R_K] + bounds._CLASSICAL[Target.R_KP1]:
+            assert literature_bound(kind, 5, z, target).applicable is False, kind
+        for context in ("stirling", "gauss"):
+            assert not any(b.applicable for b in applicable_bounds(5, z, context, target))
+            with pytest.raises(DomainError, match="no applicable bound"):
+                best_bound(5, z, context, target)
+    # theta reads the real part as its height
+    assert theta_bound(5, math.nan).applicable is False
+    with pytest.raises(DomainError, match="no applicable bound"):
+        best_bound(5, complex(math.nan, 0.0), "theta")
+
+
 def test_containment_grid_shape():
     grid = containment_grid()
     assert len(grid) == 19

@@ -129,7 +129,13 @@ def test_unattainable_accuracy_exits_with_the_accuracy_code():
 
 
 def test_lngamma_where_the_modulus_overflows_exits_with_the_accuracy_code():
-    for argv in (["--re", "1.5e308", "--im", "1e308"], ["--re=-1.5e308", "--im=1e308"]):
+    # |z| overflows in the first two; at 2e305(1 + i) only the main terms' does
+    for argv in (
+        ["--re", "1.5e308", "--im", "1e308"],
+        ["--re=-1.5e308", "--im=1e308"],
+        ["--re", "2e305", "--im", "2e305"],
+        ["--re=-2e305", "--im=2e305"],
+    ):
         result = run_cli("lngamma", *argv)
         assert result.code == 3
         assert result.out == ""

@@ -7,7 +7,7 @@ import random
 
 import mpmath as mp
 import pytest
-from conftest import ChargeReference, brackets_exact_product
+from conftest import ChargeReference, brackets_exact_product, fp_floor
 
 from gammatheta import AccuracyError, ConsistencyError, DomainError
 from gammatheta import bounds, lngamma
@@ -52,7 +52,7 @@ def test_value_contains_the_reference_within_radius(z):
     result = eval_lngamma(z)
     assert isinstance(result, CertifiedValue)
     assert abs(result.value - reference(z)) <= result.radius
-    assert result.radius < 1e-9  # default request is a ~1e-12-relative target
+    assert result.radius < 1e-9  # default request targets the fp floor
 
 
 @pytest.mark.parametrize("z", [complex(0.0, 0.0), complex(-1.0, 0.0), complex(-2.5, 0.0)])
@@ -171,6 +171,21 @@ def test_values_that_overflow_are_refused(k):
         with pytest.raises(AccuracyError, match="overflows double precision"):
             choose_k(complex(1.5e308, 1e308), 1e-6, family)
     assert math.isfinite(eval_lngamma(complex(1e305, 0.0), k=k).value.real)
+
+
+@pytest.mark.parametrize("mode", [{}, {"k": 5}, {"accuracy": 1e-6}])
+def test_an_intermediate_modulus_that_overflows_is_refused(mode):
+    # |z| is finite here, but the modulus of the main terms (and of the floor's
+    # scale) is not, or, at the last point, lngamma(-z) is a double and only
+    # the reflected value overflows: the refusal is typed, never OverflowError.
+    for evaluate, z in (
+        (eval_lngamma, complex(2e305, 2e305)),
+        (eval_lngamma, complex(-2e305, 2e305)),
+        (eval_lngamma_half, complex(2e305, 2e305)),
+        (eval_lngamma, complex(-2.4456452617903963e305, 7.565267331577863e304)),
+    ):
+        with pytest.raises(AccuracyError):
+            evaluate(z, **mode)
 
 
 def test_unattainable_accuracy_raises_with_the_best_radius():
@@ -356,13 +371,10 @@ def reference_plan(z: complex, k: int, family: str) -> TruncationPlan:
     return TruncationPlan(k, shifts, *reference_rung(family, k, w))
 
 
-def fp_floor(z: complex) -> float:
-    """The floating-point floor where the shift walk first reaches |w| >= 1."""
-    return lngamma._fp_floor(z, lngamma._shift(z, 1.0)[0])
-
-
-def exhaustive_choose_k(z: complex, eps: float, family: str) -> TruncationPlan:
+def exhaustive_choose_k(z: complex, eps: float | None, family: str) -> TruncationPlan:
     floor = fp_floor(z)
+    if eps is None:
+        eps = floor
     if eps >= floor:
         for k in range(1, lngamma._K_CAP + 1):
             plan = reference_plan(z, k, family)
@@ -400,12 +412,9 @@ def test_the_screen_picks_the_plan_of_the_exhaustive_scan():
     checked = 0
     for z in screen_points(2000, 20261019):
         for family in ("stirling", "gauss"):
-            # the default target, then one explicit target from 1e-3 to
-            # below the floating-point floor
-            for eps in (
-                lngamma._default_accuracy(z, family),
-                10.0 ** rng.uniform(-17.0, -3.0),
-            ):
+            # the default target (the floor), then one explicit target from
+            # 1e-3 to below the floating-point floor
+            for eps in (None, 10.0 ** rng.uniform(-17.0, -3.0)):
                 want = outcome(exhaustive_choose_k, z, eps, family)
                 assert outcome(choose_k, z, eps, family) == want, (z, eps, family)
                 checked += 1
@@ -429,6 +438,34 @@ def test_fixed_term_plans_keep_the_rung_across_its_switches():
                     plan.truncation_bound, normalized, family, k, w), (z, k, family)
 
 
+def test_the_default_value_is_within_64_ulp_of_the_reference():
+    # The default target is the floor choose_k takes on its own walk; the
+    # value then carries rounding noise only.  |z| is log-uniform in
+    # 0.1...1e6 over the closed right half-plane, off the discs of radius
+    # 0.3 around the zeros of each family, where the error is only absolute.
+    rng = random.Random(20261107)
+    for family, evaluate, zeros, offset in (
+        ("stirling", eval_lngamma, (1.0, 2.0), 0.0),
+        ("gauss", eval_lngamma_half, (0.5, 1.5), 0.5),
+    ):
+        checked = 0
+        while checked < 1500:
+            angle = rng.uniform(-0.5 * math.pi, 0.5 * math.pi)
+            z = cmath.rect(10.0 ** rng.uniform(-1.0, 6.0), angle)
+            if min(abs(z - zero) for zero in zeros) < 0.3:
+                continue
+            result = evaluate(z)
+            assert result.plan == choose_k(z, None, family), z
+            with mp.workdps(40):
+                want = mp.loggamma(mp.mpc(z) + offset)
+                error = abs(mp.mpc(result.value) - want)
+            assert error <= 64 * math.ulp(max(abs(complex(want)), 1.0)), (z, family)
+            checked += 1
+    for z in LEFT_POINTS:
+        # the reflection plans at -z, with the floor there
+        assert eval_lngamma(z).plan == choose_k(-z, None)
+
+
 def test_the_screen_builds_one_exact_bound_per_call(monkeypatch):
     built = []
     rung = lngamma._quadratic_rung
@@ -446,9 +483,8 @@ def test_a_non_finite_estimate_is_decided_by_the_exact_bound(monkeypatch, estima
     monkeypatch.setattr(lngamma, "_screen_log", lambda family, k: estimate)
     for z in screen_points(40, 20261022):
         for family in ("stirling", "gauss"):
-            eps = lngamma._default_accuracy(z, family)
-            want = outcome(exhaustive_choose_k, z, eps, family)
-            assert outcome(choose_k, z, eps, family) == want
+            want = outcome(exhaustive_choose_k, z, None, family)
+            assert outcome(choose_k, z, None, family) == want
 
 
 def test_every_target_at_the_floor_is_met_by_eight_terms():
