@@ -9,12 +9,12 @@ Behnke–Sommer bound is natively relative to the first omitted term).
 Upward-rounding policy: bounds are mathematical suprema, so every floating
 chain that produces a bound is topped with ``(1 + 2**-40)`` guard factors —
 enough to swamp double rounding, far too small to matter against the >1%
-slack the bounds themselves carry.  A factor times a term is formed from
-the term's modulus |c_k| / |z|**(2k-1) alone, as a mantissa and a binary
-exponent applied once (``_times_term``).  Below the normal range (2**-1022),
-where a guard factor no longer moves a value, it and the one bound from logs
-(HARE, first raised by 2**-30 relative) are stepped up once.  A bound below
-the smallest subnormal is clamped to it, one past the double range is ``inf``.
+slack the bounds themselves carry.  Every bound is one factor, formed from k
+and the parts of z, times the modulus |c_k| / |z|**(2k-1) of one series
+term, taken as a mantissa and a binary exponent applied once
+(``_times_term``).  Below the normal range (2**-1022), where a guard factor
+no longer moves a value, the product is stepped up once, so no bound is
+below the smallest subnormal; one past the double range is ``inf``.
 
 The catalog:
 
@@ -37,10 +37,15 @@ THETA_QUADRATIC        which is half the half-family term's modulus:
                        eta_k * factor * |T_k(t)| for finite t > 0
                        (eta_k sqrt(pi) Gamma(k+1/2)/Gamma(k) |T_k(t)| is
                        sqrt(pi) Gamma(k-1/2) |B_2k| / (8 k! t^(2k-1)))
-WHITTAKER_WATSON       classical |R_k| <= K(theta) |T_k|, Re z > 0
-STIELTJES              classical |R_k| <= sec(theta/2)^(2k) |T_k|
+WHITTAKER_WATSON       classical |R_k| <= K |T_k|, Re z > 0: K = 1 where
+                       |Im z| <= Re z, else 1/|sin 2 arg z|
+                       = (Re z/|Im z| + |Im z|/Re z)/2
+STIELTJES              classical |R_k| <= sec(arg z/2)^(2k) |T_k| off the
+                       closed negative real axis, sec^2(arg z/2)
+                       = 2|z| / (|z| + Re z)
 BEHNKE_SOMMER          classical |R_{k+1}/T_{k+1}| < 1+(2k+1)/2*sqrt(pi/k)
-HARE                   |R_k| via 1/|Im z|^(2k-1), needs Im z != 0
+HARE                   |R_k| <= 4 sqrt(pi) Gamma(k+1/2)/Gamma(k) |T_k(i Im z)|,
+                       Im z != 0
 FAULTY_HISTORICAL      a known-wrong theta bound kept for falsification
 CONJECTURED_QUADRATIC  sharper quadratic bound, unproven below k = 34
 =====================  ================================================
@@ -84,8 +89,8 @@ from functools import lru_cache, partial
 
 from .bernoulli import bernoulli_number
 from .errors import DomainError
-from .fputil import ceil_float, log_abs_fraction, up
-from .series import TINY, _coefficient, _require_index, stirling_term
+from .fputil import ceil_float, up
+from .series import _coefficient, _require_index, stirling_term
 
 __all__ = [
     "BoundKind",
@@ -177,8 +182,9 @@ def _not_applicable(kind: BoundKind, target: Target, reason: str) -> BoundResult
     return BoundResult(kind, target, math.inf, math.inf, False, reason)
 
 
-#: Guard-chain count for assembled bound values; covers the worst observed
-#: lgamma / big-int-log / exp chains (~7e-12 relative) with slack.
+#: Guard-chain count for every bound value: covers the lgamma / exp chain of
+#: ``_gamma_ratio`` (under 1.5e-12 relative at k <= 1000) and the power of a
+#: factor rounded a few times (under 7e-13 there) with slack.
 _CHAINS = 12
 #: Smallest positive normal double.
 _NORMAL_MIN = sys.float_info.min
@@ -191,36 +197,7 @@ _LOG_2 = math.log(2.0)
 _PI2M1_DOWN = math.nextafter(math.nextafter(math.pi * math.pi - 1.0, 0.0), 0.0)
 
 
-def _clamp(x: float) -> float:
-    """Keep a bound positive: a zero bound would falsely claim exactness."""
-    return x if x > TINY else TINY
-
-
-def _up_below_normal(x: float) -> float:
-    """Below the normal range a guard factor no longer moves a value, so
-    there ``x`` is raised by 2**-30 relative, far above the ~1e-11 a value
-    formed from logs can be off by at k <= 1000, and then one step."""
-    if x < _NORMAL_MIN:
-        return math.nextafter(x * (1.0 + 2.0**-30), math.inf)
-    return x
-
-
-def _exp_up(log_value: float) -> float:
-    """``exp(log_value)`` rounded up; OverflowError beyond the double range."""
-    return _up_below_normal(up(math.exp(log_value), _CHAINS))
-
-
-def _modulus(x: complex) -> float:
-    """``|x|``, or ``inf`` beyond the double range."""
-    try:
-        return abs(x)
-    except OverflowError:
-        return math.inf
-
-
-def _times_term(
-    normalized: float, family: str, k: int, argument: complex, chains: int = _CHAINS
-) -> float:
+def _times_term(normalized: float, family: str, k: int, argument: complex) -> float:
     """``normalized * |T_k(argument)|`` of a series family, rounded up, from
     the modulus alone: ``|T_k(z)| = |m| 2**e / |z|**p`` with p = 2k - 1.
 
@@ -240,7 +217,7 @@ def _times_term(
     p = 2 * k - 1
     fraction, shift = math.frexp(abs(mantissa) / a ** p)
     try:
-        value = math.ldexp(up(normalized * fraction, chains), exponent - p * s + shift)
+        value = math.ldexp(up(normalized * fraction, _CHAINS), exponent - p * s + shift)
     except OverflowError:
         return math.inf
     if value < _NORMAL_MIN:
@@ -249,7 +226,7 @@ def _times_term(
 
 
 def _check_k(k: int) -> None:
-    if not isinstance(k, int) or k < 1:
+    if type(k) is not int or k < 1:
         raise DomainError(f"bound index must be a positive integer, got {k!r}")
 
 
@@ -374,7 +351,7 @@ def c_k_string(k: int, decimals: int = 6) -> str:
 # ---------------------------------------------------------------------------
 
 def _right_half_plane(z: complex) -> bool:
-    return z != 0 and z.real >= 0.0 and not cmath.isnan(z)
+    return z != 0 and z.real >= 0.0 and cmath.isfinite(z)
 
 
 def _gamma_ratio(k: int) -> float:
@@ -393,7 +370,10 @@ def _plain_factor(kind: BoundKind, k: int, z: complex) -> float | str:
         return up(math.sqrt(math.pi * k))
     if kind is BoundKind.CK_QUADRATIC and k > CK_MAX_K:
         return f"c_k verified only for k <= {CK_MAX_K}"
-    az = _modulus(z)
+    try:
+        az = abs(z)  # to the bit as ``_quadratic_rung`` takes it
+    except OverflowError:  # |z| past the double range, where (k/|z|)^2 is 0
+        az = math.inf
     if k > az:
         return "requires k <= |z|"
     return _quadratic(k, az, kind is BoundKind.CK_QUADRATIC)
@@ -552,67 +532,55 @@ def literature_bound(
     z = complex(z)
     if z == 0:
         return _not_applicable(kind, target, "argument must be nonzero")
-    if cmath.isnan(z):
-        return _not_applicable(kind, target, "argument has a NaN part")
+    if not cmath.isfinite(z):
+        return _not_applicable(kind, target, "argument has a non-finite part")
     native = next((tgt for tgt, kinds in _CLASSICAL.items() if kind in kinds), target)
     if target is not native:
         return _not_applicable(kind, target, f"bounds only the {native.value} remainder")
-    theta_z = math.atan2(z.imag, z.real)
-
-    if kind is BoundKind.WHITTAKER_WATSON:
-        if z.real <= 0.0:
-            return _not_applicable(kind, target, "requires Re(z) > 0")
-        if abs(theta_z) <= 0.25 * math.pi:
-            factor = 1.0
-        else:
-            factor = up(1.0 / abs(math.sin(2.0 * theta_z)), 2)
-        value = _times_term(factor, "stirling", k, z, 2)
-        return BoundResult(kind=kind, target=target, value=value, normalized=factor)
-
-    if kind is BoundKind.STIELTJES:
-        if not abs(theta_z) < math.pi:
-            return _not_applicable(kind, target, "requires |arg z| < pi")
-        log_sec = -math.log(math.cos(0.5 * theta_z))
-        if 2 * k * log_sec > 700.0:
-            return _not_applicable(kind, target, "bound value exceeds double range")
-        factor = up(math.exp(2 * k * log_sec), 4)
-        value = _times_term(factor, "stirling", k, z, 4)
-        return BoundResult(kind=kind, target=target, value=value, normalized=factor)
+    x, y = z.real, abs(z.imag)
 
     if kind is BoundKind.BEHNKE_SOMMER:
         if not _right_half_plane(z):
             return _not_applicable(kind, target, "requires the closed right half-plane, z != 0")
         normalized = up(1.0 + 0.5 * (2 * k + 1) * math.sqrt(math.pi / k), _CHAINS)
         value = _times_term(normalized, "stirling", k + 1, z)
-        return BoundResult(
-            kind=kind,
-            target=target,
-            value=value,
-            normalized=normalized,
-            flags=("RELATIVE_TO_NEXT_TERM",),
-        )
+        return BoundResult(kind, target, value, normalized, flags=("RELATIVE_TO_NEXT_TERM",))
 
     if kind is BoundKind.HARE:
-        if z.imag == 0.0:
+        if y == 0.0:
             return _not_applicable(kind, target, "requires Im(z) != 0")
-        logv = (
-            math.log(4.0)
-            + 0.5 * math.log(math.pi)
-            + math.lgamma(k + 0.5)
-            - math.lgamma(k)
-            + log_abs_fraction(bernoulli_number(2 * k))
-            - math.log(2 * k * (2 * k - 1))
-            - (2 * k - 1) * math.log(abs(z.imag))
-        )
-        try:
-            value = _clamp(_exp_up(logv))
-        except OverflowError:
+        factor = up(4.0 * _gamma_ratio(k), _CHAINS)
+        value = _times_term(factor, "stirling", k, complex(0.0, y))
+        if value == math.inf:
             return _not_applicable(kind, target, "bound value exceeds double range")
-        at = _modulus(stirling_term(k, z))
+        term = stirling_term(k, z)
+        at = math.hypot(term.real, term.imag)
         normalized = up(value / at, 2) if at > 0 else math.inf
-        return BoundResult(kind=kind, target=target, value=value, normalized=normalized)
+        return BoundResult(kind, target, value, normalized)
 
-    raise DomainError(f"unsupported literature bound kind {kind!r}")
+    if kind is BoundKind.WHITTAKER_WATSON:
+        if x <= 0.0:
+            return _not_applicable(kind, target, "requires Re(z) > 0")
+        factor = 1.0 if y <= x else up(0.5 * (x / y + y / x), _CHAINS)
+    elif kind is BoundKind.STIELTJES:
+        # sec^2(arg z/2) = 2|z| / (|z| + x), from y/x or x/y so that no
+        # modulus overflows or loses bits below 2**-1022: as 2 / (1 + x/|z|)
+        # for x >= 0, and as 2 (|z|/y) ((|z| - x)/y) left of the axis, where
+        # |z| + x cancels
+        if x >= 0.0:
+            sec2 = 2.0 / (1.0 + 1.0 / math.hypot(1.0, y / x)) if x else 2.0
+        elif y:
+            ratio = x / y
+            modulus = math.hypot(ratio, 1.0)
+            sec2 = 2.0 * modulus * (modulus - ratio)
+        else:
+            return _not_applicable(kind, target, "requires |arg z| < pi")
+        if not k * math.log(sec2) <= 700.0:
+            return _not_applicable(kind, target, "bound value exceeds double range")
+        factor = up(sec2**k, _CHAINS)
+    else:
+        raise DomainError(f"unsupported literature bound kind {kind!r}")
+    return BoundResult(kind, target, _times_term(factor, "stirling", k, z), factor)
 
 
 # ---------------------------------------------------------------------------
@@ -655,7 +623,7 @@ def conjectured_bound(
             target,
             "requires the closed right half-plane, z != 0",
         )
-    az = _modulus(z)
+    az = math.hypot(z.real, z.imag)
     if az < k:
         return _not_applicable(
             BoundKind.CONJECTURED_QUADRATIC, target, "requires |z| >= k"

@@ -467,18 +467,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="json",
         help="output format: NDJSON (default) or RFC-4180 CSV",
     )
-    common.add_argument(
-        "--digits",
-        type=int,
-        default=None,
-        help="precision control: c_k decimals (table1, default 6), row "
-        "working digits (table2, default auto), oracle digits (scan)",
-    )
-    common.add_argument(
-        "--seedless",
-        action="store_true",
-        help="reserved; rejected (no randomized mode exists)",
-    )
 
     parser = argparse.ArgumentParser(
         prog="gammatheta",
@@ -533,6 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="stream the c_k constants, rounded up to --digits decimals",
     )
     p.add_argument("--kmax", type=int, default=50, help="largest k (<= 100)")
+    p.add_argument("--digits", type=int, help="c_k decimals (default 6)")
     p.set_defaults(handler=cmd_table1)
 
     p = sub.add_parser(
@@ -545,6 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="1,2,5,10,20,50,100",
         help="comma-separated heights (default: the published seven)",
     )
+    p.add_argument("--digits", type=int, help="row working digits (default: from t)")
     p.set_defaults(handler=cmd_table2)
 
     p = sub.add_parser(
@@ -561,6 +551,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--grid",
         default=None,
         help="grid spec: 'kmax=N' (conjecture) or 'k=A..B' (bounds)",
+    )
+    p.add_argument(
+        "--digits", type=int, help="oracle digits (conjecture 12, sharpness 20)"
     )
     p.set_defaults(handler=cmd_scan)
 
@@ -595,11 +588,6 @@ def main(argv=None) -> int:
     ns = parser.parse_args(_bind_float_values(args))
     emitter = Emitter(ns.format)
     try:
-        if ns.seedless:
-            raise DomainError(
-                "--seedless is reserved and rejected: this artifact has no "
-                "randomized mode"
-            )
         ns.handler(ns, emitter)
         sys.stdout.flush()
         return 0

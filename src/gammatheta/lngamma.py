@@ -198,10 +198,12 @@ def _log_sin_pi(z: complex) -> complex:
 
 def _fp_floor(z: complex, w: complex) -> float:
     """Conservative lower limit on any achievable radius at ``z``: the rounding
-    noise of the assembled value alone, at the walk's first ``|w| >= 1``."""
+    noise of the assembled value alone, at the walk's first ``|w| >= 1``.
+    That is 32 ulp of |main terms| + |z| + 1, taken as 64 ulp of half the sum
+    so that the sum cannot overflow before its parts do."""
     main = (w - 0.5) * cmath.log(w) - w
-    scale = math.hypot(main.real, main.imag) + abs(z) + 1.0
-    return 32.0 * math.ulp(scale)
+    scale = 0.5 * math.hypot(main.real, main.imag) + 0.5 * abs(z) + 0.5
+    return 64.0 * math.ulp(scale)
 
 
 def _check_argument(z: complex) -> None:
@@ -272,7 +274,7 @@ def _resolve_request(
         # choose_k checks z, and takes a missing accuracy as its floor
         return choose_k(z, accuracy, family)
     _check_argument(z)
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+    if type(k) is not int or k < 1:
         raise DomainError(f"term count must be a positive integer, got {k!r}")
     if k > _K_CAP:
         raise ResourceLimitError(

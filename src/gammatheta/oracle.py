@@ -325,7 +325,7 @@ def _require_remainder_args(z, k: int, family: str) -> complex:
         raise DomainError(
             f"remainder family must be stirling or gauss, got {family!r}"
         )
-    if not isinstance(k, int) or k < 1:
+    if type(k) is not int or k < 1:
         raise DomainError(f"term count must be a positive integer, got {k!r}")
     zc = complex(z)
     if not zc.real >= 0.0 or zc == 0:
@@ -761,7 +761,7 @@ def theta_series_value(
     tf = float(t)
     if not tf > 0.0 or math.isinf(tf):
         raise DomainError(f"theta series value requires finite t > 0, got {t!r}")
-    if not isinstance(k, int) or k < 1:
+    if type(k) is not int or k < 1:
         raise DomainError(f"term count must be a positive integer, got {k!r}")
     with mp.workdps(digits + 15):
         tt = mpf(tf)

@@ -65,7 +65,7 @@ class MinTermReport(namedtuple("MinTermReport", "t k_min t_min")):
 
 
 def _require_index(j: int) -> None:
-    if not isinstance(j, int) or j < 1:
+    if type(j) is not int or j < 1:
         raise DomainError(f"term index must be a positive integer, got {j!r}")
     if 2 * j > _bernoulli_mod.MAX_INDEX:
         raise ResourceLimitError(
@@ -269,7 +269,7 @@ def partial_sum(kind: str, k: int, argument: complex) -> complex:
     from inf + (-inf) is repaired."""
     if kind not in FAMILIES:
         raise DomainError(f"unknown series family {kind!r}")
-    if not isinstance(k, int) or k < 0:
+    if type(k) is not int or k < 0:
         raise DomainError(f"term count must be a non-negative int, got {k!r}")
     if kind == "theta":
         t = float(argument.real) if isinstance(argument, complex) else float(argument)

@@ -96,7 +96,7 @@ def eval_theta(
     except ValueError:
         raise DomainError(f"unknown theta variant {variant!r}") from None
     auto = k is None or k == "auto"
-    if not auto and (not isinstance(k, int) or isinstance(k, bool) or k < 1):
+    if not auto and (type(k) is not int or k < 1):
         raise DomainError(f"term count must be a positive integer or 'auto', got {k!r}")
     if t == 0.0:
         return ThetaResult(

@@ -191,6 +191,10 @@ def test_bound_index_validation():
         gamma_ratio_bound(0, 1 + 1j)
     with pytest.raises(DomainError):
         best_bound(-3, 1 + 1j, "stirling")
+    with pytest.raises(DomainError):
+        best_bound(True, 3 + 1j, "stirling")
+    with pytest.raises(DomainError):
+        literature_bound(BoundKind.HARE, True, 3 + 1j, Target.R_K)
 
 
 # -- half-shifted family -----------------------------------------------------
@@ -280,6 +284,94 @@ def test_imaginary_part_bound_requires_a_nonreal_argument():
     assert literature_bound(BoundKind.HARE, 3, 5.0 + 0j, Target.R_K).applicable is False
     result = literature_bound(BoundKind.HARE, 3, 5.0 + 2j, Target.R_K)
     assert result.applicable and result.value > 0.0
+
+
+_CLASSICAL_CASES = (
+    (BoundKind.WHITTAKER_WATSON, Target.R_K),
+    (BoundKind.STIELTJES, Target.R_K),
+    (BoundKind.HARE, Target.R_K),
+    (BoundKind.BEHNKE_SOMMER, Target.R_KP1),
+    (BoundKind.CONJECTURED_QUADRATIC, Target.R_KP1),
+    (BoundKind.CONJECTURED_QUADRATIC, Target.R_K),
+)
+
+
+def _exact_classical(kind: BoundKind, k: int, z: complex, target: Target):
+    """The bound's formula at 60 digits, from the exact coefficients and the
+    double z."""
+
+    def term(j, modulus):
+        c = term_coefficient("stirling", j)
+        return abs(mp.mpf(c.numerator) / c.denominator) / modulus ** (2 * j - 1)
+
+    with mp.workdps(60):
+        x, y = mp.mpf(z.real), abs(mp.mpf(z.imag))
+        r = mp.sqrt(x * x + y * y)
+        if kind is BoundKind.WHITTAKER_WATSON:
+            # 1/|sin 2 arg z| outside the quarter sector
+            factor = 1 if y <= x else r * r / (2 * x * y)
+        elif kind is BoundKind.STIELTJES:
+            factor = (2 * r / (r + x)) ** k  # sec(arg z / 2)^(2k)
+        elif kind is BoundKind.BEHNKE_SOMMER:
+            factor = 1 + mp.mpf(2 * k + 1) / 2 * mp.sqrt(mp.pi / k)
+            return factor * term(k + 1, r)
+        elif kind is BoundKind.HARE:
+            factor = 4 * mp.sqrt(mp.pi) * mp.gamma(k + mp.mpf(0.5)) / mp.gamma(k)
+            return factor * term(k, y)
+        else:
+            square = (mp.pi * r) ** 2
+            factor = (k * k if target is Target.R_KP1 else square) / (square - k * k)
+        return factor * term(k, r)
+
+
+def _brackets(value: float, exact) -> bool:
+    """Whether ``value`` lies between ``exact`` and (1 + 2**-30) times it,
+    plus two subnormal steps below 2**-1022; ``inf`` only where (1 + 2**-30)
+    times it passes the largest double."""
+    with mp.workdps(60):
+        top = exact * (1 + mp.mpf(2) ** -30)
+        if value == math.inf:
+            return top > sys.float_info.max
+        low = mp.mpf(value)
+        if value < sys.float_info.min:
+            low -= 2 * mp.mpf(2) ** -1074
+        return exact <= value and low <= top
+
+
+def test_classical_bounds_bracket_their_exact_formulas():
+    # Each classical and conjectured value is its factor from the parts of z
+    # times one term modulus: at least the exact formula and within the guard
+    # factors of it, next to the axes too, where a rounded arg z loses the
+    # factor.
+    rng = random.Random(20261106)
+    cases = []
+    for k in range(1, 1000):
+        # |z| log-uniform in [1e-3, 1e16], and in [k, 10k], where the
+        # conjectured bound applies and most values are normal doubles
+        for modulus in (10.0 ** rng.uniform(-3.0, 16.0), k * 10.0 ** rng.uniform(0.0, 1.0)):
+            cases.append((k, cmath.rect(modulus, rng.uniform(-math.pi, math.pi))))
+            axis = rng.choice((0.0, 0.5, 1.0, -0.5)) * math.pi
+            offset = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-13.0, -2.0)
+            cases.append((k, cmath.rect(modulus, axis + offset)))
+    special = (complex(1e-300, 1.0), complex(-1.0, 1e-15), complex(-1.0, 1e-17))
+    cases += [(k, z) for z in special for k in (1, 2, 3, 8, 30)]
+    checked = dict.fromkeys(_CLASSICAL_CASES, 0)
+    normal = dict.fromkeys(_CLASSICAL_CASES, 0)
+    for k, z in cases:
+        for kind, target in _CLASSICAL_CASES:
+            if kind is BoundKind.CONJECTURED_QUADRATIC:
+                bound = conjectured_bound(k, z, target)
+            else:
+                bound = literature_bound(kind, k, z, target)
+            if bound.applicable:
+                exact = _exact_classical(kind, k, z, target)
+                assert _brackets(bound.value, exact), (kind, target, k, z, bound.value)
+                checked[kind, target] += 1
+                normal[kind, target] += sys.float_info.min <= bound.value < math.inf
+    for k in (1, 3, 8):
+        for z in special[1:]:
+            assert literature_bound(BoundKind.STIELTJES, k, z, Target.R_K).applicable
+    assert min(checked.values()) > 1000 and min(normal.values()) > 100, (checked, normal)
 
 
 # -- non-rigorous bounds -----------------------------------------------------
@@ -587,9 +679,14 @@ def test_best_bound_raises_when_nothing_applies():
 
 
 @pytest.mark.parametrize(
-    "z", [complex(1.0, math.nan), complex(math.nan, 1.0), complex(math.nan, math.nan)]
+    "z",
+    [
+        complex(1.0, math.nan), complex(math.nan, 1.0), complex(math.nan, math.nan),
+        complex(math.inf, 1.0), complex(1.0, math.inf), complex(math.inf, 0.0),
+        complex(1.0, -math.inf), complex(-math.inf, 1.0),
+    ],
 )
-def test_an_argument_with_a_nan_part_has_no_applicable_bound(z):
+def test_an_argument_with_a_non_finite_part_has_no_applicable_bound(z):
     for target in Target:
         for build in (gamma_ratio_bound, sqrt_pik_bound, quadratic_bound, ck_bound,
                       half_bound, conjectured_bound):
@@ -601,9 +698,10 @@ def test_an_argument_with_a_nan_part_has_no_applicable_bound(z):
             with pytest.raises(DomainError, match="no applicable bound"):
                 best_bound(5, z, context, target)
     # theta reads the real part as its height
-    assert theta_bound(5, math.nan).applicable is False
+    t = math.nan if math.isfinite(z.real) else z.real
+    assert theta_bound(5, t).applicable is False
     with pytest.raises(DomainError, match="no applicable bound"):
-        best_bound(5, complex(math.nan, 0.0), "theta")
+        best_bound(5, complex(t, 0.0), "theta")
 
 
 def test_containment_grid_shape():

@@ -280,9 +280,17 @@ def test_bounds_scan_covers_families_and_reports_winners():
 
 
 def test_seedless_is_rejected_as_documented():
-    result = run_cli("theta", "--t", "1", "--seedless")
-    assert result.code == 2
-    assert "no randomized mode" in json.loads(result.err)["error"]["message"]
+    # There is no randomized mode, so there is no option to turn it off.
+    with pytest.raises(SystemExit):
+        run_cli("theta", "--t", "1", "--seedless")
+
+
+@pytest.mark.parametrize(
+    "argv", [("lngamma", "--re", "6", "--im", "1"), ("theta", "--t", "1")]
+)
+def test_digits_is_a_usage_error_where_nothing_reads_it(argv):
+    with pytest.raises(SystemExit):
+        run_cli(*argv, "--digits", "5")
 
 
 def test_unknown_subcommand_is_a_usage_error():

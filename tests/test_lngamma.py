@@ -188,6 +188,23 @@ def test_an_intermediate_modulus_that_overflows_is_refused(mode):
             evaluate(z, **mode)
 
 
+def test_the_floor_keeps_its_bits_and_stays_finite_where_its_sum_overflows():
+    # The floor is 32 ulp of |main terms| + |z| + 1, taken as 64 ulp of half
+    # that sum: the same bits wherever the sum is finite, so every default
+    # plan is unchanged, and a finite floor where only the sum overflows.
+    rng = random.Random(20261105)
+    for _ in range(3000):
+        z = cmath.rect(10.0 ** rng.uniform(-3.0, 300.0), rng.uniform(-math.pi, math.pi))
+        w = lngamma._shift(z, 1.0)[0]
+        main = (w - 0.5) * cmath.log(w) - w
+        whole = 32.0 * math.ulp(math.hypot(main.real, main.imag) + abs(z) + 1.0)
+        assert fp_floor(z) == whole, z
+    z = complex(2.4456452617903963e305, -7.565267331577863e304)
+    assert fp_floor(z) < 1e300
+    got = eval_lngamma(z, accuracy=1e300)
+    assert got.plan == choose_k(z, None) and got.radius < 1e300
+
+
 def test_unattainable_accuracy_raises_with_the_best_radius():
     with pytest.raises(AccuracyError) as info:
         eval_lngamma(complex(2.0, 3.0), accuracy=1e-30)

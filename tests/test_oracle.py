@@ -163,6 +163,10 @@ def test_remainder_validates_its_arguments():
     with pytest.raises(DomainError):
         oracle_remainder(2.0 + 0j, 0, "stirling", 20)
     with pytest.raises(DomainError):
+        oracle_remainder(2.0 + 0j, True, "stirling", 20)
+    with pytest.raises(DomainError):
+        theta_series_value(10.0, True, 20)
+    with pytest.raises(DomainError):
         oracle_remainder(2.0 + 0j, 3, "laplace", 20)
 
 

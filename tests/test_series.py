@@ -345,5 +345,9 @@ def test_term_ratio_is_stable_where_terms_overflow_or_underflow(j, t):
 def test_term_index_validation():
     with pytest.raises(DomainError):
         stirling_term(0, 1 + 1j)
+    with pytest.raises(DomainError):
+        stirling_term(True, 2 + 1j)
+    with pytest.raises(DomainError):
+        partial_sum("stirling", True, 3)
     with pytest.raises(ResourceLimitError):
         theta_term(1100, 5.0)
