@@ -18,9 +18,9 @@ Conventions:
   fractional part, the kernel of the remainder integrals of the asymptotic
   expansions.
 
-Values are cached in a grow-on-demand table of exact rationals with a hard
-index cap; growth is serialized by a lock so the table is safe to share
-between threads.
+The even Bernoulli numbers, the only stored values, are cached in a
+grow-on-demand table of exact rationals with a hard index cap; growth is
+serialized by a lock so the table is safe to share between threads.
 """
 from __future__ import annotations
 
@@ -63,8 +63,8 @@ def _tangent_numbers(n: int) -> list[int]:
 class BernoulliTable:
     """Grow-on-demand cache of even-index Bernoulli numbers.
 
-    ``_even[m]`` holds ``B_{2m}`` (``_even[0] = 1``); ``_half[m]`` holds
-    ``B_{2m}(1/2)``.  Odd-index numbers beyond ``B_1 = -1/2`` vanish
+    ``_even[m]`` holds ``B_{2m}`` (``_even[0] = 1``); ``B_{2m}(1/2)`` is
+    derived from it.  Odd-index numbers beyond ``B_1 = -1/2`` vanish
     and are not stored.  Growth recomputes the tangent numbers ``T_m`` and
     sets ``B_{2m} = (-1)^(m-1) 2m T_m / (4^m (4^m - 1))``; it at least
     doubles the table each time (up to the cap), so the O(n^2) recurrence
@@ -76,7 +76,6 @@ class BernoulliTable:
 
     def __init__(self) -> None:
         self._even: list[Fraction] = [Fraction(1)]  # B_0
-        self._half: list[Fraction] = [Fraction(1)]  # B_0(1/2) unused sentinel
         self._half_coeffs: dict[int, tuple[Fraction, ...]] = {}
         self._lock = threading.Lock()
 
@@ -102,11 +101,6 @@ class BernoulliTable:
                 q = 1 << (2 * m)
                 b = Fraction(2 * m * tangent[m], q * (q - 1))
                 evens.append(b if m % 2 else -b)
-            # keep the half-value cache aligned
-            half = self._half
-            for m in range(len(half), len(evens)):
-                scale = Fraction(1) - Fraction(1, 2 ** (2 * m - 1))
-                half.append(-scale * evens[m])
 
     def number(self, j: int) -> Fraction:
         """Exact ``B_j`` for even ``j >= 2``."""
@@ -117,12 +111,8 @@ class BernoulliTable:
         return self._even[m]
 
     def half(self, j: int) -> Fraction:
-        """Exact ``B_j(1/2)`` for even ``j >= 2``."""
-        self._check_index(j)
-        m = j // 2
-        if m >= len(self._half):
-            self._grow(m)
-        return self._half[m]
+        """Exact ``B_j(1/2) = -(1 - 2^(1-j)) B_j`` for even ``j >= 2``."""
+        return self.number(j) * (Fraction(1, 1 << (j - 1)) - 1)
 
     # -- polynomials -----------------------------------------------------
 

@@ -85,7 +85,7 @@ import threading
 from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 
 from .bernoulli import bernoulli_number
 from .errors import DomainError
@@ -400,13 +400,35 @@ def _family_value(
     return normalized, _times_term(normalized, family, k, z)
 
 
+#: The ladders of the module docstring, strongest first: per family, each
+#: rung's base kind and the kind its bound reports.
+_LADDERS = {
+    "stirling": {
+        BoundKind.CK_QUADRATIC: BoundKind.CK_QUADRATIC,
+        BoundKind.QUADRATIC: BoundKind.QUADRATIC,
+        BoundKind.GAMMA_RATIO: BoundKind.GAMMA_RATIO,
+        BoundKind.SQRT_PIK: BoundKind.SQRT_PIK,
+    },
+    "gauss": {
+        BoundKind.CK_QUADRATIC: BoundKind.CK_QUADRATIC,
+        BoundKind.QUADRATIC: BoundKind.HALF_QUADRATIC,
+        BoundKind.GAMMA_RATIO: BoundKind.HALF_GAMMA_RATIO,
+        BoundKind.SQRT_PIK: BoundKind.HALF_SQRT_PIK,
+    },
+    "theta": {
+        BoundKind.QUADRATIC: BoundKind.THETA_QUADRATIC,
+        BoundKind.GAMMA_RATIO: BoundKind.THETA_GAMMA_RATIO,
+        BoundKind.SQRT_PIK: BoundKind.THETA_SQRT_PIK,
+    },
+}
+
+
 def _quadratic_rung(family: str, k: int, w: complex) -> tuple[BoundKind, float]:
     """Kind and value of ``best_bound`` after k terms at w with Re w >= 0 and
     |w| >= k: the ladder's first rung, ``ck-quadratic`` for k <= 100 and
     ``quadratic`` (``half-quadratic`` for gauss) above."""
     ck = k <= CK_MAX_K
-    base = BoundKind.CK_QUADRATIC if ck else BoundKind.QUADRATIC
-    kind = base if family == "stirling" else _HALF_KIND[base]
+    kind = _LADDERS[family][BoundKind.CK_QUADRATIC if ck else BoundKind.QUADRATIC]
     return kind, _family_value(family, k, w, _quadratic(k, abs(w), ck))[1]
 
 
@@ -417,7 +439,7 @@ def _ladder_bound(
     the real part of ``z`` as its height t."""
     _check_k(k)
     z = complex(z)
-    kind = base if family == "stirling" else _FAMILY_KIND[family][base]
+    kind = _LADDERS[family][base]
     if family == "theta":
         z = complex(z.real)
         if not 0.0 < z.real < math.inf:
@@ -456,13 +478,6 @@ def ck_bound(k: int, z: complex, target: Target = Target.R_KP1) -> BoundResult:
 # Half-shifted family: transported plain bounds, times eta_k.
 # ---------------------------------------------------------------------------
 
-_HALF_KIND = {
-    BoundKind.GAMMA_RATIO: BoundKind.HALF_GAMMA_RATIO,
-    BoundKind.SQRT_PIK: BoundKind.HALF_SQRT_PIK,
-    BoundKind.QUADRATIC: BoundKind.HALF_QUADRATIC,
-    BoundKind.CK_QUADRATIC: BoundKind.CK_QUADRATIC,
-}
-
 
 def half_bound(
     k: int,
@@ -476,7 +491,7 @@ def half_bound(
     the half-family term; the before-k-th-term target adds 1 on top.
     """
     _check_k(k)
-    if base not in _HALF_KIND:
+    if base not in _LADDERS["gauss"]:
         raise DomainError(f"unsupported base bound kind {base!r}")
     return _ladder_bound("gauss", base, k, z, target)
 
@@ -486,14 +501,6 @@ def half_bound(
 # z = t on the theta term, which is half the modulus of the half-family term.
 # ---------------------------------------------------------------------------
 
-_THETA_KIND = {
-    BoundKind.QUADRATIC: BoundKind.THETA_QUADRATIC,
-    BoundKind.GAMMA_RATIO: BoundKind.THETA_GAMMA_RATIO,
-    BoundKind.SQRT_PIK: BoundKind.THETA_SQRT_PIK,
-}
-_THETA_BASE = {theta: base for base, theta in _THETA_KIND.items()}
-_FAMILY_KIND = {"gauss": _HALF_KIND, "theta": _THETA_KIND}
-
 
 def theta_bound(
     k: int,
@@ -502,9 +509,10 @@ def theta_bound(
 ) -> BoundResult:
     """Bound on the theta-family remainder after ``k`` summed terms:
     ``eta_k * (base after-k-terms factor) * |T_k(t)|``."""
-    if kind not in _THETA_BASE:
+    base = next((b for b, theta in _LADDERS["theta"].items() if theta == kind), None)
+    if base is None:
         raise DomainError(f"unsupported theta bound kind {kind!r}")
-    return _ladder_bound("theta", _THETA_BASE[kind], k, t, Target.R_KP1)
+    return _ladder_bound("theta", base, k, t, Target.R_KP1)
 
 
 # ---------------------------------------------------------------------------
@@ -653,22 +661,6 @@ def conjectured_bound(
 # Selection.
 # ---------------------------------------------------------------------------
 
-#: The ladders of the module docstring, as base kinds.
-_PLAIN_LADDER = (
-    BoundKind.CK_QUADRATIC,
-    BoundKind.QUADRATIC,
-    BoundKind.GAMMA_RATIO,
-    BoundKind.SQRT_PIK,
-)
-_THETA_LADDER = (BoundKind.QUADRATIC, BoundKind.GAMMA_RATIO, BoundKind.SQRT_PIK)
-_LADDERS = {
-    family: tuple(partial(_ladder_bound, family, base) for base in bases)
-    for family, bases in (
-        ("stirling", _PLAIN_LADDER), ("gauss", _PLAIN_LADDER), ("theta", _THETA_LADDER)
-    )
-}
-
-
 @lru_cache(maxsize=2048)
 def _screen_log(family: str, k: int) -> float:
     """``L_k + 2 log k``, cached per family and k: less (2k+1) log|w| it is
@@ -682,7 +674,7 @@ def _screen_log(family: str, k: int) -> float:
     return math.log(constant * abs(mantissa) * k * k) + exponent * _LOG_2
 
 
-def _tables(context: str, target: Target) -> tuple[tuple, tuple[BoundKind, ...]]:
+def _tables(context: str, target: Target) -> tuple[dict, tuple[BoundKind, ...]]:
     if context not in _LADDERS:
         raise DomainError(f"unknown bound context {context!r}")
     return _LADDERS[context], _CLASSICAL[target] if context == "stirling" else ()
@@ -697,7 +689,7 @@ def applicable_bounds(
     """Every rigorous bound for the context/target, applicable or not: the
     context's ladder in order, then its classical bounds."""
     ladder, classical = _tables(context, target)
-    return [build(k, argument, target) for build in ladder] + [
+    return [_ladder_bound(context, base, k, argument, target) for base in ladder] + [
         literature_bound(kind, k, argument, target) for kind in classical
     ]
 
@@ -718,8 +710,8 @@ def best_bound(
     """
     ladder, classical = _tables(context, target)
     best: BoundResult | None = None
-    for build in ladder:
-        candidate = build(k, argument, target)
+    for base in ladder:
+        candidate = _ladder_bound(context, base, k, argument, target)
         if candidate.applicable:
             best = candidate
             break

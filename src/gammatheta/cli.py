@@ -346,10 +346,9 @@ _CONJECTURE_FIELDS = (
 )
 
 
-def _scan_conjecture(ns, emitter: Emitter, inputs: dict) -> None:
+def _scan_conjecture(ns, grid: dict, emitter: Emitter, inputs: dict) -> None:
     from .oracle import conjecture_scan
 
-    grid = _parse_grid(ns.grid)
     kmax = _grid_int(grid, "kmax", 40)
     if kmax < 1:
         raise DomainError(f"--grid kmax must be >= 1, got {kmax}")
@@ -394,7 +393,7 @@ def _scan_conjecture(ns, emitter: Emitter, inputs: dict) -> None:
     emitter.emit("scan", inputs, outputs, [])
 
 
-def _scan_sharpness(ns, emitter: Emitter, inputs: dict) -> None:
+def _scan_sharpness(ns, grid: dict, emitter: Emitter, inputs: dict) -> None:
     from .oracle import SHARPNESS_SPOTS, sharpness_ratio
 
     digits = ns.digits if ns.digits is not None else 20
@@ -409,8 +408,7 @@ def _scan_sharpness(ns, emitter: Emitter, inputs: dict) -> None:
         emitter.emit("scan", inputs, outputs, [])
 
 
-def _scan_bounds(ns, emitter: Emitter, inputs: dict) -> None:
-    grid = _parse_grid(ns.grid)
+def _scan_bounds(ns, grid: dict, emitter: Emitter, inputs: dict) -> None:
     ks = _grid_range(grid, "k", range(1, 9))
     if len(ks) == 0 or ks[0] < 1:
         raise DomainError("--grid k range must be nonempty and start at >= 1")
@@ -444,14 +442,21 @@ def _scan_bounds(ns, emitter: Emitter, inputs: dict) -> None:
                 emitted += 1
 
 
+#: Per ``--what``: its scan and the ``--grid`` keys it reads.
+_SCANS = {
+    "conjecture": (_scan_conjecture, {"kmax"}),
+    "sharpness": (_scan_sharpness, set()),
+    "bounds": (_scan_bounds, {"k"}),
+}
+
+
 def cmd_scan(ns, emitter: Emitter) -> None:
-    inputs = {"what": ns.what, "grid": ns.grid or ""}
-    if ns.what == "conjecture":
-        _scan_conjecture(ns, emitter, inputs)
-    elif ns.what == "sharpness":
-        _scan_sharpness(ns, emitter, inputs)
-    else:
-        _scan_bounds(ns, emitter, inputs)
+    scan, keys = _SCANS[ns.what]
+    grid = _parse_grid(ns.grid)
+    unread = ", ".join(sorted(set(grid) - keys))
+    if unread:
+        raise DomainError(f"--what {ns.what} reads no --grid key {unread}")
+    scan(ns, grid, emitter, {"what": ns.what, "grid": ns.grid or ""})
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,10 @@
 
 A bound computed in doubles must never come out below the mathematical
 supremum it implements, so every operation chain is topped off with a
-relative guard factor (``up``); ``ceil_float`` and ``log_abs_fraction`` round
-and take logs of exact rationals.  The evaluators' coarse rounding-error
-charge, 2 ulp of the running magnitude per log or term addition, is added
-to a plain float where each value is assembled (``lngamma``, ``theta``).
+relative guard factor (``up``); ``ceil_float`` rounds an exact rational
+upward.  The evaluators' coarse rounding-error charge, 2 ulp of the running
+magnitude per log or term addition, is added to a plain float where each
+value is assembled (``lngamma``, ``theta``).
 """
 from __future__ import annotations
 
@@ -16,7 +16,6 @@ __all__ = [
     "GUARD",
     "up",
     "ceil_float",
-    "log_abs_fraction",
 ]
 
 #: Relative guard applied per floating operation chain when rounding a bound
@@ -49,15 +48,3 @@ def ceil_float(value: Fraction | int) -> float:
     if Fraction(f) >= value:
         return f
     return math.nextafter(f, math.inf)
-
-
-def log_abs_fraction(value: Fraction) -> float:
-    """``log|value|`` for an exact rational of any size.
-
-    ``math.log`` accepts arbitrary-size ints, so this never overflows even
-    when ``float(value)`` would.
-    """
-    if value == 0:
-        raise ValueError("log of zero")
-    num = abs(value.numerator)
-    return math.log(num) - math.log(value.denominator)

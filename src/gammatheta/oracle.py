@@ -41,7 +41,6 @@ from . import bernoulli as _bernoulli_mod
 from .bernoulli import bernoulli_number, shared_table
 from .bounds import eta_fraction
 from .errors import ConsistencyError, DomainError, ResourceLimitError
-from .fputil import log_abs_fraction
 from .series import EMPIRICAL_CONSTANT, k_min, term_coefficient
 
 __all__ = [
@@ -237,35 +236,32 @@ def _shift_count(zz: mpc, radius_target: float) -> int:
 
 def _lngamma_attempt(zz: mpc, n: int, digits: int):
     """One shifted-series evaluation, the whole series as the tail after
-    k = 0 plus the main terms; returns (value, certified).
+    k = 0 plus the main terms, its truncation error below 10^-(digits+6).
 
-    The adaptive stop and the final certificate both use the tail bound
-    sqrt(pi j) |T_j(w)|, which dominates the closed-half-plane Gamma-ratio
-    bound sqrt(pi) Gamma(j+1/2)/Gamma(j) |T_j(w)| for every j >= 1, so it is
-    valid with no restriction tying j to |w|.  Returns (None, False) when
-    the Bernoulli cap is hit before the bound certifies (the caller retries
-    with a larger shift radius, which makes the terms decay faster).
+    The adaptive stop uses the tail bound sqrt(pi j) |T_j(w)|, which
+    dominates the closed-half-plane Gamma-ratio bound sqrt(pi)
+    Gamma(j+1/2)/Gamma(j) |T_j(w)| for every j >= 1, so it is valid with no
+    restriction tying j to |w|.  Returns None when the Bernoulli cap is hit
+    before the bound certifies (the caller retries with a larger shift
+    radius, which makes the terms decay faster).
     """
     w = zz + n
     tail = _tail_series(w, 0, "stirling", mpf(10) ** (-(digits + 6)))
     if tail is None:
-        return None, False
-    acc, _, tail_bound = tail
+        return None
     logs = mpc(0)
     for i in range(n):
         logs += mp.log(zz + i)
-    result = _main_terms_mp("stirling", w) + acc - logs
-    certified = tail_bound < mpf(10) ** (-(digits + 5)) * (1 + abs(result))
-    return result, certified
+    return _main_terms_mp("stirling", w) + tail[0] - logs
 
 
 def oracle_lngamma(z, digits: int = 30) -> mpc:
     """lngamma(z) to ``digits`` rounded digits, principal branch, off the
     cut (-inf, 0].
 
-    The truncation certificate is re-checked against the assembled result;
-    on failure the shift radius grows and the evaluation repeats, so a
-    returned value is always self-certified.
+    Where the tail bound cannot certify the truncation within the Bernoulli
+    cap, the shift radius grows and the evaluation repeats, so a returned
+    value is always self-certified.
     """
     digits = _check_digits(digits)
     wp = digits + 15
@@ -282,11 +278,9 @@ def oracle_lngamma(z, digits: int = 30) -> mpc:
                 _stats["lngamma_cache_hits"] += 1
                 return hit
         radius_target = (digits + 8) * _LN10 / (2.0 * math.pi) + 2.0
-        result = None
         for _ in range(6):
-            n = _shift_count(zz, radius_target)
-            result, certified = _lngamma_attempt(zz, n, digits)
-            if certified:
+            result = _lngamma_attempt(zz, _shift_count(zz, radius_target), digits)
+            if result is not None:
                 break
             _count(shift_retries=1)
             radius_target *= 1.15
@@ -336,11 +330,8 @@ def _require_remainder_args(z, k: int, family: str) -> complex:
 
 
 def _log10_term(family: str, k: int, zz) -> float:
-    """log10 |T_k(z)| from the exact coefficient (big-integer safe)."""
-    return float(
-        (log_abs_fraction(term_coefficient(family, k)) - (2 * k - 1) * mp.log(abs(zz)))
-        / _LN10
-    )
+    """log10 |T_k(z)| from the coefficient at working precision."""
+    return float((mp.log(abs(_coeff(family, k))) - (2 * k - 1) * mp.log(abs(zz))) / _LN10)
 
 
 def _partial_sum_mp(family: str, k: int, zz):

@@ -18,8 +18,9 @@ the certified path's case, runs a term-ratio recurrence in plain doubles
 instead (``partial_sum``).  The bounds form a term's modulus from |z|.
 
 The theta family is divergent with a well-defined least term; ``k_min``
-locates it by linear scan in log space, which is immune to double overflow
-and underflow of the terms themselves.
+locates it by the ratio test ``T_(k+1) / T_k = (c_(k+1) / c_k) / t**2 >= 1``
+on the stored mantissas and exponents of the coefficients, so no term is
+formed and none over- or underflows.
 """
 from __future__ import annotations
 
@@ -32,7 +33,6 @@ from functools import lru_cache
 from .bernoulli import bernoulli_half, bernoulli_number
 from .errors import DomainError, ResourceLimitError
 from . import bernoulli as _bernoulli_mod
-from .fputil import log_abs_fraction
 
 __all__ = [
     "MinTermReport",
@@ -87,11 +87,6 @@ def _coefficient(kind: str, j: int) -> tuple[Fraction, float, int]:
     e = abs(c.numerator).bit_length() - c.denominator.bit_length()
     m, shift = math.frexp(float(c / Fraction(2) ** e))
     return c, m, e + shift
-
-
-@lru_cache(maxsize=4096)
-def _log_theta_coeff(j: int) -> float:
-    return log_abs_fraction(_coefficient("theta", j)[0])
 
 
 def term_coefficient(kind: str, j: int) -> Fraction:
@@ -176,12 +171,6 @@ def gauss_term(j: int, z: complex) -> complex:
     ``-(1 - 2**(1-2j)) * stirling_term(j, z)`` exactly."""
     _require_index(j)
     return _unscale(*_scaled_term("gauss", j, *_inverse_scaled(complex(z))))
-
-
-def _log_theta_term(j: int, t: float, log_t: float | None = None) -> float:
-    if log_t is None:
-        log_t = math.log(t)
-    return _log_theta_coeff(j) - (2 * j - 1) * log_t
 
 
 @lru_cache(maxsize=1024)
@@ -316,18 +305,18 @@ def partial_sum(kind: str, k: int, argument: complex) -> complex:
 
 def k_min(t: float) -> MinTermReport:
     """Index of the least theta term at ``t``: the first ``k`` with
-    ``term(k) <= term(k+1)`` (ties count), found by linear scan of log
-    magnitudes.  The Bernoulli table is first grown once, to
-    ``m = min(ceil(pi t) + 3, MAX_INDEX/2)`` (k_min - pi t <= 1.26 for t in
-    [0.25, 318]), so a cold scan runs the tangent recurrence once, not at
-    every doubling."""
+    ``term(k) <= term(k+1)`` (ties count), found by the ratio test
+    ``c_(k+1) / c_k >= t**2`` on the coefficients' mantissas and exponents.
+    The Bernoulli table is first grown once, to ``m = min(ceil(pi t) + 3,
+    MAX_INDEX/2)`` (k_min - pi t <= 1.26 for t in [0.25, 318]), so a cold
+    scan runs the tangent recurrence once, not at every doubling."""
     t = float(t)
     if not (t > 0.0) or math.isinf(t):
         raise DomainError(f"k_min requires finite t > 0, got {t!r}")
     cap = _bernoulli_mod.MAX_INDEX // 2
-    bernoulli_half(2 * min(math.ceil(min(math.pi * t, cap)) + 3, cap))
-    log_t = math.log(t)
-    prev = _log_theta_term(1, t, log_t)
+    bernoulli_number(2 * min(math.ceil(min(math.pi * t, cap)) + 3, cap))
+    square = t * t
+    _, m, e = _coefficient("theta", 1)
     k = 1
     while True:
         if 2 * (k + 1) > _bernoulli_mod.MAX_INDEX:
@@ -335,10 +324,10 @@ def k_min(t: float) -> MinTermReport:
                 f"least term of the theta family at t={t} lies beyond the "
                 f"Bernoulli cap (scanned to k={k})"
             )
-        nxt = _log_theta_term(k + 1, t, log_t)
-        if prev <= nxt:
+        _, m_next, e_next = _coefficient("theta", k + 1)
+        if math.ldexp(m_next / m, e_next - e) >= square:
             break
-        prev = nxt
+        m, e = m_next, e_next
         k += 1
     t_min = theta_term(k, t)
     if t_min == 0.0:

@@ -256,7 +256,6 @@ def test_growth_in_steps_equals_growth_in_one_call():
     whole = BernoulliTable()
     whole.number(2000)
     assert stepped._even == whole._even
-    assert stepped._half == whole._half
     assert len(whole._even) == MAX_INDEX // 2 + 1
     with pytest.raises(ResourceLimitError):
         stepped.number(MAX_INDEX + 2)

@@ -36,8 +36,14 @@ from gammatheta.bounds import (
     sqrt_pik_bound,
     theta_bound,
 )
-from gammatheta.fputil import ceil_float, log_abs_fraction, up
-from gammatheta.series import _log_theta_term, stirling_term, term_coefficient, theta_term
+from gammatheta.fputil import ceil_float, up
+from gammatheta.series import stirling_term, term_coefficient, theta_term
+
+
+def log_coefficient(family: str, k: int) -> float:
+    """log |c_k| of a series family, from the exact coefficient."""
+    c = term_coefficient(family, k)
+    return math.log(abs(c.numerator)) - math.log(c.denominator)
 
 # Frozen six-decimal (rounded-up) presentation of the quadratic-bound
 # constants at the documented fifteen indices.
@@ -184,6 +190,14 @@ def test_bound_values_scale_with_the_current_term():
                 for bound in applicable_bounds(k, z, context, target):
                     assert not bound.applicable or bound.value == math.inf
                 assert best_bound(k, z, context, target).value == math.inf
+
+
+def test_a_modulus_past_the_double_range_meets_every_quadratic_rung():
+    # |z| overflows at 1e308(1 + i), where (k/|z|)^2 is 0: the ck rung
+    # applies, and its product is stepped up to the smallest subnormal.
+    best = best_bound(5, 1e308 + 1e308j, "stirling")
+    assert best.applicable and best.kind is BoundKind.CK_QUADRATIC
+    assert best.value == 5e-324
 
 
 def test_bound_index_validation():
@@ -430,7 +444,7 @@ def _theta_subnormal_band() -> list[tuple[int, float]]:
     points = []
     for k in range(180, 1000, 61):
         for log10_term in (-310.0, -318.0, -321.0, -322.5, -323.5, -324.5):
-            log_t = (_log_theta_term(k, 1.0) - log10_term * math.log(10.0)) / (2 * k - 1)
+            log_t = (log_coefficient("theta", k) - log10_term * math.log(10.0)) / (2 * k - 1)
             points.append((k, math.exp(log_t)))
     assert all(t < k for k, t in points)
     return points
@@ -504,7 +518,7 @@ def test_theta_bounds_round_up_below_the_normal_range():
     quadratic = []  # t >= k, where (k/t)^2 T_k(t) ~ t^-(2k+1) is subnormal
     for k in (2, 7, 40):
         for log10_product in (-310.0, -316.0, -321.0):
-            log_t = _log_theta_term(k, 1.0) + 2.0 * math.log(k)
+            log_t = log_coefficient("theta", k) + 2.0 * math.log(k)
             log_t = (log_t - log10_product * math.log(10.0)) / (2 * k + 1)
             quadratic.append((k, math.exp(log_t)))
     assert all(t >= k for k, t in quadratic)
@@ -534,7 +548,7 @@ def test_theta_bounds_round_up_below_the_normal_range():
 
 def _log2_modulus_for(family: str, k: int, log2_result: float) -> float:
     """log2 of the |z| at which |T_k(z)| is 2**log2_result."""
-    log2_coefficient = log_abs_fraction(term_coefficient(family, k)) / math.log(2.0)
+    log2_coefficient = log_coefficient(family, k) / math.log(2.0)
     return (log2_coefficient - log2_result) / (2 * k - 1)
 
 

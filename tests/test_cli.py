@@ -157,6 +157,13 @@ def test_term_count_beyond_the_table_cap_exits_with_the_resource_code():
     assert json.loads(result.err)["error"]["type"] == "ResourceLimitError"
 
 
+def test_theta_beyond_the_least_term_cap_exits_with_the_resource_code():
+    result = run_cli("theta", "--t", "400")
+    assert result.code == 4
+    assert result.out == ""
+    assert json.loads(result.err)["error"]["type"] == "ResourceLimitError"
+
+
 # -- theta ---------------------------------------------------------------------
 
 
@@ -274,6 +281,24 @@ def test_bounds_scan_covers_families_and_reports_winners():
         ):
             assert row[header.index("winner")] == "whittaker-watson"
             assert float(row[header.index("normalized")]) == 1.0
+
+
+@pytest.mark.parametrize(
+    "what, grid",
+    [
+        ("bounds", "K=1"),
+        ("bounds", "k=1;kmax=3"),
+        ("sharpness", "kmax=3"),
+        ("conjecture", "k=1..2"),
+    ],
+)
+def test_scan_grid_keys_the_scan_does_not_read_are_domain_errors(what, grid):
+    result = run_cli("scan", "--what", what, "--grid", grid)
+    assert result.code == 2
+    assert result.out == ""
+    error = json.loads(result.err)
+    assert error["error"]["type"] == "DomainError"
+    assert error["flags"] == ["ERROR"]
 
 
 # -- global flags ------------------------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ChargeReference
-from gammatheta.fputil import GUARD, ceil_float, log_abs_fraction, up
+from gammatheta.fputil import GUARD, ceil_float, up
 
 
 # The evaluators add their rounding-error charges to a plain float; the radius
@@ -73,16 +73,3 @@ def test_ceil_float_is_exact_on_representable_values():
 
 def test_ceil_float_saturates_to_infinity():
     assert ceil_float(Fraction(10) ** 400) == math.inf
-
-
-def test_log_abs_fraction_handles_values_beyond_float_range():
-    huge = Fraction(10) ** 500
-    assert log_abs_fraction(huge) == pytest.approx(500 * math.log(10), rel=1e-14)
-    tiny = Fraction(1, 10**500)
-    assert log_abs_fraction(tiny) == pytest.approx(-500 * math.log(10), rel=1e-14)
-    assert log_abs_fraction(Fraction(-7, 2)) == pytest.approx(math.log(3.5))
-
-
-def test_log_abs_fraction_rejects_zero():
-    with pytest.raises(ValueError):
-        log_abs_fraction(Fraction(0))

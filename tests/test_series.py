@@ -20,16 +20,21 @@ from gammatheta.series import (
     stirling_term,
     term_coefficient,
     theta_term,
-    _log_theta_term,
 )
+from gammatheta.theta import eval_theta
+
+
+def log_theta_term(j: int, t: float) -> float:
+    """log of the j-th theta term at t, from the exact coefficient."""
+    c = term_coefficient("theta", j)
+    return math.log(c.numerator) - math.log(c.denominator) - (2 * j - 1) * math.log(t)
 
 
 def unimodality_check(t: float, k_max: int) -> bool:
     """Verify the theta terms strictly decrease up to the least term and
     strictly increase after it, through index ``k_max``."""
     report = k_min(t)
-    log_t = math.log(float(t))
-    logs = [_log_theta_term(j, float(t), log_t) for j in range(1, k_max + 2)]
+    logs = [log_theta_term(j, float(t)) for j in range(1, k_max + 2)]
     for j in range(1, min(report.k_min, k_max + 1)):
         if not logs[j - 1] > logs[j]:
             return False
@@ -52,10 +57,7 @@ def term_ratio(j: int, t: float) -> float:
         ratio = a / b
         if 0.0 < ratio < math.inf:
             return ratio
-    log_t = math.log(float(t))
-    return math.exp(
-        _log_theta_term(j, float(t), log_t) - _log_theta_term(j + 1, float(t), log_t)
-    )
+    return math.exp(log_theta_term(j, float(t)) - log_theta_term(j + 1, float(t)))
 
 
 # Least-term indices for the theta family, frozen reference values.
@@ -309,6 +311,16 @@ def test_least_term_scan_rejects_bad_arguments():
         k_min(-3.0)
     with pytest.raises(DomainError):
         k_min(math.inf)
+
+
+def test_least_term_beyond_the_bernoulli_cap_is_a_resource_error():
+    # k = 999 is the last index whose successor the cap admits to the ratio
+    # test; from t ~ 318 the least term lies past it.
+    assert k_min(317.9).k_min == 999
+    with pytest.raises(ResourceLimitError):
+        k_min(330.0)
+    with pytest.raises(ResourceLimitError):
+        eval_theta(330.0)
 
 
 def test_theta_terms_are_unimodal_around_the_least_term():

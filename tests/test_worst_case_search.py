@@ -1,11 +1,13 @@
-"""Worst-case search over default calls with hypothesis ``target()``.
+"""Worst-case search with hypothesis ``target()``.
 
 The seeded sweeps draw random points; this search steers towards the worst
 ones.  Two ratios must stay below 1:
 
 * error over radius, against mpmath at 40 digits, for ``eval_lngamma`` (the
-  whole plane off the cut), ``eval_lngamma_half`` (the closed right
-  half-plane) and auto-mode ``eval_theta``;
+  whole plane off the cut) and ``eval_lngamma_half`` (the closed right
+  half-plane) at their default target, at an explicit ``accuracy`` between
+  the floor at z and 1e-3 (log-uniform) and at a fixed k from 1 to 30, and
+  for auto-mode ``eval_theta``;
 * the fp part, |value - exact k-term value| over (radius - truncation
   bound), for both lngamma families on the closed right half-plane.  The
   exact k-term value is the value the evaluator rounds: the main terms and
@@ -26,6 +28,7 @@ import pytest
 from hypothesis import HealthCheck, Phase, assume, given, settings, target
 from hypothesis import strategies as st
 
+from gammatheta.errors import AccuracyError
 from gammatheta.lngamma import eval_lngamma, eval_lngamma_half
 from gammatheta.series import term_coefficient
 from gammatheta.theta import eval_theta
@@ -48,6 +51,8 @@ FAMILIES = {
     "stirling": (eval_lngamma, 0.0),
     "gauss": (eval_lngamma_half, 0.5),
 }
+#: the arguments each family takes: the plane off the cut, the right half
+ANGLES = {"stirling": ANY_ANGLE, "gauss": RIGHT_ANGLE}
 
 
 def run_search(objective, *strategies) -> float:
@@ -67,12 +72,23 @@ def run_search(objective, *strategies) -> float:
     return max(found)
 
 
-def error_over_radius(family: str, z: complex) -> float:
+def error_over_radius(family: str, z: complex, **request) -> float:
     evaluate, offset = FAMILIES[family]
-    result = evaluate(z)
+    result = evaluate(z, **request)
     with mp.workdps(40):
         error = abs(mp.mpc(result.value) - mp.loggamma(mp.mpc(z) + offset))
     return float(error / result.radius)
+
+
+def accuracy_between_floor_and(family: str, z: complex, top: float, u: float) -> float:
+    """The accuracy a fraction ``u`` of the way, in log, from the floor at z
+    (the best radius an unattainable request reports; a reflected call halves
+    the request) up to ``top``, or the floor where that is above ``top``."""
+    try:
+        FAMILIES[family][0](z, accuracy=1e-300)
+    except AccuracyError as exc:
+        floor = exc.best_radius * (2.0 if z.real < 0.0 else 1.0)
+    return floor * max(1.0, top / floor) ** u
 
 
 def exact_k_term_value(family: str, z: complex, k: int, shifts: int) -> mp.mpc:
@@ -132,6 +148,31 @@ def test_theta_error_over_radius():
     log_t = st.floats(-3.0, math.log10(50.0))
     worst = run_search(objective, log_t, st.sampled_from((-1.0, 1.0)))
     print(f"theta error/radius max {worst:.4g}")
+    assert worst < 1.0
+
+
+@pytest.mark.parametrize("family", ["stirling", "gauss"])
+def test_explicit_accuracy_error_over_radius(family):
+    def objective(log_modulus, angle, u):
+        z = cmath.rect(10.0 ** log_modulus, angle)
+        assume(not (z.imag == 0.0 and z.real <= 0.0))
+        accuracy = accuracy_between_floor_and(family, z, 1e-3, u)
+        return error_over_radius(family, z, accuracy=accuracy)
+
+    worst = run_search(objective, LOG_MODULUS, ANGLES[family], st.floats(0.0, 1.0))
+    print(f"{family} explicit-accuracy error/radius max {worst:.4g}")
+    assert worst < 1.0
+
+
+@pytest.mark.parametrize("family", ["stirling", "gauss"])
+def test_fixed_k_error_over_radius(family):
+    def objective(log_modulus, angle, k):
+        z = cmath.rect(10.0 ** log_modulus, angle)
+        assume(not (z.imag == 0.0 and z.real <= 0.0))
+        return error_over_radius(family, z, k=k)
+
+    worst = run_search(objective, LOG_MODULUS, ANGLES[family], st.integers(1, 30))
+    print(f"{family} fixed-k error/radius max {worst:.4g}")
     assert worst < 1.0
 
 
