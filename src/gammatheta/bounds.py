@@ -16,7 +16,9 @@ term, taken as a mantissa and a binary exponent applied once
 no longer moves a value, the product is stepped up once, so no bound is
 below the smallest subnormal; one past the double range is ``inf``.
 
-The catalog:
+The catalog, by the kind each bound reports.  ``rigorous_bound`` builds the
+rigorous ones: the ladder kinds of a context (below) and, for ``stirling``,
+the four classical kinds, with kinds and targets read by value.
 
 =====================  ================================================
 kind                   bounds
@@ -39,7 +41,8 @@ THETA_QUADRATIC        which is half the half-family term's modulus:
                        sqrt(pi) Gamma(k-1/2) |B_2k| / (8 k! t^(2k-1)))
 WHITTAKER_WATSON       classical |R_k| <= K |T_k|, Re z > 0: K = 1 where
                        |Im z| <= Re z, else 1/|sin 2 arg z|
-                       = (Re z/|Im z| + |Im z|/Re z)/2
+                       = (Re z/|Im z| + |Im z|/Re z)/2, its power of 2
+                       applied with the term's
 STIELTJES              classical |R_k| <= sec(arg z/2)^(2k) |T_k| off the
                        closed negative real axis, sec^2(arg z/2)
                        = 2|z| / (|z| + Re z)
@@ -51,22 +54,23 @@ CONJECTURED_QUADRATIC  sharper quadratic bound, unproven below k = 34
 =====================  ================================================
 
 Selection.  Each context has a ladder of the paper's own families, strongest
-first: CK_QUADRATIC, QUADRATIC, GAMMA_RATIO, SQRT_PIK for ``stirling``; the
-same four through ``half_bound`` for ``gauss``; the bases QUADRATIC,
-GAMMA_RATIO, SQRT_PIK for ``theta``, reported as THETA_QUADRATIC,
-THETA_GAMMA_RATIO, THETA_SQRT_PIK.  Every rung is its factor times one shared
-term, and the factors are c_k < 1/(pi^2 - 1) < pi/2 <= sqrt(pi)
-Gamma(k+1/2)/Gamma(k) < sqrt(pi k) (the quadratic forms need k <= |z|, c_k
-also k <= 100), times eta_k for the half and theta rungs.  Rounding,
-including the step below the normal range, is monotone, so no later
-applicable rung is smaller in doubles either.  ``best_bound`` builds only
-the first applicable rung and the classical bounds at the target and returns
-the smallest; after k terms Behnke-Sommer is at least 1.69 times a quadratic
-rung (exact |c_(k+1)/c_k|, k < 1000), so it is not built behind one.  Ties:
-a classical bound replaces the rung only when strictly smaller, so at a tie
-the kind reported is the ladder's first applicable family (then the
-classical bounds in catalog order).  Theta has no classical bounds, so its
-best bound is its first applicable rung.
+first, as ``rigorous_bound`` builds them: CK_QUADRATIC, QUADRATIC,
+GAMMA_RATIO, SQRT_PIK for ``stirling``; CK_QUADRATIC, HALF_QUADRATIC,
+HALF_GAMMA_RATIO, HALF_SQRT_PIK for ``gauss``; THETA_QUADRATIC,
+THETA_GAMMA_RATIO, THETA_SQRT_PIK for ``theta``, the gauss rungs of the same
+bases at z = t.  Every rung is its factor times one shared term, and the
+factors are c_k < 1/(pi^2 - 1) < pi/2 <= sqrt(pi) Gamma(k+1/2)/Gamma(k) <
+sqrt(pi k) (the quadratic forms need k <= |z|, c_k also k <= 100), times
+eta_k for the half and theta rungs.  Rounding, including the step below
+the normal range, is monotone, so no later applicable rung is smaller in
+doubles either.  ``best_bound`` builds only the first applicable rung and
+the classical bounds at the target and returns the smallest; after k terms
+Behnke-Sommer is at least 1.69 times a quadratic rung (exact
+|c_(k+1)/c_k|, k < 1000), so it is not built behind one.  Ties: a classical
+bound replaces the rung only when strictly smaller, so at a tie the kind
+reported is the ladder's first applicable family (then the classical bounds
+in catalog order).  Theta has no classical bounds, so its best bound is its
+first applicable rung.
 
 The certified path shifts to |w| >= k with Re w >= 0, where ``best_bound``
 after k terms is the first rung, ``_quadratic_rung``: c_k (k/|w|)^2 |T_k(w)|
@@ -101,13 +105,7 @@ __all__ = [
     "eta_fraction",
     "c_k",
     "c_k_string",
-    "gamma_ratio_bound",
-    "sqrt_pik_bound",
-    "quadratic_bound",
-    "ck_bound",
-    "half_bound",
-    "theta_bound",
-    "literature_bound",
+    "rigorous_bound",
     "faulty_theta_bound",
     "conjectured_bound",
     "best_bound",
@@ -197,16 +195,20 @@ _LOG_2 = math.log(2.0)
 _PI2M1_DOWN = math.nextafter(math.nextafter(math.pi * math.pi - 1.0, 0.0), 0.0)
 
 
-def _times_term(normalized: float, family: str, k: int, argument: complex) -> float:
-    """``normalized * |T_k(argument)|`` of a series family, rounded up, from
-    the modulus alone: ``|T_k(z)| = |m| 2**e / |z|**p`` with p = 2k - 1.
+def _times_term(
+    normalized: float, family: str, k: int, argument: complex, scale: int = 0
+) -> float:
+    """``normalized 2**scale |T_k(argument)|`` of a series family, rounded
+    up, from the modulus alone: ``|T_k(z)| = |m| 2**e / |z|**p`` with
+    p = 2k - 1.
 
     The parts are scaled exactly by 2**-s, so ``a = |z| 2**-s`` lies in
     [2**-1/2, 2**1/2] and neither ``hypot`` nor ``a**p`` (p < 2000) leaves
     the double range.  With a within 1u and the power within 1 ulp, ``|m| /
     a**p`` is within (p + 3)u <= 2.3e-13, inside one of the guard factors.
-    The exponent ``e - p s`` is applied once: a value below the normal range
-    is rounded once and stepped up, one past the double range is ``inf``."""
+    The exponent ``e - p s + scale`` is applied once: a value below the
+    normal range is rounded once and stepped up, one past the double range
+    is ``inf``."""
     _require_index(k)
     _, mantissa, exponent = _coefficient(family, k)
     x, y = argument.real, argument.imag
@@ -217,7 +219,9 @@ def _times_term(normalized: float, family: str, k: int, argument: complex) -> fl
     p = 2 * k - 1
     fraction, shift = math.frexp(abs(mantissa) / a ** p)
     try:
-        value = math.ldexp(up(normalized * fraction, _CHAINS), exponent - p * s + shift)
+        value = math.ldexp(
+            up(normalized * fraction, _CHAINS), exponent - p * s + shift + scale
+        )
     except OverflowError:
         return math.inf
     if value < _NORMAL_MIN:
@@ -347,7 +351,7 @@ def c_k_string(k: int, decimals: int = 6) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Plain-family bounds (right half-plane).
+# The ladders: the paper's own families (right half-plane, theta at t > 0).
 # ---------------------------------------------------------------------------
 
 def _right_half_plane(z: complex) -> bool:
@@ -391,9 +395,9 @@ def _quadratic(k: int, az: float, ck: bool) -> float:
 def _family_value(
     family: str, k: int, z: complex, factor: float, extra: float = 0.0
 ) -> tuple[float, float]:
-    """``(normalized, value)`` of a family's bound from its base's
-    after-k-terms factor: gauss and theta carry eta_k (see ``half_bound``),
-    and ``extra = 1`` gives the before-k-th-term form (triangle inequality)."""
+    """``(normalized, value)`` of a family's bound from its base's after-k-terms
+    factor: gauss and theta carry eta_k, and ``extra = 1`` gives the
+    before-k-th-term form (triangle inequality)."""
     if family != "stirling":
         factor = eta(k) * up(factor, _CHAINS)
     normalized = up(factor + extra, _CHAINS)
@@ -452,84 +456,21 @@ def _ladder_bound(
     return BoundResult(kind=kind, target=target, value=value, normalized=normalized)
 
 
-def gamma_ratio_bound(
-    k: int, z: complex, target: Target = Target.R_KP1
-) -> BoundResult:
-    """Sharpest general right-half-plane bound for the plain family."""
-    return _ladder_bound("stirling", BoundKind.GAMMA_RATIO, k, z, target)
-
-
-def sqrt_pik_bound(k: int, z: complex, target: Target = Target.R_KP1) -> BoundResult:
-    """Closed-form weakening of the gamma-ratio bound: sqrt(pi k)."""
-    return _ladder_bound("stirling", BoundKind.SQRT_PIK, k, z, target)
-
-
-def quadratic_bound(k: int, z: complex, target: Target = Target.R_KP1) -> BoundResult:
-    """(k/|z|)^2 / (pi^2 - 1) bound, valid for k <= |z|."""
-    return _ladder_bound("stirling", BoundKind.QUADRATIC, k, z, target)
-
-
-def ck_bound(k: int, z: complex, target: Target = Target.R_KP1) -> BoundResult:
-    """c_k (k/|z|)^2 bound, valid for k <= |z| and k <= 100."""
-    return _ladder_bound("stirling", BoundKind.CK_QUADRATIC, k, z, target)
-
-
-# ---------------------------------------------------------------------------
-# Half-shifted family: transported plain bounds, times eta_k.
-# ---------------------------------------------------------------------------
-
-
-def half_bound(
-    k: int,
-    z: complex,
-    target: Target = Target.R_KP1,
-    base: BoundKind = BoundKind.GAMMA_RATIO,
-) -> BoundResult:
-    """Bound for the half-shifted family, from a plain-family base bound.
-
-    Normalized form: ``eta_k * (base after-k-terms normalized)`` relative to
-    the half-family term; the before-k-th-term target adds 1 on top.
-    """
-    _check_k(k)
-    if base not in _LADDERS["gauss"]:
-        raise DomainError(f"unsupported base bound kind {base!r}")
-    return _ladder_bound("gauss", base, k, z, target)
-
-
-# ---------------------------------------------------------------------------
-# Theta-family bounds (positive real argument): the half-family rungs at
-# z = t on the theta term, which is half the modulus of the half-family term.
-# ---------------------------------------------------------------------------
-
-
-def theta_bound(
-    k: int,
-    t: float,
-    kind: BoundKind = BoundKind.THETA_GAMMA_RATIO,
-) -> BoundResult:
-    """Bound on the theta-family remainder after ``k`` summed terms:
-    ``eta_k * (base after-k-terms factor) * |T_k(t)|``."""
-    base = next((b for b, theta in _LADDERS["theta"].items() if theta == kind), None)
-    if base is None:
-        raise DomainError(f"unsupported theta bound kind {kind!r}")
-    return _ladder_bound("theta", base, k, t, Target.R_KP1)
-
-
 # ---------------------------------------------------------------------------
 # Classical bounds from the literature (plain family only).
 # ---------------------------------------------------------------------------
 
-#: The classical bounds of the literature at their native targets.  They
-#: bound the plain family only and keep no fixed order against the ladders.
+#: The classical bounds of the literature by native target (``_NATIVE``
+#: maps each back).  They bound the plain family only and keep no fixed
+#: order against the ladders.
 _CLASSICAL = {
     Target.R_KP1: (BoundKind.BEHNKE_SOMMER,),
     Target.R_K: (BoundKind.WHITTAKER_WATSON, BoundKind.STIELTJES, BoundKind.HARE),
 }
+_NATIVE = {kind: target for target, kinds in _CLASSICAL.items() for kind in kinds}
 
 
-def literature_bound(
-    kind: BoundKind, k: int, z: complex, target: Target
-) -> BoundResult:
+def _classical(kind: BoundKind, k: int, z: complex, target: Target) -> BoundResult:
     """One of the four classical plain-family bounds, at its native target.
 
     WHITTAKER_WATSON, STIELTJES and HARE bound the remainder with the k-th
@@ -542,7 +483,7 @@ def literature_bound(
         return _not_applicable(kind, target, "argument must be nonzero")
     if not cmath.isfinite(z):
         return _not_applicable(kind, target, "argument has a non-finite part")
-    native = next((tgt for tgt, kinds in _CLASSICAL.items() if kind in kinds), target)
+    native = _NATIVE[kind]
     if target is not native:
         return _not_applicable(kind, target, f"bounds only the {native.value} remainder")
     x, y = z.real, abs(z.imag)
@@ -566,11 +507,17 @@ def literature_bound(
         normalized = up(value / at, 2) if at > 0 else math.inf
         return BoundResult(kind, target, value, normalized)
 
+    factor, scale = 1.0, 0
     if kind is BoundKind.WHITTAKER_WATSON:
         if x <= 0.0:
             return _not_applicable(kind, target, "requires Re(z) > 0")
-        factor = 1.0 if y <= x else up(0.5 * (x / y + y / x), _CHAINS)
-    elif kind is BoundKind.STIELTJES:
+        if y > x:
+            # 2**s (m_x/m_y 2**-2s + m_y/m_x)/2 from x = m_x 2**e_x and
+            # y = m_y 2**e_y, s = e_y - e_x: 2**s joins the term's ldexp
+            (mx, ex), (my, ey) = math.frexp(x), math.frexp(y)
+            scale = ey - ex
+            factor = up(0.5 * (math.ldexp(mx / my, -2 * scale) + my / mx), _CHAINS)
+    else:  # STIELTJES
         # sec^2(arg z/2) = 2|z| / (|z| + x), from y/x or x/y so that no
         # modulus overflows or loses bits below 2**-1022: as 2 / (1 + x/|z|)
         # for x >= 0, and as 2 (|z|/y) ((|z| - x)/y) left of the axis, where
@@ -586,9 +533,12 @@ def literature_bound(
         if not k * math.log(sec2) <= 700.0:
             return _not_applicable(kind, target, "bound value exceeds double range")
         factor = up(sec2**k, _CHAINS)
-    else:
-        raise DomainError(f"unsupported literature bound kind {kind!r}")
-    return BoundResult(kind, target, _times_term(factor, "stirling", k, z), factor)
+    value = _times_term(factor, "stirling", k, z, scale)
+    try:
+        normalized = math.ldexp(factor, scale)
+    except OverflowError:  # the factor alone passes the double range
+        normalized = math.inf
+    return BoundResult(kind, target, value, normalized)
 
 
 # ---------------------------------------------------------------------------
@@ -623,19 +573,14 @@ def conjectured_bound(
 ) -> BoundResult:
     """Sharper quadratic bound ``k^2 / (pi^2 |z|^2 - k^2)``; proven only for
     k >= 34, flagged CONJECTURED below that.  Excluded from certification."""
+    kind, target = BoundKind.CONJECTURED_QUADRATIC, _by_value(Target, target)
     _check_k(k)
     z = complex(z)
     if not _right_half_plane(z):
-        return _not_applicable(
-            BoundKind.CONJECTURED_QUADRATIC,
-            target,
-            "requires the closed right half-plane, z != 0",
-        )
+        return _not_applicable(kind, target, "requires the closed right half-plane, z != 0")
     az = math.hypot(z.real, z.imag)
     if az < k:
-        return _not_applicable(
-            BoundKind.CONJECTURED_QUADRATIC, target, "requires |z| >= k"
-        )
+        return _not_applicable(kind, target, "requires |z| >= k")
     try:
         square = (math.pi * az) ** 2
     except OverflowError:
@@ -648,13 +593,7 @@ def conjectured_bound(
         normalized = up(square / den if den < math.inf else 1.0, _CHAINS)
     value = _times_term(normalized, "stirling", k, z)
     flag = "PROVEN" if k >= 34 else "CONJECTURED"
-    return BoundResult(
-        kind=BoundKind.CONJECTURED_QUADRATIC,
-        target=target,
-        value=value,
-        normalized=normalized,
-        flags=(flag,),
-    )
+    return BoundResult(kind, target, value, normalized, flags=(flag,))
 
 
 # ---------------------------------------------------------------------------
@@ -674,31 +613,57 @@ def _screen_log(family: str, k: int) -> float:
     return math.log(constant * abs(mantissa) * k * k) + exponent * _LOG_2
 
 
-def _tables(context: str, target: Target) -> tuple[dict, tuple[BoundKind, ...]]:
+def _by_value(enum: type, value):
+    """The member of ``enum`` whose value is ``value``; a member is its own."""
+    try:
+        return enum(value)
+    except ValueError:
+        raise DomainError(f"unknown {enum.__name__} {value!r}") from None
+
+
+def _tables(context: str, target: Target) -> tuple[dict, tuple[BoundKind, ...], Target]:
+    """The context's ladder, its classical bounds at ``target`` and the
+    target read by value; a member passes with a type check only, since
+    ``eval_theta`` calls ``best_bound`` with one at every evaluation."""
+    if type(target) is not Target:
+        target = _by_value(Target, target)
     if context not in _LADDERS:
         raise DomainError(f"unknown bound context {context!r}")
-    return _LADDERS[context], _CLASSICAL[target] if context == "stirling" else ()
+    classical = _CLASSICAL[target] if context == "stirling" else ()
+    return _LADDERS[context], classical, target
+
+
+def rigorous_bound(
+    kind: BoundKind, k: int, argument: complex, context: str,
+    target: Target = Target.R_KP1,
+) -> BoundResult:
+    """The bound reporting ``kind`` in ``context``: a rung of its ladder, or
+    for ``stirling`` a classical bound (not applicable off its native target);
+    theta reads the real part of ``argument`` as t.  An unknown kind, target
+    or context, or a kind the context lacks, is a ``DomainError``."""
+    ladder, _, target = _tables(context, target)
+    kind = _by_value(BoundKind, kind)
+    for base, reported in ladder.items():
+        if reported is kind:
+            return _ladder_bound(context, base, k, argument, target)
+    if context == "stirling" and kind in _NATIVE:
+        return _classical(kind, k, argument, target)
+    raise DomainError(f"the {context} context has no rigorous bound {kind.value!r}")
 
 
 def applicable_bounds(
-    k: int,
-    argument: complex,
-    context: str,
-    target: Target = Target.R_KP1,
+    k: int, argument: complex, context: str, target: Target = Target.R_KP1
 ) -> list[BoundResult]:
     """Every rigorous bound for the context/target, applicable or not: the
     context's ladder in order, then its classical bounds."""
-    ladder, classical = _tables(context, target)
+    ladder, classical, target = _tables(context, target)
     return [_ladder_bound(context, base, k, argument, target) for base in ladder] + [
-        literature_bound(kind, k, argument, target) for kind in classical
+        _classical(kind, k, argument, target) for kind in classical
     ]
 
 
 def best_bound(
-    k: int,
-    argument: complex,
-    context: str,
-    target: Target = Target.R_KP1,
+    k: int, argument: complex, context: str, target: Target = Target.R_KP1
 ) -> BoundResult:
     """Minimum applicable rigorous bound (faulty/conjectured are excluded
     by construction — they are not in the candidate set).
@@ -708,7 +673,7 @@ def best_bound(
     only they are built; a classical bound replaces the ladder entry only
     when strictly smaller.
     """
-    ladder, classical = _tables(context, target)
+    ladder, classical, target = _tables(context, target)
     best: BoundResult | None = None
     for base in ladder:
         candidate = _ladder_bound(context, base, k, argument, target)
@@ -719,7 +684,7 @@ def best_bound(
     if target is Target.R_KP1 and best is not None and best.kind in quadratic:
         return best
     for kind in classical:
-        candidate = literature_bound(kind, k, argument, target)
+        candidate = _classical(kind, k, argument, target)
         if candidate.applicable and (best is None or candidate.value < best.value):
             best = candidate
     if best is None:

@@ -217,8 +217,6 @@ def _theta_inputs(ns) -> dict:
 
 
 def cmd_theta(ns, emitter: Emitter) -> None:
-    if ns.auto and ns.terms is not None:
-        raise DomainError("specify either --terms or --auto, not both")
     result = eval_theta(
         ns.t,
         k=ns.terms if ns.terms is not None else "auto",
@@ -506,11 +504,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="certified Riemann-Siegel theta(t)",
     )
     p.add_argument("--t", type=float, required=True, help="height t")
-    p.add_argument("--terms", type=int, help="fixed series term count k")
     p.add_argument(
-        "--auto",
-        action="store_true",
-        help="use the minimal-term truncation index (default)",
+        "--terms", type=int, help="fixed series term count k (default: least term)"
     )
     p.add_argument(
         "--variant",

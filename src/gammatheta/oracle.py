@@ -267,6 +267,8 @@ def oracle_lngamma(z, digits: int = 30) -> mpc:
     wp = digits + 15
     with mp.workdps(wp):
         zz = mpc(z)
+        if not mp.isfinite(zz):
+            raise DomainError(f"lngamma oracle needs a finite argument, got z={zz}")
         if zz.imag == 0 and zz.real <= 0:
             raise DomainError(
                 f"lngamma oracle is undefined on the cut (-inf, 0]: z={zz}"
@@ -322,9 +324,10 @@ def _require_remainder_args(z, k: int, family: str) -> complex:
     if type(k) is not int or k < 1:
         raise DomainError(f"term count must be a positive integer, got {k!r}")
     zc = complex(z)
-    if not zc.real >= 0.0 or zc == 0:
+    if not (0.0 <= zc.real < math.inf and math.isfinite(zc.imag)) or zc == 0:
         raise DomainError(
-            f"remainder oracle needs the closed right half-plane minus 0, got {zc}"
+            "remainder oracle needs a finite z in the closed right half-plane "
+            f"minus 0, got {zc}"
         )
     return zc
 
@@ -722,8 +725,8 @@ def oracle_theta(t, digits: int = 30) -> mpf:
 def oracle_theta_remainder(k: int, t, digits: int = 30) -> mpf:
     """Remainder of the theta series after k terms: Im(R_hat_{k+1}(it))/2."""
     tf = float(t)
-    if not tf > 0.0:
-        raise DomainError(f"theta remainder oracle requires t > 0, got {t!r}")
+    if not 0.0 < tf < math.inf:
+        raise DomainError(f"theta remainder oracle requires finite t > 0, got {t!r}")
     digits = _check_digits(digits)
     r = oracle_remainder(
         complex(0.0, tf), k, "gauss", min(digits + 5, MAX_DIGITS)
@@ -853,8 +856,8 @@ def sharpness_ratio(k: int, y, digits: int = 20) -> mpf:
     """
     digits = _check_digits(digits)
     yf = float(y)
-    if not yf > 0.0:
-        raise DomainError(f"sharpness ratio requires y > 0, got {y!r}")
+    if not 0.0 < yf < math.inf:
+        raise DomainError(f"sharpness ratio requires finite y > 0, got {y!r}")
     value = oracle_remainder(complex(0.0, yf), k, "stirling", digits)
     with mp.workdps(digits + 10):
         term_abs = abs(_coeff("stirling", k)) / mpf(yf) ** (2 * k - 1)

@@ -23,18 +23,12 @@ from gammatheta.bounds import (
     best_bound,
     c_k,
     c_k_string,
-    ck_bound,
     conjectured_bound,
     containment_grid,
     eta,
     eta_fraction,
     faulty_theta_bound,
-    gamma_ratio_bound,
-    half_bound,
-    literature_bound,
-    quadratic_bound,
-    sqrt_pik_bound,
-    theta_bound,
+    rigorous_bound,
 )
 from gammatheta.fputil import ceil_float, up
 from gammatheta.series import stirling_term, term_coefficient, theta_term
@@ -138,30 +132,40 @@ def test_gamma_ratio_is_the_sharpest_general_form():
     # sqrt(pi k) is a closed-form weakening: never below the gamma ratio.
     for k in (1, 2, 5, 20, 80):
         z = complex(2.0, 3.0)
-        sharp = gamma_ratio_bound(k, z).normalized
-        weak = sqrt_pik_bound(k, z).normalized
+        sharp = rigorous_bound(BoundKind.GAMMA_RATIO, k, z, "stirling").normalized
+        weak = rigorous_bound(BoundKind.SQRT_PIK, k, z, "stirling").normalized
         assert 1.0 <= sharp <= weak
 
 
 def test_quadratic_forms_require_k_at_most_argument_magnitude():
-    assert quadratic_bound(5, 4.0 + 0j).applicable is False
-    assert quadratic_bound(5, 6.0 + 0j).applicable is True
-    assert ck_bound(5, 4.0 + 0j).applicable is False
-    assert ck_bound(101, 200.0 + 0j).applicable is False  # beyond the table
+    quadratic, ck = BoundKind.QUADRATIC, BoundKind.CK_QUADRATIC
+    assert rigorous_bound(quadratic, 5, 4.0 + 0j, "stirling").applicable is False
+    assert rigorous_bound(quadratic, 5, 6.0 + 0j, "stirling").applicable is True
+    assert rigorous_bound(ck, 5, 4.0 + 0j, "stirling").applicable is False
+    # beyond the table
+    assert rigorous_bound(ck, 101, 200.0 + 0j, "stirling").applicable is False
 
 
 def test_ck_bound_sharpens_the_quadratic_bound():
     for k, z in ((2, 9.0 + 2j), (10, 30j), (50, 60.0 + 60j)):
-        plain = quadratic_bound(k, z)
-        sharp = ck_bound(k, z)
+        plain = rigorous_bound(BoundKind.QUADRATIC, k, z, "stirling")
+        sharp = rigorous_bound(BoundKind.CK_QUADRATIC, k, z, "stirling")
         assert sharp.applicable and plain.applicable
         assert sharp.value < plain.value
         assert sharp.normalized < plain.normalized
 
 
+PLAIN_KINDS = (
+    BoundKind.GAMMA_RATIO, BoundKind.SQRT_PIK, BoundKind.QUADRATIC, BoundKind.CK_QUADRATIC,
+)
+CLASSICAL_KINDS = (
+    BoundKind.WHITTAKER_WATSON, BoundKind.STIELTJES, BoundKind.BEHNKE_SOMMER, BoundKind.HARE,
+)
+
+
 def test_plain_bounds_reject_the_left_half_plane():
-    for fn in (gamma_ratio_bound, sqrt_pik_bound, quadratic_bound, ck_bound):
-        result = fn(2, complex(-1.0, 5.0))
+    for kind in PLAIN_KINDS:
+        result = rigorous_bound(kind, 2, complex(-1.0, 5.0), "stirling")
         assert result.applicable is False
         assert math.isinf(result.value)
 
@@ -169,14 +173,14 @@ def test_plain_bounds_reject_the_left_half_plane():
 def test_before_term_target_adds_one_to_the_normalized_form():
     z = complex(1.0, 4.0)
     for k in (1, 3, 9):
-        after = gamma_ratio_bound(k, z, Target.R_KP1)
-        before = gamma_ratio_bound(k, z, Target.R_K)
+        after = rigorous_bound(BoundKind.GAMMA_RATIO, k, z, "stirling", Target.R_KP1)
+        before = rigorous_bound(BoundKind.GAMMA_RATIO, k, z, "stirling", Target.R_K)
         assert before.normalized == pytest.approx(after.normalized + 1.0, rel=1e-9)
 
 
 def test_bound_values_scale_with_the_current_term():
     k, z = 4, complex(0.5, 7.0)
-    result = gamma_ratio_bound(k, z)
+    result = rigorous_bound(BoundKind.GAMMA_RATIO, k, z, "stirling")
     assert result.value == pytest.approx(
         result.normalized * abs(stirling_term(k, z)), rel=1e-12
     )
@@ -202,13 +206,13 @@ def test_a_modulus_past_the_double_range_meets_every_quadratic_rung():
 
 def test_bound_index_validation():
     with pytest.raises(DomainError):
-        gamma_ratio_bound(0, 1 + 1j)
+        rigorous_bound(BoundKind.GAMMA_RATIO, 0, 1 + 1j, "stirling")
     with pytest.raises(DomainError):
         best_bound(-3, 1 + 1j, "stirling")
     with pytest.raises(DomainError):
         best_bound(True, 3 + 1j, "stirling")
     with pytest.raises(DomainError):
-        literature_bound(BoundKind.HARE, True, 3 + 1j, Target.R_K)
+        rigorous_bound(BoundKind.HARE, True, 3 + 1j, "stirling", Target.R_K)
 
 
 # -- half-shifted family -----------------------------------------------------
@@ -216,25 +220,25 @@ def test_bound_index_validation():
 
 def test_half_family_transports_plain_bounds_with_the_eta_factor():
     k, z = 4, complex(3.0, 4.0)
-    plain = gamma_ratio_bound(k, z)
-    half = half_bound(k, z)
+    plain = rigorous_bound(BoundKind.GAMMA_RATIO, k, z, "stirling")
+    half = rigorous_bound(BoundKind.HALF_GAMMA_RATIO, k, z, "gauss")
     assert half.kind is BoundKind.HALF_GAMMA_RATIO
     assert half.normalized / plain.normalized == pytest.approx(eta(k), rel=1e-9)
 
 
 def test_half_family_keeps_the_ck_kind_name():
-    result = half_bound(3, 10.0 + 0j, base=BoundKind.CK_QUADRATIC)
+    result = rigorous_bound(BoundKind.CK_QUADRATIC, 3, 10.0 + 0j, "gauss")
     assert result.kind is BoundKind.CK_QUADRATIC
     with pytest.raises(DomainError):
-        half_bound(3, 10.0 + 0j, base=BoundKind.HARE)
+        rigorous_bound(BoundKind.HARE, 3, 10.0 + 0j, "gauss")
 
 
 # -- theta family ------------------------------------------------------------
 
 
 def test_theta_quadratic_requires_t_at_least_k():
-    assert theta_bound(8, 5.0, BoundKind.THETA_QUADRATIC).applicable is False
-    assert theta_bound(4, 5.0, BoundKind.THETA_QUADRATIC).applicable is True
+    assert rigorous_bound(BoundKind.THETA_QUADRATIC, 8, 5.0, "theta").applicable is False
+    assert rigorous_bound(BoundKind.THETA_QUADRATIC, 4, 5.0, "theta").applicable is True
 
 
 def test_theta_r_k_target_adds_the_current_term():
@@ -250,22 +254,21 @@ def test_theta_r_k_target_adds_the_current_term():
 
 
 def test_theta_bounds_reject_nonpositive_t():
-    assert theta_bound(3, 0.0).applicable is False
-    assert theta_bound(3, -2.0).applicable is False
+    for t in (0.0, -2.0):
+        bound = rigorous_bound(BoundKind.THETA_GAMMA_RATIO, 3, t, "theta")
+        assert bound.applicable is False
 
 
 # -- literature bounds -------------------------------------------------------
 
 
 def test_sector_bound_is_free_inside_the_quarter_sector():
-    inside = literature_bound(BoundKind.WHITTAKER_WATSON, 3, 4.0 + 1j, Target.R_K)
+    ww = BoundKind.WHITTAKER_WATSON
+    inside = rigorous_bound(ww, 3, 4.0 + 1j, "stirling", Target.R_K)
     assert inside.normalized == 1.0
-    outside = literature_bound(BoundKind.WHITTAKER_WATSON, 3, 1.0 + 4j, Target.R_K)
+    outside = rigorous_bound(ww, 3, 1.0 + 4j, "stirling", Target.R_K)
     assert outside.normalized > 1.0
-    assert (
-        literature_bound(BoundKind.WHITTAKER_WATSON, 3, -1.0 + 4j, Target.R_K).applicable
-        is False
-    )
+    assert rigorous_bound(ww, 3, -1.0 + 4j, "stirling", Target.R_K).applicable is False
 
 
 def test_sector_bound_wins_on_the_positive_real_axis():
@@ -276,27 +279,27 @@ def test_sector_bound_wins_on_the_positive_real_axis():
 
 def test_secant_power_bound_squares_away_from_the_axis():
     # sec(pi/4)^(2k) = 2^k on the imaginary axis.
-    result = literature_bound(BoundKind.STIELTJES, 3, 10j, Target.R_K)
+    result = rigorous_bound(BoundKind.STIELTJES, 3, 10j, "stirling", Target.R_K)
     assert result.normalized == pytest.approx(8.0, rel=1e-9)
-    assert literature_bound(BoundKind.STIELTJES, 3, 10j, Target.R_KP1).applicable is False
+    after = rigorous_bound(BoundKind.STIELTJES, 3, 10j, "stirling", Target.R_KP1)
+    assert after.applicable is False
 
 
 def test_next_term_relative_bound_only_serves_the_after_k_target():
-    ok = literature_bound(BoundKind.BEHNKE_SOMMER, 4, 6.0 + 1j, Target.R_KP1)
+    ok = rigorous_bound(BoundKind.BEHNKE_SOMMER, 4, 6.0 + 1j, "stirling", Target.R_KP1)
     assert ok.applicable
     assert "RELATIVE_TO_NEXT_TERM" in ok.flags
     assert ok.value == pytest.approx(
         ok.normalized * abs(stirling_term(5, 6.0 + 1j)), rel=1e-9
     )
-    assert (
-        literature_bound(BoundKind.BEHNKE_SOMMER, 4, 6.0 + 1j, Target.R_K).applicable
-        is False
-    )
+    before = rigorous_bound(BoundKind.BEHNKE_SOMMER, 4, 6.0 + 1j, "stirling", Target.R_K)
+    assert before.applicable is False
 
 
 def test_imaginary_part_bound_requires_a_nonreal_argument():
-    assert literature_bound(BoundKind.HARE, 3, 5.0 + 0j, Target.R_K).applicable is False
-    result = literature_bound(BoundKind.HARE, 3, 5.0 + 2j, Target.R_K)
+    real = rigorous_bound(BoundKind.HARE, 3, 5.0 + 0j, "stirling", Target.R_K)
+    assert real.applicable is False
+    result = rigorous_bound(BoundKind.HARE, 3, 5.0 + 2j, "stirling", Target.R_K)
     assert result.applicable and result.value > 0.0
 
 
@@ -367,7 +370,10 @@ def test_classical_bounds_bracket_their_exact_formulas():
             axis = rng.choice((0.0, 0.5, 1.0, -0.5)) * math.pi
             offset = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-13.0, -2.0)
             cases.append((k, cmath.rect(modulus, axis + offset)))
-    special = (complex(1e-300, 1.0), complex(-1.0, 1e-15), complex(-1.0, 1e-17))
+    # at 1e-309 + 1j Whittaker-Watson's |Im z|/Re z passes the double range
+    # though its product with the term does not
+    special = (complex(1e-300, 1.0), complex(1e-309, 1.0), complex(-1.0, 1e-15),
+               complex(-1.0, 1e-17))
     cases += [(k, z) for z in special for k in (1, 2, 3, 8, 30)]
     checked = dict.fromkeys(_CLASSICAL_CASES, 0)
     normal = dict.fromkeys(_CLASSICAL_CASES, 0)
@@ -376,15 +382,16 @@ def test_classical_bounds_bracket_their_exact_formulas():
             if kind is BoundKind.CONJECTURED_QUADRATIC:
                 bound = conjectured_bound(k, z, target)
             else:
-                bound = literature_bound(kind, k, z, target)
+                bound = rigorous_bound(kind, k, z, "stirling", target)
             if bound.applicable:
                 exact = _exact_classical(kind, k, z, target)
                 assert _brackets(bound.value, exact), (kind, target, k, z, bound.value)
                 checked[kind, target] += 1
                 normal[kind, target] += sys.float_info.min <= bound.value < math.inf
     for k in (1, 3, 8):
-        for z in special[1:]:
-            assert literature_bound(BoundKind.STIELTJES, k, z, Target.R_K).applicable
+        for z in special[2:]:
+            bound = rigorous_bound(BoundKind.STIELTJES, k, z, "stirling", Target.R_K)
+            assert bound.applicable
     assert min(checked.values()) > 1000 and min(normal.values()) > 100, (checked, normal)
 
 
@@ -427,7 +434,7 @@ def test_ladder_factors_are_ordered():
             assert c_k(k) < CK_LIMIT
         assert CK_LIMIT < math.pi / 2 <= _gamma_ratio(k) < math.sqrt(math.pi * k)
         quadratic, ratio, sqrt_pik = (
-            theta_bound(k, float(k), kind).normalized
+            rigorous_bound(kind, k, float(k), "theta").normalized
             for kind in (
                 BoundKind.THETA_QUADRATIC,
                 BoundKind.THETA_GAMMA_RATIO,
@@ -506,7 +513,7 @@ def test_plain_bounds_cover_the_exact_value_where_the_power_is_subnormal():
     # (1/z)^119 is subnormal at 270+360j while the bound is normal; a power
     # rounded there loses the bits the guard factors cannot cover.
     z = complex(270.0, 360.0)
-    bound = gamma_ratio_bound(60, z)
+    bound = rigorous_bound(BoundKind.GAMMA_RATIO, 60, z, "stirling")
     assert bound.value >= 3.9315887623e-216
     with mp.workdps(30):
         assert mp.mpf(bound.value) >= bound.normalized * _exact_stirling_term(60, z)
@@ -529,16 +536,16 @@ def test_theta_bounds_round_up_below_the_normal_range():
     for k, t in _theta_subnormal_band() + quadratic + large_k:
         exact = term_coefficient("theta", k) / Fraction(t) ** (2 * k - 1)
         for kind in THETA_KINDS:
-            bound = theta_bound(k, t, kind)
+            bound = rigorous_bound(kind, k, t, "theta")
             if bound.applicable:
                 assert Fraction(bound.value) >= Fraction(bound.normalized) * exact
     # The plain family too: at this z, T_12 underflows to 0 in doubles and
     # the quadratic products at k = 11 are seven subnormal steps and a bit.
     z = complex(80452098456526.69, -103566280334393.52)
     for bound, j in (
-        (ck_bound(11, z), 11),
-        (quadratic_bound(11, z), 11),
-        (literature_bound(BoundKind.BEHNKE_SOMMER, 11, z, Target.R_KP1), 12),
+        (rigorous_bound(BoundKind.CK_QUADRATIC, 11, z, "stirling"), 11),
+        (rigorous_bound(BoundKind.QUADRATIC, 11, z, "stirling"), 11),
+        (rigorous_bound(BoundKind.BEHNKE_SOMMER, 11, z, "stirling", Target.R_KP1), 12),
     ):
         assert bound.value < sys.float_info.min
         with mp.workdps(30):
@@ -610,9 +617,9 @@ THETA_KINDS = (
 
 
 def _uncached_theta_bound(k: int, t: float, kind: BoundKind) -> tuple[float, float] | None:
-    """``(value, normalized)`` of ``theta_bound`` formed inline as eta_k
-    times the plain factor times the term, with eta_k recomputed at every
-    call; None where refused."""
+    """``(value, normalized)`` of ``rigorous_bound`` at a theta kind, formed
+    inline as eta_k times the plain factor times the term, with eta_k
+    recomputed at every call; None where refused."""
     if kind is BoundKind.THETA_GAMMA_RATIO:
         factor = up(math.sqrt(math.pi) * math.exp(math.lgamma(k + 0.5) - math.lgamma(k)))
     elif kind is BoundKind.THETA_SQRT_PIK:
@@ -641,7 +648,7 @@ def test_cached_constants_give_the_bits_of_the_uncached_formulas():
             if want is not None and (k, t) in in_band:
                 assert brackets_exact_product(*want, "theta", k, complex(t)), (k, t, kind)
             for _ in range(2):
-                got = theta_bound(k, t, kind)
+                got = rigorous_bound(kind, k, t, "theta")
                 if want is None:
                     assert not got.applicable, (k, t, kind)
                     continue
@@ -660,9 +667,9 @@ def test_theta_rungs_are_the_half_family_rungs_at_t():
     # normalized factors bit for bit, and half the value wherever both
     # values are normal doubles.
     ladder = (
-        (BoundKind.QUADRATIC, BoundKind.THETA_QUADRATIC),
-        (BoundKind.GAMMA_RATIO, BoundKind.THETA_GAMMA_RATIO),
-        (BoundKind.SQRT_PIK, BoundKind.THETA_SQRT_PIK),
+        (BoundKind.HALF_QUADRATIC, BoundKind.THETA_QUADRATIC),
+        (BoundKind.HALF_GAMMA_RATIO, BoundKind.THETA_GAMMA_RATIO),
+        (BoundKind.HALF_SQRT_PIK, BoundKind.THETA_SQRT_PIK),
     )
     rng = random.Random(20261019)
     cases = [
@@ -675,7 +682,7 @@ def test_theta_rungs_are_the_half_family_rungs_at_t():
             rungs = applicable_bounds(k, t, "theta", target)
             assert [r.kind for r in rungs] == [kind for _, kind in ladder]
             for rung, (base, _) in zip(rungs, ladder):
-                half = half_bound(k, complex(t), target, base)
+                half = rigorous_bound(base, k, complex(t), "gauss", target)
                 assert rung.applicable is half.applicable, (k, t, base)
                 if not rung.applicable:
                     assert rung.reason == half.reason
@@ -683,6 +690,59 @@ def test_theta_rungs_are_the_half_family_rungs_at_t():
                 assert rung.normalized.hex() == half.normalized.hex(), (k, t, target, base)
                 if 4 * sys.float_info.min < half.value < math.inf:
                     assert rung.value * 2.0 == half.value, (k, t, target, base)
+
+
+#: The kinds ``rigorous_bound`` builds in each context, as the module
+#: docstring lists them.
+CONTEXT_KINDS = {
+    "stirling": PLAIN_KINDS + CLASSICAL_KINDS,
+    "gauss": (
+        BoundKind.CK_QUADRATIC, BoundKind.HALF_QUADRATIC, BoundKind.HALF_GAMMA_RATIO,
+        BoundKind.HALF_SQRT_PIK,
+    ),
+    "theta": THETA_KINDS,
+}
+
+
+@pytest.mark.parametrize("context", sorted(CONTEXT_KINDS))
+def test_rigorous_bound_reads_every_kind_of_its_context_by_value(context):
+    for kind in BoundKind:
+        if kind not in CONTEXT_KINDS[context]:
+            for request in (kind, kind.value):
+                with pytest.raises(DomainError):
+                    rigorous_bound(request, 3, 5.0 + 1.0j, context)
+            continue
+        for target in Target:
+            bound = rigorous_bound(kind, 3, 5.0 + 1.0j, context, target)
+            assert bound.kind is kind and bound.target is target
+            assert rigorous_bound(kind.value, 3, 5.0 + 1.0j, context, target.value) == bound
+
+
+def test_string_kinds_and_targets_select_what_the_enums_select():
+    z = 5.0 + 1.0j
+    half = rigorous_bound("half-gamma-ratio", 3, z, "gauss")
+    assert half == rigorous_bound(BoundKind.HALF_GAMMA_RATIO, 3, z, "gauss", Target.R_KP1)
+    assert half.normalized == 3.0402509551560226
+    # a string target used to be taken for the after-k-terms one
+    best = best_bound(3, z, "stirling", "before-k-th-term")
+    assert best == best_bound(3, z, "stirling", Target.R_K)
+    assert best.kind is BoundKind.WHITTAKER_WATSON and best.value == 2.3024811583113134e-07
+    for context in CONTEXT_KINDS:
+        by_value = applicable_bounds(3, z, context, "before-k-th-term")
+        assert by_value == applicable_bounds(3, z, context, Target.R_K)
+        assert all(b.target is Target.R_K for b in by_value)
+    conjectured = conjectured_bound(5, 50.0 + 0j, "after-k-terms")
+    assert conjectured == conjectured_bound(5, 50.0 + 0j, Target.R_KP1)
+    for call in (
+        lambda: rigorous_bound("no-such-kind", 3, z, "stirling"),
+        lambda: rigorous_bound(BoundKind.QUADRATIC, 3, z, "stirling", "after-k"),
+        lambda: rigorous_bound(BoundKind.QUADRATIC, 3, z, "fresnel"),
+        lambda: best_bound(3, z, "stirling", "after-k"),
+        lambda: applicable_bounds(3, z, "gauss", Target.R_K.name),
+        lambda: conjectured_bound(5, 50.0 + 0j, None),
+    ):
+        with pytest.raises(DomainError):
+            call()
 
 
 def test_best_bound_raises_when_nothing_applies():
@@ -702,18 +762,18 @@ def test_best_bound_raises_when_nothing_applies():
 )
 def test_an_argument_with_a_non_finite_part_has_no_applicable_bound(z):
     for target in Target:
-        for build in (gamma_ratio_bound, sqrt_pik_bound, quadratic_bound, ck_bound,
-                      half_bound, conjectured_bound):
-            assert build(5, z, target).applicable is False, build
-        for kind in bounds._CLASSICAL[Target.R_K] + bounds._CLASSICAL[Target.R_KP1]:
-            assert literature_bound(kind, 5, z, target).applicable is False, kind
+        for kind in PLAIN_KINDS + CLASSICAL_KINDS:
+            assert rigorous_bound(kind, 5, z, "stirling", target).applicable is False, kind
+        half = rigorous_bound(BoundKind.HALF_GAMMA_RATIO, 5, z, "gauss", target)
+        assert half.applicable is False
+        assert conjectured_bound(5, z, target).applicable is False
         for context in ("stirling", "gauss"):
             assert not any(b.applicable for b in applicable_bounds(5, z, context, target))
             with pytest.raises(DomainError, match="no applicable bound"):
                 best_bound(5, z, context, target)
     # theta reads the real part as its height
     t = math.nan if math.isfinite(z.real) else z.real
-    assert theta_bound(5, t).applicable is False
+    assert rigorous_bound(BoundKind.THETA_GAMMA_RATIO, 5, t, "theta").applicable is False
     with pytest.raises(DomainError, match="no applicable bound"):
         best_bound(5, complex(t, 0.0), "theta")
 

@@ -116,10 +116,11 @@ def test_lngamma_terms_and_accuracy_conflict_is_a_domain_error():
     assert json.loads(result.err)["error"]["type"] == "DomainError"
 
 
-def test_theta_terms_and_auto_conflict_is_a_domain_error():
-    result = run_cli("theta", "--t", "2", "--terms", "5", "--auto")
-    assert result.code == 2
-    assert json.loads(result.err)["error"]["type"] == "DomainError"
+def test_theta_auto_is_a_usage_error():
+    # The least-term index is the default, so there is no option to ask for it.
+    for argv in (("--auto",), ("--terms", "5", "--auto")):
+        with pytest.raises(SystemExit):
+            run_cli("theta", "--t", "2", *argv)
 
 
 def test_unattainable_accuracy_exits_with_the_accuracy_code():

@@ -14,7 +14,9 @@ Each family of points is required to have zero violations:
 * theta(t) in all three variants at heights log-uniform in [1e-6, 0.24],
   where auto mode sums one term;
 * both families at a fixed k in 21...999 with |z| >= k, so that the sum
-  runs the term-ratio recurrence at large k without a shift.
+  runs the term-ratio recurrence at large k without a shift;
+* the points where the objectives of ``test_worst_case_search.py`` peak,
+  pinned, so that a change which worsens them shows here too.
 
 The first three are evaluated at the default target and at one explicit
 target, 1e-14 to 1e-3 relative to a rough |value| + 1; a target below the
@@ -134,4 +136,44 @@ def test_fixed_large_k_values_contain_mpmath_loggamma():
             error = abs(mp.mpc(result.value) - truth)
             if not error <= result.radius:
                 found.append((z, k, half, float(error / result.radius)))
+    assert found == []
+
+
+#: Where each objective of ``test_worst_case_search.py`` peaks: the family,
+#: the argument and the request, with the ratio the search found there.
+WORST_SEARCH_POINTS = (
+    # error / radius at the default target: 0.4720 and 0.4576
+    ("stirling", complex(5.141561835437165, 7.054599194057702), {}),
+    ("gauss", complex(4.650198468642574, 5.250321430141674), {}),
+    # error / radius at an explicit accuracy: 0.9542 and 0.8422
+    ("stirling", complex(0.020303702608682365, -3.16221247857578),
+     {"accuracy": 1.4736462412394097e-06}),
+    ("gauss", complex(1.4645418346423205, 3.968939180339377),
+     {"accuracy": 1.4869356050729196e-07}),
+    # error / radius at a fixed k: 0.7781 and 0.9321
+    ("stirling", complex(0.9837601941142106, 0.17948782821230727), {"k": 5}),
+    ("gauss", complex(0.1913737658465736, 3.2443142341205484), {"k": 3}),
+    # fp error / fp charge at the default target: 0.0683 and 0.0651
+    ("stirling", complex(632727208190830.0, 0.0), {}),
+    ("gauss", complex(5.671985951684796, 10.670507504462192), {}),
+)
+#: The theta objective's peak: auto mode, error / radius 0.4266.
+WORST_SEARCH_T = 0.24735294023400756
+
+
+def test_the_worst_points_of_the_search_contain_mpmath():
+    found = []
+    with mp.workdps(50):
+        for family, z, request in WORST_SEARCH_POINTS:
+            half = family == "gauss"
+            result = (eval_lngamma_half if half else eval_lngamma)(z, **request)
+            truth = mp.loggamma(mp.mpc(z) + (mp.mpf(0.5) if half else 0))
+            error = abs(mp.mpc(result.value) - truth)
+            if not error <= result.radius:
+                found.append((family, z, request, float(error / result.radius)))
+        for variant in ThetaVariant:
+            result = eval_theta(WORST_SEARCH_T, variant=variant)
+            error = abs(mp.mpf(result.value) - mp.siegeltheta(WORST_SEARCH_T))
+            if not error <= result.radius:
+                found.append((WORST_SEARCH_T, variant, float(error / result.radius)))
     assert found == []

@@ -1,5 +1,6 @@
 """Checks that need a fresh interpreter: the certified path loads neither
-mpmath, the oracle nor the heavy standard modules, a cold least-term scan
+mpmath, the oracle nor the heavy standard modules, every name in the
+package's and each module's ``__all__`` resolves, a cold least-term scan
 grows the Bernoulli table once, and the import builds no table or cached
 constant (every CLI record pays for the import).
 
@@ -40,10 +41,15 @@ value = gammatheta.oracle_remainder(3 + 1j, 2, "stirling", 15)
 assert abs(complex(value)) > 0
 assert "mpmath" in sys.modules
 
-namespace = {}
-exec("from gammatheta import *", namespace)
-missing = [name for name in gammatheta.__all__ if name not in namespace]
-assert not missing, missing
+import importlib, pkgutil
+for module in ["gammatheta"] + [
+    f"gammatheta.{info.name}" for info in pkgutil.iter_modules(gammatheta.__path__)
+]:
+    namespace = {}
+    exec(f"from {module} import *", namespace)
+    public = importlib.import_module(module).__all__
+    missing = [name for name in public if name not in namespace]
+    assert not missing, (module, missing)
 print("ok")
 """
 

@@ -9,7 +9,7 @@ import pytest
 
 from gammatheta import ConsistencyError, DomainError
 from gammatheta.bernoulli import periodic_bernoulli
-from gammatheta.bounds import gamma_ratio_bound
+from gammatheta.bounds import BoundKind, rigorous_bound
 from gammatheta.oracle import (
     MAX_DIGITS,
     ConjectureSample,
@@ -170,6 +170,32 @@ def test_remainder_validates_its_arguments():
         oracle_remainder(2.0 + 0j, 3, "laplace", 20)
 
 
+_INF, _NAN = math.inf, math.nan
+
+
+@pytest.mark.parametrize(
+    ("call", "args"),
+    [
+        (oracle_remainder, (complex(1.0, _INF), 3, "stirling", 15)),
+        (oracle_remainder, (complex(1.0, _NAN), 3, "stirling", 15)),
+        (oracle_remainder, (complex(_INF, 1.0), 3, "gauss", 15)),
+        (oracle_theta_remainder, (3, _INF, 15)),
+        (sharpness_ratio, (3, _INF)),
+        (oracle_lngamma, (complex(_NAN, 1.0), 15)),
+        (oracle_lngamma, (complex(1.0, _INF), 15)),
+        (oracle_lngamma, (complex(_INF, 0.0), 15)),
+    ],
+    ids=[
+        "remainder-inf-im", "remainder-nan-im", "remainder-inf-re", "theta-remainder-inf",
+        "sharpness-inf", "lngamma-nan-re", "lngamma-inf-im", "lngamma-inf-re",
+    ],
+)
+def test_non_finite_arguments_are_domain_errors(call, args):
+    # refused up front, not as a conversion error or after shift retries
+    with pytest.raises(DomainError, match="finite"):
+        call(*args)
+
+
 def test_half_family_remainder_real_part_is_k_independent_on_the_axis():
     # Re R-hat_k(it) = -log(1 + e^(-2 pi t)) / 2 for every k.
     for t in (0.5, 2.0):
@@ -185,7 +211,7 @@ def test_half_family_remainder_real_part_is_k_independent_on_the_axis():
 def test_remainder_magnitude_respects_the_proven_bound():
     for k, z in ((2, 0.5 + 4j), (6, 9.0 + 0j)):
         truth = abs(oracle_remainder(z, k, "stirling", 20))
-        assert truth <= gamma_ratio_bound(k, z).value
+        assert truth <= rigorous_bound(BoundKind.GAMMA_RATIO, k, z, "stirling").value
 
 
 # -- theta -------------------------------------------------------------------
@@ -244,7 +270,8 @@ def test_sharpness_ratio_validates_and_stays_under_the_general_bound():
         sharpness_ratio(3, 0.0)
     k, y = 3, 5.0
     ratio = sharpness_ratio(k, y, 20)
-    assert 0.0 < ratio <= gamma_ratio_bound(k, complex(0.0, y)).normalized
+    bound = rigorous_bound(BoundKind.GAMMA_RATIO, k, complex(0.0, y), "stirling")
+    assert 0.0 < ratio <= bound.normalized
 
 
 def test_remainder_on_the_imaginary_axis_splits_into_closed_form_and_series_parts():
