@@ -500,11 +500,9 @@ def _classical(kind: BoundKind, k: int, z: complex, target: Target) -> BoundResu
             return _not_applicable(kind, target, "requires Im(z) != 0")
         factor = up(4.0 * _gamma_ratio(k), _CHAINS)
         value = _times_term(factor, "stirling", k, complex(0.0, y))
-        if value == math.inf:
-            return _not_applicable(kind, target, "bound value exceeds double range")
         term = stirling_term(k, z)
         at = math.hypot(term.real, term.imag)
-        normalized = up(value / at, 2) if at > 0 else math.inf
+        normalized = up(value / at, 2) if at > 0 and value < math.inf else math.inf
         return BoundResult(kind, target, value, normalized)
 
     factor, scale = 1.0, 0
@@ -530,9 +528,10 @@ def _classical(kind: BoundKind, k: int, z: complex, target: Target) -> BoundResu
             sec2 = 2.0 * modulus * (modulus - ratio)
         else:
             return _not_applicable(kind, target, "requires |arg z| < pi")
-        if not k * math.log(sec2) <= 700.0:
-            return _not_applicable(kind, target, "bound value exceeds double range")
-        factor = up(sec2**k, _CHAINS)
+        # sec^2k = m^k 2^(ek) from sec^2 = m 2^e: 2^(ek) joins the term's
+        # ldexp, and m^k >= 2^-k stays normal for every k the term allows
+        mantissa, exponent = math.frexp(sec2)
+        factor, scale = up(mantissa**k, _CHAINS), exponent * k
     value = _times_term(factor, "stirling", k, z, scale)
     try:
         normalized = math.ldexp(factor, scale)

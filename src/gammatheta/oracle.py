@@ -11,7 +11,11 @@ Everything the fast certified path is tested against lives here:
   ``-(1/2k) \\int_0^U B_2k({u + offset}) (z+u)^{-2k} du`` plus the series
   continuation of the remainder at ``z + U`` (an integer shift leaves the
   periodic kernel invariant).  The two must agree or a consistency error is
-  raised.
+  raised.  Method (b)'s quadrature error is proven, not estimated: its
+  20-point Gauss-Legendre panels are chosen before any node is evaluated,
+  by bisecting the kernel's polynomial pieces until each panel's bound on
+  a Bernstein ellipse, plus its rounding, is within its share of the
+  budget; each panel is then summed once.
 * ``oracle_theta`` / ``oracle_theta_remainder`` — the theta function from
   the half-shifted log-Gamma on the critical line, cross-checked for small
   ``t`` against the defining arg-Gamma form.
@@ -75,6 +79,24 @@ _SERIES_INDEX_CAP = _bernoulli_mod.MAX_INDEX // 2
 #: series remainder and is left out).
 SHARPNESS_SPOTS = ((90, 100.0 / math.pi), (383, 400.0 / math.pi))
 
+#: Gauss-Legendre nodes per quadrature panel.
+_NODES = 20
+#: Deepest bisection of a unit piece, and most error bounds, one mesh may use.
+_MAX_LEVEL = 60
+_MAX_CHECKS = 1 << 16
+#: Fraction bits beyond ``prec + level`` in the node loop and the kernel.
+_GUARD_BITS = 10
+#: Just below the least node of the 20-point rule on [0, 1], 0.0034357004...
+_FIRST_NODE_DOWN = 0.0034357
+_LOG_2 = math.log(2.0)
+_LOG_2PI = math.log(2.0 * math.pi)
+_LOG_GAUSS = math.log(64.0 / 15.0)
+#: A relative upward margin for doubles, and the one added to the log of a
+#: panel's error bound, far above the roundings of its terms (each under
+#: 1e-11 absolute, every term being below 1e5 in magnitude).
+_UP = 1.0 + 2.0**-40
+_LOG_SLACK = 1e-6
+
 _cache_lock = threading.Lock()
 _coeff_cache: dict[tuple[str, int, int], mpf] = {}
 _nodes_cache: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
@@ -112,11 +134,13 @@ def stats() -> dict[str, int]:
     """Snapshot of the oracle's work counters.
 
     ``remainders``: :func:`oracle_remainder` calls.  For method (b)'s
-    quadrature: ``panels`` (half-unit panels), ``levels`` (refinement levels
-    summed over all panels, level 0 included), ``node_evaluations``
-    (quadrature nodes at which (z+u)^(-2k) was formed), ``kernel_evaluations``
-    (values of the Bernoulli polynomial computed) and ``deepest_level`` (the
-    deepest refinement level any panel reached).  ``lngamma_cache_hits``:
+    quadrature: ``panels`` (panels summed), ``levels`` (panel error bounds
+    evaluated while choosing the panels: one per panel summed and one per
+    bisection), ``node_evaluations`` (quadrature nodes at which (z+u)^(-2k)
+    was formed, 20 per panel), ``kernel_evaluations`` (values of the
+    Bernoulli polynomial computed) and ``deepest_level`` (the deepest
+    bisection of a unit piece any panel reached; the gauss family's end
+    pieces are halves, level 1).  ``lngamma_cache_hits``:
     :func:`oracle_lngamma` calls answered from its cache.  ``shift_retries``:
     shifts grown because a series tail did not certify, in
     :func:`oracle_lngamma` and in method (b).
@@ -385,25 +409,26 @@ def _tail_series(w: mpc, k: int, family: str, tau: mpf):
 
 
 class _PeriodicKernel:
-    """B_2k({u + offset}) at the Gauss-Legendre nodes of half-unit panels,
-    in fixed point.
+    """B_2k(1/2 + y) at the Gauss-Legendre nodes of a panel, in fixed point.
 
-    Panels are half-integer, so at refinement level L (2^L pieces of 20
-    nodes) the node of piece i with unit node x_n has
-    {u + offset} = base + (i + x_n) / 2^(L+1), where ``base`` is 0 or 1/2
-    and depends only on the parity of the panel index and the family's
-    offset.  One table per (base, level) therefore serves every panel of
-    that parity.  Values are integers scaled by ``2**exp``, with ``exp``
-    about ``prec`` bits under |B_2k|.  The Horner recursion runs in
-    y^2 = ({u + offset} - 1/2)^2 on integers with floor rounding and at least
-    ``prec`` fraction bits, so its absolute error is below
-    ``2(k+1) * 2**exp``.  Tables live as long as the instance: one
-    remainder call.
+    Between two breakpoints of the periodic kernel (integers for the plain
+    family, half-integers for the shifted one) B_2k({u + offset}) is the one
+    polynomial B_2k(1/2 + y) with y = u - c, c the centre of the unit piece
+    [c - 1/2, c + 1/2].  A panel is that piece bisected ``level`` times, at
+    place ``index``, so the node with unit node x_n has
+    y = -1/2 + (index + x_n) / 2^level whatever the piece: one table per
+    (level, index) serves that place in every piece.  Values are integers
+    scaled by ``2**exp``, with ``exp`` about ``prec`` bits under |B_2k|.  The
+    Horner recursion runs in y^2 on integers with floor rounding and
+    ``prec + level + _GUARD_BITS`` fraction bits.  For |y| <= 1/2 its partial
+    sums stay below cosh(2 pi) |B_2k| (see :func:`_panel_log_error`), under
+    2^(prec+10) units, so each step adds under 2.6 units to a quarter of
+    the error carried in, and every value is within 4 units of ``2**exp``.
+    Tables live as long as the instance: one remainder call.
     """
 
-    def __init__(self, k: int, family: str, prec: int) -> None:
+    def __init__(self, k: int, prec: int) -> None:
         self.prec = prec
-        self.offset2 = 0 if family == "stirling" else 1  # 2 * offset
         table = shared_table()
         b = table.number(2 * k)
         # within one of log2 |B_2k|, minus prec
@@ -413,40 +438,32 @@ class _PeriodicKernel:
         self.evaluations = 0
         self._weighted: dict[tuple[int, int], list[int]] = {}
 
-    def base(self, m: int) -> int:
-        """2 {m/2 + offset}: 0 or 1, the base of panel m in half units."""
-        return (m + self.offset2) & 1
-
-    def values(self, base: int, level: int) -> list[int]:
-        """B_2k at every node of the level, piece-major, scaled by 2**exp."""
-        frac = self.prec + level + 1
-        # y = {u + offset} - 1/2, with frac fraction bits
-        start = (base - 1) << (frac - 1)
+    def values(self, level: int, index: int) -> list[int]:
+        """B_2k at the panel's nodes, scaled by 2**exp."""
+        frac = self.prec + level + _GUARD_BITS
+        # y = -1/2 + (index + x_n) / 2^level, with frac fraction bits
+        start = (index << (self.prec + _GUARD_BITS)) - (1 << (frac - 1))
         head, *rest = self.coeffs
         out = []
-        for i in range(1 << level):
-            piece = start + (i << self.prec)
-            for node in self.nodes:
-                y = piece + node
-                y2 = (y * y) >> frac
-                acc = head
-                for c in rest:
-                    acc = ((acc * y2) >> frac) + c
-                out.append(acc)
+        for node in self.nodes:
+            y = start + (node << _GUARD_BITS)
+            y2 = (y * y) >> frac
+            acc = head
+            for c in rest:
+                acc = ((acc * y2) >> frac) + c
+            out.append(acc)
         self.evaluations += len(out)
         return out
 
-    def weighted(self, base: int, level: int) -> list[int]:
-        """Kernel value times Gauss weight at every node, scaled by 2**exp."""
-        key = (base, level)
+    def weighted(self, level: int, index: int) -> list[int]:
+        """Kernel value times Gauss weight at the panel's nodes, scaled by
+        2**exp."""
+        key = (level, index)
         table = self._weighted.get(key)
         if table is None:
             prec = self.prec
-            weights = self.weights
-            table = [
-                (v * weights[j % 20]) >> prec
-                for j, v in enumerate(self.values(base, level))
-            ]
+            values = self.values(level, index)
+            table = [(v * w) >> prec for v, w in zip(values, self.weights)]
             self._weighted[key] = table
         return table
 
@@ -466,61 +483,169 @@ def _scaled(c: Fraction, frac: int) -> int:
     return c.numerator // (c.denominator << -frac)
 
 
-def _level_sum(
-    kernel: _PeriodicKernel, m: int, level: int, zr: int, zi: int, two_k: int
-) -> tuple[int, int, int]:
-    """Sum over the level's nodes in panel [m/2, (m+1)/2] of
-    weight * B_2k({u + offset}) * (z+u)^(-2k), as (re, im, exp).
+def _panel_sum(
+    kernel: _PeriodicKernel, zz: mpc, two_k: int, c2: int, level: int, index: int
+) -> mpc:
+    """1/(2k) times the 20-node Gauss-Legendre sum of
+    B_2k(1/2 + u - c) (z+u)^(-2k) over panel ``index`` at ``level`` of the
+    unit piece centred at c = c2/2.
 
-    ``zr`` and ``zi`` carry ``prec + 24`` fraction bits, enough for the
-    relative precision of z+u at the smallest node of level 12.  Each node
-    raises z+u to the power 2k by squaring, keeping ``prec`` bits after
-    every multiply, inverts once and multiplies by the weighted kernel.
-    The terms are added at one exponent, two above the first node's: |z+u|
-    grows along the panel (Re z >= 0), so a later node's (z+u)^(-2k) is no
-    larger, its normalized exponent exceeds the first node's by at most 1,
-    and no shift is negative.
+    z+u is formed with ``prec + level + _GUARD_BITS`` fraction bits: every
+    node lies above 2^-9 of the panel's width from its left end, and
+    Re z >= 0, so |z+u| keeps at least ``prec`` bits.  Each node raises z+u
+    to the power 2k by squaring, keeping ``prec`` bits after every multiply,
+    inverts once and multiplies by the weighted kernel.  The terms are added
+    at one exponent, two above the first node's: |z+u| grows along the
+    panel, so a later node's (z+u)^(-2k) is no larger, its normalized
+    exponent exceeds the first node's by at most 1, and no shift is
+    negative.
     """
     prec = kernel.prec
-    frac = prec + 24
-    table = kernel.weighted(kernel.base(m), level)
-    start = m << (frac - 1)
-    spread = 23 - level
+    frac = prec + level + _GUARD_BITS
+    start = (
+        _fixed(zz.real, frac) + ((c2 - 1) << (frac - 1)) + (index << (frac - level))
+    )
+    zi = _fixed(zz.imag, frac)
     bits = bin(two_k)[3:]  # after the leading one, most significant first
     acc_re = acc_im = 0
     scale = None
-    j = 0
-    for i in range(1 << level):
-        piece = start + (i << (prec + spread))
-        for node in kernel.nodes:
-            a = zr + piece + (node << spread)
-            b = zi
-            s = max(a.bit_length(), b.bit_length()) - prec
-            a >>= s
-            b >>= s
-            e = s - frac
-            ra, rb, re_ = a, b, e
-            for bit in bits:
-                ra, rb = ra * ra - rb * rb, (ra * rb) << 1
-                re_ <<= 1
-                if bit == "1":
-                    ra, rb = ra * a - rb * b, ra * b + rb * a
-                    re_ += e
-                s = max(ra.bit_length(), rb.bit_length()) - prec
-                ra >>= s
-                rb >>= s
-                re_ += s
-            d = ra * ra + rb * rb
-            t = table[j]
-            j += 1
-            ia = ((ra << (2 * prec)) // d) * t
-            ib = ((-rb << (2 * prec)) // d) * t
-            ie = -re_ - 2 * prec
-            if scale is None:
-                scale = ie + 2
-            acc_re += ia >> (scale - ie)
-            acc_im += ib >> (scale - ie)
-    return acc_re, acc_im, scale + kernel.exp - level - 1
+    for node, t in zip(kernel.nodes, kernel.weighted(level, index)):
+        a = start + (node << _GUARD_BITS)
+        b = zi
+        s = max(a.bit_length(), b.bit_length()) - prec
+        a >>= s
+        b >>= s
+        e = s - frac
+        ra, rb, re_ = a, b, e
+        for bit in bits:
+            ra, rb = ra * ra - rb * rb, (ra * rb) << 1
+            re_ <<= 1
+            if bit == "1":
+                ra, rb = ra * a - rb * b, ra * b + rb * a
+                re_ += e
+            s = max(ra.bit_length(), rb.bit_length()) - prec
+            ra >>= s
+            rb >>= s
+            re_ += s
+        d = ra * ra + rb * rb
+        ia = ((ra << (2 * prec)) // d) * t
+        ib = ((-rb << (2 * prec)) // d) * t
+        ie = -re_ - 2 * prec
+        if scale is None:
+            scale = ie + 2
+        acc_re += ia >> (scale - ie)
+        acc_im += ib >> (scale - ie)
+    exp = scale + kernel.exp - level
+    return mpc(mpf((acc_re, exp)), mpf((acc_im, exp))) / two_k
+
+
+def _panel_log_error(
+    x: float, y: float, k: int, prec: int, c2: int, level: int, index: int
+) -> float:
+    """Natural log of a proven bound on the error of :func:`_panel_sum` at
+    z = x + iy (x >= 0) against 1/(2k) times the panel's exact integral.
+
+    Let hw be the panel's half width, rho_p the parameter of the Bernstein
+    ellipse (foci at the panel's ends) through the pole u = -z, and
+    1 < rho < rho_p.  On E_rho:
+
+    * |B_2k(1/2 + y)| <= sum_j |q_j| Y^(2j) <= 2 (2k)! e^(2 pi Y) / (2 pi)^2k,
+      with q_j the ``half_coefficients`` and Y = |y at the centre| +
+      hw (rho + 1/rho) / 2, because |B_2j(1/2)| < 2 (2j)! / (2 pi)^2j (the
+      middle sum is at most cosh(2 pi Y) times the constant);
+    * |z + u| >= hw (rho_p - rho)(1 - 1/(rho rho_p)) / 2.
+
+    With M the quotient of the two, the 20-point rule errs by at most
+    hw (64/15) M rho^-38 / (rho^2 - 1) (Trefethen, *Approximation Theory and
+    Approximation Practice*, Thm 19.3, with n + 1 = 20 points).  Nodes and
+    weights floored to ``prec`` bits add hw M 2^(2-prec) (20 + 2/sinh log rho):
+    by Cauchy, f moves by at most M / (hw sinh log rho) per unit of u, the
+    semi-minor axis being hw sinh log rho.  rho is the root in (0, rho_p) of
+    pi hw + 2k / (rho_p - rho) = 38 / rho (rho_p capped at e^300), where the
+    leading terms of the bound's logarithm balance.  Rounding adds under
+    2 hw B D^-2k 2^-prec (24k + 340 + 2^22), with B the majorant above on
+    the real panel and D the pole's distance to the first node: in the
+    fixed-point node loop, power by squaring errs by under 20k 2^-prec
+    relative, the inversion by 2^(1-prec) and the weighted kernel by 5
+    units of its 2**exp per node; the conversion to an mpc and the division
+    by 2k, at the working precision of prec - 20 bits, by 2^(22-prec).  A
+    sum of two terms is taken as twice the larger.  Every term is a
+    logarithm, so nothing overflows at any k, and the result is raised by a
+    margin that covers the roundings of the doubles.
+    """
+    hw = math.ldexp(1.0, -level - 1)
+    left = (c2 - 1) / 2 + index * 2 * hw
+    xa = x + left
+    xb = xa + 2 * hw
+    d1, d2 = math.hypot(xa, y), math.hypot(xb, y)
+    # d1 + d2 - 2hw and rho_p - 1 as sums of nonnegative terms (no cancellation)
+    s = d1 + xa + y * (y / (d2 + xb))
+    log_rho_p = math.log1p((s + math.sqrt(s) * math.sqrt(d1 + d2 + 2 * hw)) / (2 * hw))
+    log_rho_p *= 1.0 - 2.0**-40
+    two_k = 2 * k
+    log_hw = math.log(hw)
+    log_scale = _LOG_2 + math.lgamma(two_k + 1) - two_k * _LOG_2PI
+    mid = abs(left + hw - c2 / 2)
+    floors = (2 - prec) * _LOG_2
+    rho_p = math.exp(min(log_rho_p, 300.0))
+    b = math.pi * hw * rho_p + two_k + 38
+    rho = 76 * rho_p / (b + math.sqrt(b * b - 152 * math.pi * hw * rho_p))
+    lr = math.log(rho)
+    quadrature = math.inf
+    if 1e-6 < lr < min(log_rho_p, 700.0):
+        rho = math.exp(lr)
+        ratio = math.expm1(lr) * (1 + 1 / rho)  # (rho^2 - 1) / rho
+        log_pole = (
+            log_hw - _LOG_2 + log_rho_p
+            + math.log(math.expm1(lr - log_rho_p) * math.expm1(-lr - log_rho_p))
+        )
+        big_y = (mid + hw * (rho + 1 / rho) / 2) * _UP
+        log_m = log_scale + 2 * math.pi * big_y - two_k * log_pole
+        rule = _LOG_GAUSS - 39 * lr - math.log(ratio)
+        quadrature = log_hw + log_m + max(rule, floors + math.log(20 + 4 / ratio))
+    big_b = log_scale + 2 * math.pi * (mid + hw) * _UP
+    first = math.hypot(xa + _FIRST_NODE_DOWN * 2 * hw, y) / _UP
+    loop = (
+        log_hw + _LOG_2 + big_b - two_k * math.log(first) + floors - 2 * _LOG_2
+        + math.log(24 * k + 340 + (1 << 22))
+    )
+    return max(quadrature, loop) + _LOG_2 - math.log(two_k) + _LOG_SLACK
+
+
+def _mesh(
+    z: complex, k: int, family: str, shift: int, prec: int, log_budget: float
+) -> tuple[list[tuple[int, int, int]], int]:
+    """The panels (c2, level, index) of [0, shift], left to right, and the
+    number of error bounds evaluated to choose them.
+
+    The mesh starts from the kernel's polynomial pieces: the unit intervals
+    centred at c = c2/2 between its breakpoints, integers for ``stirling``
+    and half-integers for ``gauss``, whose first and last pieces are halves
+    (level 1).  A panel is bisected while :func:`_panel_log_error` exceeds
+    its share of the budget, ``log_budget`` plus the log of its width; no
+    node is evaluated.
+    """
+    if family == "stirling":
+        todo = [(2 * n + 1, 0, 0) for n in range(shift)]
+    else:
+        todo = [(0, 1, 1), *((2 * n, 0, 0) for n in range(1, shift)), (2 * shift, 1, 0)]
+    todo.reverse()
+    mesh = []
+    checks = 0
+    while todo:
+        c2, level, index = panel = todo.pop()
+        checks += 1
+        share = log_budget - level * _LOG_2
+        if _panel_log_error(z.real, z.imag, k, prec, *panel) <= share:
+            mesh.append(panel)
+        elif level == _MAX_LEVEL or checks == _MAX_CHECKS:
+            raise ResourceLimitError(
+                f"remainder oracle's quadrature mesh at z={z}, k={k} needs panels "
+                f"finer than 2^-{_MAX_LEVEL} or more than {_MAX_CHECKS} panel bounds"
+            )
+        else:
+            todo += ((c2, level + 1, 2 * index + 1), (c2, level + 1, 2 * index))
+    return mesh, checks
 
 
 def _remainder_by_integral(z: complex, k: int, family: str, digits: int, log_t: float):
@@ -528,15 +653,16 @@ def _remainder_by_integral(z: complex, k: int, family: str, digits: int, log_t: 
     continuation of the remainder at z + U.
 
     U adapts upward until the continuation's tail certificate reaches the
-    target; panels are half-integer so every kernel breakpoint (integers for
-    the plain family, half-integers for the shifted one) is a panel edge.
-    Each panel is bisected until two successive refinement levels agree
-    within ``panel_tol``.  The kernel B_2k({u + offset}) is evaluated once
-    per node position and level (:class:`_PeriodicKernel`); the node loop
-    (:func:`_level_sum`) runs in fixed point at ``mp.prec + 20`` bits.
+    target.  The panels are chosen before any node is evaluated
+    (:func:`_mesh`), so that the proven quadrature and rounding error of
+    each is within its width's share of 10^(log_t - digits - 8), and each
+    is summed once.  The kernel B_2k({u + offset}) is evaluated once per
+    panel place within a piece (:class:`_PeriodicKernel`); the node loop
+    (:func:`_panel_sum`) runs in fixed point at ``mp.prec + 20`` bits.
     """
     wp = digits + 25
-    panels = levels = nodes = deepest = retries = 0
+    mesh: list[tuple[int, int, int]] = []
+    levels = retries = 0
     kernel = None
     try:
         with mp.workdps(wp):
@@ -565,35 +691,13 @@ def _remainder_by_integral(z: complex, k: int, family: str, digits: int, log_t: 
             tail_sum, tail_terms, _ = tail
 
             prec = mp.mp.prec + 20
-            kernel = _PeriodicKernel(k, family, prec)
-            zr = _fixed(zz.real, prec + 24)
-            zi = _fixed(zz.imag, prec + 24)
+            log_budget = (log_t - digits - 8) * _LN10 - math.log(shift)
+            mesh, levels = _mesh(z, k, family, shift, prec, log_budget)
+            kernel = _PeriodicKernel(k, prec)
             two_k = 2 * k
-
-            def level_value(m: int, level: int) -> mpc:
-                re_, im_, exp = _level_sum(kernel, m, level, zr, zi, two_k)
-                return mpc(mpf((re_, exp)), mpf((im_, exp))) / two_k
-
-            panel_tol = mpf(10) ** (log_t - digits - 8) / (2 * shift)
             integral = mpc(0)
-            for m in range(2 * shift):
-                panels += 1
-                prev = level_value(m, 0)
-                levels += 1
-                nodes += 20
-                for level in range(1, 13):
-                    cur = level_value(m, level)
-                    levels += 1
-                    nodes += 20 << level
-                    deepest = max(deepest, level)
-                    if abs(cur - prev) <= panel_tol:
-                        break
-                    prev = cur
-                else:
-                    raise ConsistencyError(
-                        f"quadrature panel [{m / 2}, {(m + 1) / 2}] failed to stabilize"
-                    )
-                integral += cur
+            for panel in mesh:
+                integral += _panel_sum(kernel, zz, two_k, *panel)
 
             value = -integral + tail_sum
             crude_fr = abs(bernoulli_number(2 * k)) / (2 * k * (2 * k - 1))
@@ -603,12 +707,12 @@ def _remainder_by_integral(z: complex, k: int, family: str, digits: int, log_t: 
             return value, tail_sum, tail_terms, shift, crude
     finally:
         _count(
-            panels=panels,
+            panels=len(mesh),
             levels=levels,
-            node_evaluations=nodes,
+            node_evaluations=_NODES * len(mesh),
             kernel_evaluations=kernel.evaluations if kernel else 0,
             shift_retries=retries,
-            deepest_level=deepest,
+            deepest_level=max((level for _, level, _ in mesh), default=0),
         )
 
 

@@ -355,6 +355,29 @@ def _brackets(value: float, exact) -> bool:
         return exact <= value and low <= top
 
 
+def test_secant_power_bound_is_finite_where_only_its_factor_overflows():
+    # sec^2(arg z/2)^16 is about 1.6e339 at -100 + 1e-8j, past the double
+    # range, but times |T_16| the bound is finite
+    k, z = 16, complex(-100.0, 1e-8)
+    bound = rigorous_bound(BoundKind.STIELTJES, k, z, "stirling", Target.R_K)
+    assert bound.applicable and bound.normalized == math.inf
+    exact = _exact_classical(BoundKind.STIELTJES, k, z, Target.R_K)
+    assert _brackets(bound.value, exact)
+    assert 6.5e274 < bound.value < 6.6e274
+
+
+def test_imaginary_part_bound_past_the_double_range_is_an_applicable_inf():
+    # as every other rung and classical bound reports an overflowing value
+    k, z = 55, complex(0.00806425214991658, 0.004549023565963028)
+    for kind in (BoundKind.HARE, BoundKind.GAMMA_RATIO, BoundKind.WHITTAKER_WATSON):
+        bound = rigorous_bound(kind, k, z, "stirling", Target.R_K)
+        assert bound.applicable, kind
+        assert bound.value == math.inf
+    hare = rigorous_bound(BoundKind.HARE, k, z, "stirling", Target.R_K)
+    assert hare.normalized == math.inf
+    assert _exact_classical(BoundKind.HARE, k, z, Target.R_K) > sys.float_info.max
+
+
 def test_classical_bounds_bracket_their_exact_formulas():
     # Each classical and conjectured value is its factor from the parts of z
     # times one term modulus: at least the exact formula and within the guard

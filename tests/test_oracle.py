@@ -7,7 +7,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from gammatheta import ConsistencyError, DomainError
+from gammatheta import ConsistencyError, DomainError, ResourceLimitError
 from gammatheta.bernoulli import periodic_bernoulli
 from gammatheta.bounds import BoundKind, rigorous_bound
 from gammatheta.oracle import (
@@ -26,7 +26,13 @@ from gammatheta.oracle import (
     stats,
     theta_series_value,
 )
-from gammatheta.oracle import _gl_nodes_01, _PeriodicKernel
+from gammatheta.oracle import (
+    _FIRST_NODE_DOWN,
+    _gl_nodes_01,
+    _panel_log_error,
+    _panel_sum,
+    _PeriodicKernel,
+)
 
 
 # -- lngamma -----------------------------------------------------------------
@@ -95,27 +101,105 @@ def test_remainder_equals_reference_minus_partial_sum():
         assert abs(got - total) <= abs(total) * mp.mpf(10) ** (-30)
 
 
+@pytest.mark.parametrize("z", [1e-5j, 1e-8j])
+def test_remainder_next_to_the_origin_equals_reference_minus_partial_sum(z):
+    # The pole of (z+u)^(-2k) at u = -z sits next to the first panel; the
+    # mesh grades towards it instead of refusing.
+    k, digits = 1, 15
+    got = oracle_remainder(z, k, "stirling", digits)
+    with mp.workdps(digits + 25):
+        zz = mp.mpc(z)
+        main = (zz - mp.mpf(1) / 2) * mp.log(zz) - zz + mp.log(2 * mp.pi) / 2
+        total = mp.loggamma(zz) - main - mp.bernoulli(2) / (2 * zz)
+        assert abs(got - total) <= abs(total) * mp.mpf(10) ** (-(digits - 2))
+
+
+def test_a_mesh_past_its_depth_cap_is_a_resource_limit():
+    # At 1e-20i the mesh would need panels narrower than 2^-60 next to the
+    # pole: refused up front, with no node evaluated.
+    clear_caches()
+    with pytest.raises(ResourceLimitError, match="quadrature mesh"):
+        oracle_remainder(1e-20j, 1, "stirling", 15)
+    assert stats()["node_evaluations"] == 0
+
+
+def _exact_panel(k, family, z, c2, level, index, digits):
+    """1/(2k) times the panel's integral of B_2k({u + offset}) (z+u)^(-2k),
+    by tanh-sinh quadrature at ``digits``."""
+    offset = mp.mpf(0) if family == "stirling" else mp.mpf(1) / 2
+    with mp.workdps(digits):
+        zz = mp.mpc(z)
+        left = mp.mpf(c2 - 1) / 2 + mp.mpf(index) / 2**level
+        right = left + mp.mpf(1) / 2**level
+        if k <= 16:
+            kernel = lambda u: periodic_bernoulli(2 * k, u + offset)  # noqa: E731
+        else:
+            # periodic_bernoulli rounds B_766 exactly, from integers of some
+            # 10^5 bits (0.2 s a call at 90 digits); mpmath's own polynomial
+            # is as independent of the kernel tables and 50 times faster
+            kernel = lambda u: mp.bernpoly(2 * k, mp.frac(u + offset))  # noqa: E731
+        # mp.quad stops on an absolute error estimate, so the integrand is
+        # scaled to order one
+        scale = abs(mp.bernoulli(2 * k)) * abs(zz + left) ** (-2 * k)
+        value = mp.quad(lambda u: kernel(u) * (zz + u) ** (-2 * k) / scale, [left, right])
+        return value * scale / (2 * k)
+
+
+_PANELS = (
+    # nested panels [0, 2^-L] next to the pole at -0.1i
+    [(2, "stirling", 0.1j, 1, level, 0) for level in range(6)]
+    + [
+        (9, "stirling", 0.5 + 10j, 1, 0, 0),
+        (9, "stirling", 0.5 + 10j, 25, 0, 0),
+        (16, "gauss", 5 + 0j, 0, 1, 1),
+        (16, "gauss", 5 + 0j, 2, 0, 0),
+        (16, "gauss", 5 + 0j, 2, 2, 3),
+        (383, "stirling", 127.32j, 1, 0, 0),
+    ]
+)
+
+
+@pytest.mark.parametrize(("k", "family", "z", "c2", "level", "index"), _PANELS)
+def test_panel_error_bound_holds(k, family, z, c2, level, index):
+    # The 20-node panel sum at 45 digits differs from the panel's integral,
+    # taken by mp.quad at twice the digits, by no more than its proven bound.
+    digits = 20 + 25
+    with mp.workdps(digits):
+        prec = mp.mp.prec + 20
+        kernel = _PeriodicKernel(k, prec)
+        got = _panel_sum(kernel, mp.mpc(z), 2 * k, c2, level, index)
+    bound = _panel_log_error(z.real, z.imag, k, prec, c2, level, index)
+    want = _exact_panel(k, family, z, c2, level, index, 2 * digits)
+    with mp.workdps(2 * digits):
+        error = abs(got - want)
+        assert error == 0 or mp.log(error) <= bound, (mp.nstr(error, 5), math.exp(bound))
+
+
 @pytest.mark.parametrize("k", [3, 16])
 @pytest.mark.parametrize("family", ["stirling", "gauss"])
 def test_kernel_table_maps_each_panel_parity_to_the_periodic_polynomial(k, family):
-    # Panel m covers [m/2, (m+1)/2]; its level-L node (i, n) sits at
-    # u = m/2 + (i + x_n)/2^(L+1), and the table read for that panel must
-    # hold B_2k({u + offset}) there.
+    # A panel is the family's unit piece [c - 1/2, c + 1/2] (c a half-integer
+    # for stirling, an integer for gauss) bisected L times, at place i; its
+    # node n sits at u = c - 1/2 + (i + x_n)/2^L, and the table read for
+    # (L, i) must hold B_2k({u + offset}) there, within 4 units of 2**exp,
+    # in every piece.
     offset = mp.mpf(0) if family == "stirling" else mp.mpf(1) / 2
+    centres = (3.5, 6.5) if family == "stirling" else (3, 7)
     with mp.workdps(40):
-        kernel = _PeriodicKernel(k, family, mp.mp.prec + 20)
+        kernel = _PeriodicKernel(k, mp.mp.prec + 20)
+    tol = 4 * mp.mpf(2) ** kernel.exp
+    with mp.workprec(kernel.prec + 40):
         nodes = [mp.mpf((x, -kernel.prec)) for x in kernel.nodes]
-        tol = mp.mpf(2) ** (-(mp.mp.prec - 20))
-        for m in (6, 7):
-            for level in range(3):
-                values = kernel.values(kernel.base(m), level)
-                assert len(values) == 20 << level
-                for i in range(1 << level):
+        for level in range(4):
+            for index in range(1 << level):
+                values = kernel.values(level, index)
+                assert len(values) == 20
+                for c in centres:
                     for n, x in enumerate(nodes):
-                        u = mp.mpf(m) / 2 + (i + x) / 2 ** (level + 1)
+                        u = mp.mpf(c) - mp.mpf(1) / 2 + (index + x) / 2**level
                         want = periodic_bernoulli(2 * k, u + offset)
-                        got = mp.mpf((values[20 * i + n], kernel.exp))
-                        assert abs(got - want) <= tol * abs(want), (m, level, i, n)
+                        got = mp.mpf(values[n]) * mp.mpf(2) ** kernel.exp
+                        assert abs(got - want) <= tol, (c, level, index, n)
 
 
 def test_gauss_legendre_rule_is_floored_from_one_cached_precision():
@@ -127,6 +211,8 @@ def test_gauss_legendre_rule_is_floored_from_one_cached_precision():
     assert one - 20 <= sum(weights) <= one
     for a, b in zip(nodes, reversed(nodes)):
         assert abs(a + b - one) <= 1  # symmetric about 1/2
+    # the panel error bound takes the pole's distance at the least node
+    assert nodes[0] > _FIRST_NODE_DOWN * one
     # every node is a root of P_20(2x - 1) to about the working precision
     with mp.workprec(200):
         for x in nodes:
@@ -134,18 +220,30 @@ def test_gauss_legendre_rule_is_floored_from_one_cached_precision():
 
 
 def test_kernel_evaluations_do_not_grow_with_the_shift():
+    # Far from the pole every unit piece passes its error bound unbisected:
+    # thirteen panels, each bound evaluated once and summed once, and one
+    # kernel table for the place (0, 0) serves all of them.
     clear_caches()
     witness = oracle_remainder(0.5 + 10j, 9, "stirling", 14, details=True)
     counts = stats()
     assert witness.shift == 13
     assert counts["remainders"] == 1
-    assert counts["panels"] == 2 * witness.shift
+    assert counts["panels"] == counts["levels"] == witness.shift
+    assert counts["node_evaluations"] == 20 * witness.shift
+    assert counts["kernel_evaluations"] == 20
+    assert counts["deepest_level"] == 0
+    # More digits need a longer [0, U] and finer panels; still one table per
+    # (level, index) place, at most 20 (2^(L+1) - 1) polynomial values for
+    # deepest level L, whatever the number of pieces.
+    clear_caches()
+    witness = oracle_remainder(0.5 + 10j, 9, "stirling", 60, details=True)
+    counts = stats()
+    assert witness.shift > 13
     deepest = counts["deepest_level"]
-    # one table per (panel parity, level): at most 2 * 20 * (2^(L+1) - 1)
-    # polynomial values, whatever the number of panels
-    assert 0 < counts["kernel_evaluations"] <= 2 * 20 * (2 ** (deepest + 1) - 1)
+    assert 0 < counts["kernel_evaluations"] <= 20 * (2 ** (deepest + 1) - 1)
+    assert counts["node_evaluations"] == 20 * counts["panels"]
     assert counts["node_evaluations"] > counts["kernel_evaluations"]
-    assert counts["levels"] >= 2 * counts["panels"]
+    assert counts["levels"] >= counts["panels"] > witness.shift
     clear_caches()
     assert set(stats().values()) == {0}
 
