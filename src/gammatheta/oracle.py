@@ -558,9 +558,10 @@ def _panel_log_error(
     With M the quotient of the two, the 20-point rule errs by at most
     hw (64/15) M rho^-38 / (rho^2 - 1) (Trefethen, *Approximation Theory and
     Approximation Practice*, Thm 19.3, with n + 1 = 20 points).  Nodes and
-    weights floored to ``prec`` bits add hw M 2^(2-prec) (20 + 2/sinh log rho):
-    by Cauchy, f moves by at most M / (hw sinh log rho) per unit of u, the
-    semi-minor axis being hw sinh log rho.  rho is the root in (0, rho_p) of
+    weights floored to ``prec`` bits add hw M 2^(2-prec) (20 + 4 rho /
+    (rho - 1)^2): by Cauchy, f moves by at most M / r per unit of u on the
+    panel, r = hw (rho - 1)^2 / (2 rho) being the least distance from the
+    panel to E_rho (at its ends).  rho is the root in (0, rho_p) of
     pi hw + 2k / (rho_p - rho) = 38 / rho (rho_p capped at e^300), where the
     leading terms of the bound's logarithm balance.  Rounding adds under
     2 hw B D^-2k 2^-prec (24k + 340 + 2^22), with B the majorant above on
@@ -602,7 +603,8 @@ def _panel_log_error(
         big_y = (mid + hw * (rho + 1 / rho) / 2) * _UP
         log_m = log_scale + 2 * math.pi * big_y - two_k * log_pole
         rule = _LOG_GAUSS - 39 * lr - math.log(ratio)
-        quadrature = log_hw + log_m + max(rule, floors + math.log(20 + 4 / ratio))
+        near = 4 / (math.expm1(lr) * -math.expm1(-lr))  # 4 rho / (rho - 1)^2
+        quadrature = log_hw + log_m + max(rule, floors + math.log(20 + near))
     big_b = log_scale + 2 * math.pi * (mid + hw) * _UP
     first = math.hypot(xa + _FIRST_NODE_DOWN * 2 * hw, y) / _UP
     loop = (
