@@ -4,7 +4,9 @@ Everything the fast certified path is tested against lives here:
 
 * ``oracle_lngamma`` — shift far enough right that the series' smallest term
   is below the target, sum adaptively, and certify the truncation with the
-  closed-half-plane tail bound before returning.
+  closed-half-plane tail bound before returning.  The series runs in
+  fixed-point integers with a carried rounding bound, so its stop test is a
+  comparison of integers; the shift's logs are one log of a product.
 * ``oracle_remainder`` — the series remainder after k terms by two
   independent methods: (a) subtracting main terms and partial sum from
   ``oracle_lngamma``, and (b) the exact periodic-kernel integral
@@ -36,13 +38,12 @@ from __future__ import annotations
 import math
 import threading
 from collections import namedtuple
-from fractions import Fraction
 
 import mpmath as mp
 from mpmath import mpc, mpf
 
 from . import bernoulli as _bernoulli_mod
-from .bernoulli import bernoulli_number, shared_table
+from .bernoulli import _scaled, bernoulli_number, shared_table
 from .bounds import eta_fraction
 from .errors import ConsistencyError, DomainError, ResourceLimitError
 from .series import EMPIRICAL_CONSTANT, k_min, term_coefficient
@@ -96,9 +97,17 @@ _LOG_GAUSS = math.log(64.0 / 15.0)
 #: 1e-11 absolute, every term being below 1e5 in magnitude).
 _UP = 1.0 + 2.0**-40
 _LOG_SLACK = 1e-6
+#: pi rounded up at 60 fraction bits (pi = 0x3.243F6A8885A308D3...).
+_PI_UP = 0x3243F6A8885A308E
+#: Fraction bits of a series tail's terms below those of its target.
+_TAIL_GUARD = 40
+#: Entries ``_lngamma_cache`` holds before a miss empties it.
+_LNGAMMA_CACHE_SIZE = 1024
 
 _cache_lock = threading.Lock()
 _coeff_cache: dict[tuple[str, int, int], mpf] = {}
+_ratio_cache: dict[tuple[str, int], list[int]] = {}
+_half_log_2pi_cache: dict[int, mpf] = {}
 _nodes_cache: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
 _lngamma_cache: dict[tuple[object, object, int], mpc] = {}
 
@@ -114,6 +123,7 @@ _stats = dict.fromkeys(
         "lngamma_cache_hits",
         "shift_retries",
         "deepest_level",
+        "series_terms",
     ),
     0,
 )
@@ -124,6 +134,8 @@ def clear_caches() -> None:
     work counters."""
     with _cache_lock:
         _coeff_cache.clear()
+        _ratio_cache.clear()
+        _half_log_2pi_cache.clear()
         _nodes_cache.clear()
         _lngamma_cache.clear()
         for key in _stats:
@@ -143,7 +155,10 @@ def stats() -> dict[str, int]:
     pieces are halves, level 1).  ``lngamma_cache_hits``:
     :func:`oracle_lngamma` calls answered from its cache.  ``shift_retries``:
     shifts grown because a series tail did not certify, in
-    :func:`oracle_lngamma` and in method (b).
+    :func:`oracle_lngamma` and in method (b).  ``series_terms``: terms
+    summed by the series tails (method (a)'s whole series in
+    :func:`oracle_lngamma` and method (b)'s continuation) and by the partial
+    sums of the first k terms.
     """
     with _cache_lock:
         return dict(_stats)
@@ -176,6 +191,40 @@ def _coeff(kind: str, j: int) -> mpf:
         hit = mpf(fr.numerator) / fr.denominator
         with _cache_lock:
             _coeff_cache[key] = hit
+    return hit
+
+
+def _ratios(family: str, bits: int, upto: int) -> list[int]:
+    """``floor(c_j / c_(j-1) * 2**bits)`` at index j, for 2 <= j <= upto at
+    least (entries 0 and 1 are unused), c_j the family's coefficients.
+
+    Kept per (family, bits) with ``bits`` a power of two, so a caller
+    floors to fewer bits by a shift; a table at least doubles when it grows.
+    """
+    key = (family, bits)
+    with _cache_lock:
+        table = _ratio_cache.get(key, [0, 0])
+    if len(table) <= upto:
+        size = min(max(upto + 1, 2 * len(table)), _SERIES_INDEX_CAP + 1)
+        coeffs = [term_coefficient(family, j) for j in range(len(table) - 1, size)]
+        table = table + [
+            (c.numerator * prev.denominator << bits) // (c.denominator * prev.numerator)
+            for prev, c in zip(coeffs, coeffs[1:])
+        ]
+        with _cache_lock:
+            _ratio_cache[key] = table
+    return table
+
+
+def _half_log_2pi() -> mpf:
+    """log(2 pi) / 2 at the working precision, computed once per precision."""
+    prec = mp.mp.prec
+    with _cache_lock:
+        hit = _half_log_2pi_cache.get(prec)
+    if hit is None:
+        hit = mp.log(2 * mp.pi) / 2
+        with _cache_lock:
+            _half_log_2pi_cache[prec] = hit
     return hit
 
 
@@ -258,25 +307,47 @@ def _shift_count(zz: mpc, radius_target: float) -> int:
     return n
 
 
+def _shift_logs(zz: mpc, n: int) -> mpc:
+    """sum_{i<n} log(z+i), principal logs, as one log of the product.
+
+    The product and its log are formed at the working precision plus
+    ``n.bit_length() + 4`` bits.  The log's imaginary part is the sum of the
+    factors' arguments up to a multiple 2 pi m; m is the nearest integer to
+    the gap between the float sum of their ``atan2`` and that part.  The
+    float sum is off by under n 2^-50, far below pi, so m is exact.  An
+    imaginary part too small for a float becomes a zero of its sign, so
+    ``atan2`` keeps a factor left of the origin on its side of the cut.
+    """
+    if n == 0:
+        return mpc(0)
+    with mp.workprec(mp.mp.prec + n.bit_length() + 4):
+        prod = zz
+        for i in range(1, n):
+            prod *= zz + i
+        log = mp.log(prod)
+        x, y = float(zz.real), float(zz.imag)
+        turns = math.fsum(math.atan2(y, x + i) for i in range(n))
+        m = round((turns - float(log.imag)) / (2.0 * math.pi))
+        return log + mpc(0, 2 * m) * mp.pi
+
+
 def _lngamma_attempt(zz: mpc, n: int, digits: int):
     """One shifted-series evaluation, the whole series as the tail after
-    k = 0 plus the main terms, its truncation error below 10^-(digits+6).
+    k = 0 plus the main terms, its truncation error below 10^-(digits+6),
+    minus the shift's logs (:func:`_shift_logs`).
 
-    The adaptive stop uses the tail bound sqrt(pi j) |T_j(w)|, which
-    dominates the closed-half-plane Gamma-ratio bound sqrt(pi)
-    Gamma(j+1/2)/Gamma(j) |T_j(w)| for every j >= 1, so it is valid with no
-    restriction tying j to |w|.  Returns None when the Bernoulli cap is hit
-    before the bound certifies (the caller retries with a larger shift
-    radius, which makes the terms decay faster).
+    The adaptive stop (:func:`_tail_series`) uses the tail bound
+    sqrt(pi j) |T_j(w)|, which dominates the closed-half-plane Gamma-ratio
+    bound sqrt(pi) Gamma(j+1/2)/Gamma(j) |T_j(w)| for every j >= 1, so it
+    is valid with no restriction tying j to |w|.  Returns None when the
+    Bernoulli cap is hit before the bound certifies (the caller retries with
+    a larger shift radius, which makes the terms decay faster).
     """
     w = zz + n
     tail = _tail_series(w, 0, "stirling", mpf(10) ** (-(digits + 6)))
     if tail is None:
         return None
-    logs = mpc(0)
-    for i in range(n):
-        logs += mp.log(zz + i)
-    return _main_terms_mp("stirling", w) + tail[0] - logs
+    return _main_terms_mp("stirling", w) + tail[0] - _shift_logs(zz, n)
 
 
 def oracle_lngamma(z, digits: int = 30) -> mpc:
@@ -285,7 +356,9 @@ def oracle_lngamma(z, digits: int = 30) -> mpc:
 
     Where the tail bound cannot certify the truncation within the Bernoulli
     cap, the shift radius grows and the evaluation repeats, so a returned
-    value is always self-certified.
+    value is always self-certified.  Results are cached by exact z and
+    digits; a miss with ``_LNGAMMA_CACHE_SIZE`` entries held empties the
+    cache first.
     """
     digits = _check_digits(digits)
     wp = digits + 15
@@ -318,6 +391,9 @@ def oracle_lngamma(z, digits: int = 30) -> mpc:
     with mp.workdps(digits):
         out = +result
     with _cache_lock:
+        # emptied in place, not evicted: a miss always changes its length
+        if len(_lngamma_cache) >= _LNGAMMA_CACHE_SIZE:
+            _lngamma_cache.clear()
         _lngamma_cache[key] = out
     return out
 
@@ -364,6 +440,7 @@ def _log10_term(family: str, k: int, zz) -> float:
 def _partial_sum_mp(family: str, k: int, zz):
     """Sum of the first k terms of the family's series at zz (an mpf for a
     real zz)."""
+    _count(series_terms=k)
     inv_w = 1 / zz
     inv_w2 = inv_w * inv_w
     p = inv_w
@@ -377,35 +454,96 @@ def _partial_sum_mp(family: str, k: int, zz):
 def _main_terms_mp(family: str, zz: mpc) -> mpc:
     logw = mp.log(zz)
     if family == "stirling":
-        return (zz - mpf("0.5")) * logw - zz + mp.log(2 * mp.pi) / 2
-    return zz * logw - zz + mp.log(2 * mp.pi) / 2
+        return (zz - mpf("0.5")) * logw - zz + _half_log_2pi()
+    return zz * logw - zz + _half_log_2pi()
 
 
 def _tail_series(w: mpc, k: int, family: str, tau: mpf):
     """Sum T_j(w) for j > k until the proven tail bound drops below tau.
 
-    Returns (sum, last_index, final_bound) or None when the bound cannot
-    reach tau within the Bernoulli cap.  The factor 2 for the half-shifted
-    family dominates every eta_j, keeping the certificate valid there too.
+    Returns (sum, last_index) or None when the bound cannot reach tau within
+    the Bernoulli cap.  The stop is the first j with safety sqrt(pi j)
+    |T_j| < tau (Theorem: the remainder after T_j is below that bound); the
+    factor safety = 2 for the half-shifted family dominates every eta_j,
+    keeping the certificate valid there too.
+
+    Only the set-up uses mpmath, at the working precision p: x = 1/w^2
+    within 2^(4-p) relative and T_(k+1) within (2k+6) 2^(2-p) (every mpmath
+    operation rounds each part once, and a power once).  The terms then
+    follow T_j = T_(j-1) rho_j x, rho_j = c_j / c_(j-1) (:func:`_ratios`),
+    on Python integers: T_j and the sum carry F = 40 - mag(tau) fraction
+    bits (at least 0), rho_j and x R = F + mag(T_(k+1))^+ + 2 mag(w)^+ + 8,
+    and every product is floored.
+    The bound e_j on |T~_j - T_j|, in units of 2^-F, is carried with the
+    terms.  With n(.) the L1 norm of an integer pair, |x~| <= X the rounded
+    up modulus and d the error of x~ (both in units of 2^-R), a step
+    Q = T rho, then T' = Q x, gives
+
+        e_Q = (e (|rho~| + 1) + n(T~)) 2^-R + 3,
+        e'  = (e_Q X + (n(Q~) + e_Q) d) 2^-R + 3,
+
+    the +3 covering the ceiling and the floors (under sqrt 2).  The stop
+    test compares integers:
+    ((|Re T~| + e)^2 + (|Im T~| + e)^2) safety^2 j pi_up < floor(tau 2^F)^2,
+    with pi_up = ``_PI_UP`` 2^-60 >= pi, so it certifies at least what the
+    test on exact values would.  |rho_j| grows with j (for j >= 2, up to
+    the cap), so the terms fall, then rise: once |rho_j x| >= 1 and the
+    bound at T_(j-1) is certainly at least tau, no later bound falls below
+    tau, and None is returned there rather than at the cap.  Up to the
+    stop |rho_j x| <= 1, so a step adds under 7 + 2^(5-p) |T~_j| units to
+    e: as in an mpmath sum, the set-up's rounding at the working precision
+    bounds the accuracy of the sum, and the fixed point adds under
+    7 (j-k)^2 units, below tau 2^-17 for j < 1000.
     """
-    safety = 2 if family == "gauss" else 1
+    prec = mp.mp.prec
     inv_w = 1 / w
-    inv_w2 = inv_w * inv_w
-    p = inv_w ** (2 * k + 1)
-    acc = mpc(0)
+    x = inv_w * inv_w
+    first = _coeff(family, k + 1) * inv_w ** (2 * k + 1)
+    frac = max(0, _TAIL_GUARD - mp.mag(tau))
+    rbits = frac + max(0, mp.mag(first)) + 2 * max(0, mp.mag(w)) + 8
+    t_re, t_im = _fixed(first.real, frac), _fixed(first.imag, frac)
+    x_re, x_im = _fixed(x.real, rbits), _fixed(x.imag, rbits)
+    x_mod = math.isqrt(x_re * x_re + x_im * x_im)
+    x_err = (x_mod >> (prec - 4)) + 3
+    x_abs = x_mod + 1
+    # |rho~| >= grows makes |rho x| >= 1: the terms rise from there on
+    grows = (1 << 2 * rbits) // (x_mod - x_err) + 2 if x_mod > x_err else math.inf
+    err = (((abs(t_re) + abs(t_im)) * (2 * k + 6)) >> (prec - 2)) + 3
+    tau_fix = _fixed(tau, frac)
+    limit = tau_fix**2 << 60
+    safety2 = 4 if family == "gauss" else 1
+    bits = max(128, 1 << (rbits - 1).bit_length())
+    shift = bits - rbits
+    ratios = _ratios(family, bits, k + 2)
+    acc_re, acc_im = t_re, t_im
     j = k + 1
     while True:
-        term = _coeff(family, j) * p
-        acc += term
-        bound = abs(term)  # safety * sqrt(pi j) > 1: only |term| < tau can pass
-        if bound < tau:
-            bound *= safety * mp.sqrt(mp.pi * j)
-            if bound < tau:
-                return acc, j, bound
-        j += 1
-        if j > _SERIES_INDEX_CAP:
+        a = abs(t_re) + err
+        b = abs(t_im) + err
+        if (a * a + b * b) * (safety2 * j * _PI_UP) < limit:
+            break
+        if j == _SERIES_INDEX_CAP:
+            _count(series_terms=j - k)
             return None
-        p *= inv_w2
+        j += 1
+        if j >= len(ratios):
+            ratios = _ratios(family, bits, j)
+        rho = ratios[j] >> shift
+        if abs(rho) >= grows:
+            low = max(abs(t_re), abs(t_im)) - err  # below |T_(j-1)|, pi > 3
+            if low > 0 and low * low * (safety2 * 3 * (j - 1)) >= (tau_fix + 1) ** 2:
+                _count(series_terms=j - 1 - k)  # no later bound falls below tau
+                return None
+        q_re = (t_re * rho) >> rbits
+        q_im = (t_im * rho) >> rbits
+        err_q = ((err * (abs(rho) + 1) + abs(t_re) + abs(t_im)) >> rbits) + 3
+        t_re = (q_re * x_re - q_im * x_im) >> rbits
+        t_im = (q_re * x_im + q_im * x_re) >> rbits
+        err = ((err_q * x_abs + (abs(q_re) + abs(q_im) + err_q) * x_err) >> rbits) + 3
+        acc_re += t_re
+        acc_im += t_im
+    _count(series_terms=j - k)
+    return mpc(mpf((acc_re, -frac)), mpf((acc_im, -frac))), j
 
 
 class _PeriodicKernel:
@@ -474,13 +612,6 @@ def _fixed(x: mpf, frac: int) -> int:
     shift = exp + frac
     man = man << shift if shift >= 0 else man >> -shift
     return -man if sign else man
-
-
-def _scaled(c: Fraction, frac: int) -> int:
-    """floor(c * 2**frac) for a rational c."""
-    if frac >= 0:
-        return (c.numerator << frac) // c.denominator
-    return c.numerator // (c.denominator << -frac)
 
 
 def _panel_sum(
@@ -690,7 +821,7 @@ def _remainder_by_integral(z: complex, k: int, family: str, digits: int, log_t: 
                 raise ResourceLimitError(
                     f"remainder oracle could not certify the series tail at z={z}, k={k}"
                 )
-            tail_sum, tail_terms, _ = tail
+            tail_sum, tail_terms = tail
 
             prec = mp.mp.prec + 20
             log_budget = (log_t - digits - 8) * _LN10 - math.log(shift)

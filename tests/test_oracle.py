@@ -26,13 +26,20 @@ from gammatheta.oracle import (
     stats,
     theta_series_value,
 )
+from gammatheta import oracle
 from gammatheta.oracle import (
     _FIRST_NODE_DOWN,
     _gl_nodes_01,
+    _lngamma_cache,
     _panel_log_error,
     _panel_sum,
+    _partial_sum_mp,
     _PeriodicKernel,
+    _ratios,
+    _shift_logs,
+    _tail_series,
 )
+from gammatheta.series import term_coefficient
 
 
 # -- lngamma -----------------------------------------------------------------
@@ -131,13 +138,7 @@ def _exact_panel(k, family, z, c2, level, index, digits):
         zz = mp.mpc(z)
         left = mp.mpf(c2 - 1) / 2 + mp.mpf(index) / 2**level
         right = left + mp.mpf(1) / 2**level
-        if k <= 16:
-            kernel = lambda u: periodic_bernoulli(2 * k, u + offset)  # noqa: E731
-        else:
-            # periodic_bernoulli rounds B_766 exactly, from integers of some
-            # 10^5 bits (0.2 s a call at 90 digits); mpmath's own polynomial
-            # is as independent of the kernel tables and 50 times faster
-            kernel = lambda u: mp.bernpoly(2 * k, mp.frac(u + offset))  # noqa: E731
+        kernel = lambda u: periodic_bernoulli(2 * k, u + offset)  # noqa: E731
         # mp.quad stops on an absolute error estimate, so the integrand is
         # scaled to order one
         scale = abs(mp.bernoulli(2 * k)) * abs(zz + left) ** (-2 * k)
@@ -253,6 +254,30 @@ def test_stats_count_lngamma_cache_hits():
     oracle_lngamma(0.5 + 9j, 30)
     oracle_lngamma(0.5 + 9j, 30)
     assert stats()["lngamma_cache_hits"] == 1
+
+
+def test_a_miss_at_capacity_empties_the_lngamma_cache_in_place():
+    # A tracer that holds the dict reads a hit as "length unchanged", so a
+    # miss must change the length even when the cache is full.
+    clear_caches()
+    _lngamma_cache.update({(n, n, 0): None for n in range(oracle._LNGAMMA_CACHE_SIZE)})
+    value = oracle_lngamma(0.5 + 9j, 30)
+    assert len(_lngamma_cache) == 1
+    assert oracle_lngamma(0.5 + 9j, 30) == value
+    assert stats()["lngamma_cache_hits"] == 1
+    clear_caches()
+
+
+def test_stats_count_series_terms():
+    clear_caches()
+    with mp.workdps(40):
+        w = mp.mpc(20, 3)
+        _, last = _tail_series(w, 3, "stirling", mp.mpf(10) ** -46)
+        assert stats()["series_terms"] == last - 3
+        _partial_sum_mp("gauss", 5, w)
+    assert stats()["series_terms"] == last + 2
+    clear_caches()
+    assert stats()["series_terms"] == 0
 
 
 def test_remainder_validates_its_arguments():
@@ -417,3 +442,147 @@ def test_clear_caches_keeps_results_stable():
     clear_caches()
     after = oracle_lngamma(0.5 + 9j, 30)
     assert before == after
+
+
+# -- the fixed-point series tail and the shift logs ---------------------------
+
+
+def _reference_tail(w, k, family, tau):
+    """The mpmath loop the fixed-point tail replaced: (sum, last index) of
+    T_j(w), j > k, up to the first j with safety sqrt(pi j) |T_j| < tau."""
+    safety = 2 if family == "gauss" else 1
+    inv_w2 = 1 / (w * w)
+    p = w ** -(2 * k + 1)
+    acc = 0
+    for j in range(k + 1, oracle._SERIES_INDEX_CAP + 1):
+        c = term_coefficient(family, j)
+        term = mp.mpf(c.numerator) / c.denominator * p
+        acc += term
+        if safety * mp.sqrt(mp.pi * j) * abs(term) < tau:
+            return acc, j
+        p *= inv_w2
+    return None
+
+
+def _exact_tail_sum(w, k, family, last):
+    with mp.workprec(2 * mp.mp.prec):
+        w = mp.mpc(w)
+        inv_w2 = 1 / (w * w)
+        p = w ** -(2 * k + 1)
+        acc = 0
+        for j in range(k + 1, last + 1):
+            c = term_coefficient(family, j)
+            acc += mp.mpf(c.numerator) / c.denominator * p
+            p *= inv_w2
+        return acc
+
+
+def _check_tail(w, k, family, tau):
+    got = _tail_series(w, k, family, tau)
+    want = _reference_tail(w, k, family, tau)
+    if want is None:
+        assert got is None, (w, k, family)
+        return
+    assert got is not None and got[1] == want[1], (w, k, family, got, want)
+    error = abs(got[0] - _exact_tail_sum(w, k, family, got[1]))
+    assert error <= tau / 100, (w, k, family, mp.nstr(error / tau, 3))
+
+
+@pytest.mark.parametrize("k", [0, 1, 5, 20, 90])
+@pytest.mark.parametrize("family", ["stirling", "gauss"])
+def test_fixed_point_tail_matches_the_mpmath_loop(family, k):
+    # Same stop index as the mpmath loop, and the sum within tau/100 of the
+    # exact partial sum at twice the precision, from 12 to 300 digits; the
+    # short radius is where the terms rise before the bound certifies.
+    for digits in (12, 40, 120, 300):
+        radius = max((digits + 8) * 0.37 + 2, 1.3 * (k + 2) / math.pi)
+        with mp.workdps(digits + 15):
+            tau = mp.mpf(10) ** -(digits + 6)
+            points = [(radius, 0.1), (1.4 * radius, 0.8), (radius, 1.5)]
+            if digits <= 40:
+                points.append((radius / 3, 1.0))
+            for r, phi in points:
+                _check_tail(mp.mpc(r * math.cos(phi), r * math.sin(phi)), k, family, tau)
+
+
+#: The thirteen remainder cells of the oracle-remainder benchmark workload.
+_GRID = tuple(
+    complex(re, im) for re in (0.0, 0.5, 1.0, 5.0) for im in (0.1, 1.0, 10.0, 40.0)
+) + (1.0 + 0j, 5.0 + 0j, 25.0 + 0j)
+_CELLS = tuple(
+    (_GRID[(j * 11) % len(_GRID)], 1 + (j * 7) % 20, ("stirling", "gauss")[j % 2], 12 + (j * 5) % 9)
+    for j in range(13)
+)
+
+
+def test_fixed_point_tail_matches_the_mpmath_loop_on_the_remainder_cells(monkeypatch):
+    # Both methods' tails, with the w, k, tau and precision each cell uses.
+    calls = []
+
+    def spy(w, k, family, tau):
+        calls.append((w, k, family, tau, mp.mp.prec))
+        return _tail_series(w, k, family, tau)
+
+    monkeypatch.setattr(oracle, "_tail_series", spy)
+    clear_caches()
+    for z, k, family, digits in _CELLS:
+        oracle_remainder(z, k, family, digits)
+    monkeypatch.undo()
+    assert len(calls) == 2 * len(_CELLS)
+    for w, k, family, tau, prec in calls:
+        with mp.workprec(prec):
+            _check_tail(w, k, family, tau)
+
+
+@pytest.mark.parametrize("family", ["stirling", "gauss"])
+def test_fixed_point_tail_stops_on_the_exact_bound(family):
+    # tau a hair under the bound at the stop index j: the tail goes on to
+    # j + 1; a hair over: it stops at j.  This fails if the stop test loses
+    # the carried rounding error or rounds pi down.
+    for k, w in ((0, mp.mpc(40, 5)), (3, mp.mpc(25, 30)), (12, mp.mpc(3, 45))):
+        for digits in (15, 30, 50, 80):
+            with mp.workdps(digits):
+                _, j = _reference_tail(w, k, family, mp.mpf(10) ** -(digits - 3))
+                with mp.workprec(2 * mp.mp.prec):
+                    c = term_coefficient(family, j)
+                    exact = (2 if family == "gauss" else 1) * mp.sqrt(mp.pi * j) * abs(
+                        mp.mpf(c.numerator) / c.denominator / mp.mpc(w) ** (2 * j - 1)
+                    )
+                below = exact * (1 - mp.mpf(2) ** (8 - mp.mp.prec))
+                assert _tail_series(w, k, family, +below)[1] == j + 1, (k, digits)
+                above = exact * (1 + mp.mpf(2) ** -20)
+                assert _tail_series(w, k, family, +above)[1] == j, (k, digits)
+
+
+def test_term_ratios_grow_with_the_index():
+    # The tail returns None once a term rises, because |c_j / c_(j-1)|
+    # grows with j: checked on the floored ratios up to the cap (each
+    # within one unit, so a gap of two or more is a strict rise).
+    for family in ("stirling", "gauss"):
+        table = _ratios(family, 128, oracle._SERIES_INDEX_CAP)
+        magnitudes = [abs(r) for r in table[2:oracle._SERIES_INDEX_CAP + 1]]
+        assert all(b - a >= 2 for a, b in zip(magnitudes, magnitudes[1:]))
+        c2, c1 = term_coefficient(family, 2), term_coefficient(family, 1)
+        assert table[2] == math.floor(c2 / c1 * 2**128)
+
+
+@pytest.mark.parametrize(
+    ("z", "n", "dps"),
+    [
+        (0.5 + 1000j, 400, 40),
+        (1e-8j, 60, 40),
+        (-1e-8j, 60, 40),
+        (0.25 + 0.5j, 300, 60),
+        (-7.5 - 0.25j, 40, 30),
+        # the shifts the two sharpness spots of c05 take
+        (100j / math.pi, 47, 155),
+        (400j / math.pi, 83, 415),
+    ],
+)
+def test_shift_logs_take_the_branch_of_the_sum_of_logs(z, n, dps):
+    with mp.workdps(dps):
+        zz = mp.mpc(z)
+        got = _shift_logs(zz, n)
+        with mp.workdps(dps + 10):
+            want = mp.fsum(mp.log(zz + i) for i in range(n))
+        assert abs(got - want) <= mp.mpf(10) ** (5 - dps) * (1 + abs(want))
