@@ -313,20 +313,27 @@ def _shift_logs(zz: mpc, n: int) -> mpc:
     The product and its log are formed at the working precision plus
     ``n.bit_length() + 4`` bits.  The log's imaginary part is the sum of the
     factors' arguments up to a multiple 2 pi m; m is the nearest integer to
-    the gap between the float sum of their ``atan2`` and that part.  The
-    float sum is off by under n 2^-50, far below pi, so m is exact.  An
-    imaginary part too small for a float becomes a zero of its sign, so
-    ``atan2`` keeps a factor left of the origin on its side of the cut.
+    the gap between the float sum of their ``atan2`` and that part.  Each
+    factor's real part is formed in mpmath before it becomes a float, and
+    a part too small for a float becomes a zero of its sign, so every float
+    argument lies in the closed quadrant of the true one and a factor next
+    to the cut stays on its side.  It is within 2^-50 of the true argument
+    unless both parts of the factor are below 2^-1022, which holds for at
+    most one factor, and then within pi/2.  The float sum is off by under
+    pi/2 + n 2^-50 < pi, so m is exact.
     """
     if n == 0:
         return mpc(0)
     with mp.workprec(mp.mp.prec + n.bit_length() + 4):
+        y = float(zz.imag)
         prod = zz
+        turns = [math.atan2(y, float(zz.real))]
         for i in range(1, n):
-            prod *= zz + i
+            factor = zz + i
+            prod *= factor
+            turns.append(math.atan2(y, float(factor.real)))
         log = mp.log(prod)
-        x, y = float(zz.real), float(zz.imag)
-        turns = math.fsum(math.atan2(y, x + i) for i in range(n))
+        turns = math.fsum(turns)
         m = round((turns - float(log.imag)) / (2.0 * math.pi))
         return log + mpc(0, 2 * m) * mp.pi
 
@@ -487,13 +494,12 @@ def _tail_series(w: mpc, k: int, family: str, tau: mpf):
     ((|Re T~| + e)^2 + (|Im T~| + e)^2) safety^2 j pi_up < floor(tau 2^F)^2,
     with pi_up = ``_PI_UP`` 2^-60 >= pi, so it certifies at least what the
     test on exact values would.  |rho_j| grows with j (for j >= 2, up to
-    the cap), so the terms fall, then rise: once |rho_j x| >= 1 and the
-    bound at T_(j-1) is certainly at least tau, no later bound falls below
-    tau, and None is returned there rather than at the cap.  Up to the
-    stop |rho_j x| <= 1, so a step adds under 7 + 2^(5-p) |T~_j| units to
-    e: as in an mpmath sum, the set-up's rounding at the working precision
-    bounds the accuracy of the sum, and the fixed point adds under
-    7 (j-k)^2 units, below tau 2^-17 for j < 1000.
+    the cap), so the terms fall, then rise, and a bound falls below tau
+    only while they fall: up to the stop |rho_j x| <= 1, so a step adds
+    under 7 + 2^(5-p) |T~_j| units to e.  As in an mpmath sum, the
+    set-up's rounding at the working precision bounds the accuracy of the
+    sum, and the fixed point adds under 7 (j-k)^2 units, below tau 2^-17
+    for j < 1000.
     """
     prec = mp.mp.prec
     inv_w = 1 / w
@@ -506,8 +512,6 @@ def _tail_series(w: mpc, k: int, family: str, tau: mpf):
     x_mod = math.isqrt(x_re * x_re + x_im * x_im)
     x_err = (x_mod >> (prec - 4)) + 3
     x_abs = x_mod + 1
-    # |rho~| >= grows makes |rho x| >= 1: the terms rise from there on
-    grows = (1 << 2 * rbits) // (x_mod - x_err) + 2 if x_mod > x_err else math.inf
     err = (((abs(t_re) + abs(t_im)) * (2 * k + 6)) >> (prec - 2)) + 3
     tau_fix = _fixed(tau, frac)
     limit = tau_fix**2 << 60
@@ -529,11 +533,6 @@ def _tail_series(w: mpc, k: int, family: str, tau: mpf):
         if j >= len(ratios):
             ratios = _ratios(family, bits, j)
         rho = ratios[j] >> shift
-        if abs(rho) >= grows:
-            low = max(abs(t_re), abs(t_im)) - err  # below |T_(j-1)|, pi > 3
-            if low > 0 and low * low * (safety2 * 3 * (j - 1)) >= (tau_fix + 1) ** 2:
-                _count(series_terms=j - 1 - k)  # no later bound falls below tau
-                return None
         q_re = (t_re * rho) >> rbits
         q_im = (t_im * rho) >> rbits
         err_q = ((err * (abs(rho) + 1) + abs(t_re) + abs(t_im)) >> rbits) + 3

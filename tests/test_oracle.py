@@ -555,9 +555,10 @@ def test_fixed_point_tail_stops_on_the_exact_bound(family):
 
 
 def test_term_ratios_grow_with_the_index():
-    # The tail returns None once a term rises, because |c_j / c_(j-1)|
-    # grows with j: checked on the floored ratios up to the cap (each
-    # within one unit, so a gap of two or more is a strict rise).
+    # The tail's accuracy bound takes |rho_j x| <= 1 up to a stop, which
+    # holds because |c_j / c_(j-1)| grows with j: checked on the floored
+    # ratios up to the cap (each within one unit, so a gap of two or more
+    # is a strict rise).
     for family in ("stirling", "gauss"):
         table = _ratios(family, 128, oracle._SERIES_INDEX_CAP)
         magnitudes = [abs(r) for r in table[2:oracle._SERIES_INDEX_CAP + 1]]
@@ -586,3 +587,21 @@ def test_shift_logs_take_the_branch_of_the_sum_of_logs(z, n, dps):
         with mp.workdps(dps + 10):
             want = mp.fsum(mp.log(zz + i) for i in range(n))
         assert abs(got - want) <= mp.mpf(10) ** (5 - dps) * (1 + abs(want))
+
+
+def test_shift_logs_keep_a_factor_next_to_the_cut_on_its_side():
+    # z + 2 = -1e-25 + 1e-400j: its real part rounds to -2.0 and its
+    # imaginary part to 0.0 as doubles, so only a factor formed before the
+    # float conversion keeps the argument near pi (the sum is 3 pi, not pi).
+    with mp.workdps(45):
+        zz = mp.mpc(-2 - mp.mpf("1e-25"), mp.mpf("1e-400"))
+        for n in (3, 5, 30):
+            got = _shift_logs(zz, n)
+            with mp.workdps(55):
+                want = mp.fsum(mp.log(zz + i) for i in range(n))
+            assert abs(got - want) <= mp.mpf(10) ** -40 * abs(want), n
+    value = oracle_lngamma(zz, 30)
+    with mp.workdps(60):
+        want = mp.loggamma(zz)
+        assert abs(want.imag + 3 * mp.pi) < 1e-20
+        assert abs(value - want) <= mp.mpf(10) ** -28 * abs(want)
