@@ -6,7 +6,8 @@ Everything the fast certified path is tested against lives here:
   is below the target, sum adaptively, and certify the truncation with the
   closed-half-plane tail bound before returning.  The series runs in
   fixed-point integers with a carried rounding bound, so its stop test is a
-  comparison of integers; the shift's logs are one log of a product.
+  comparison of integers; the shift's logs are one log of a product.  It
+  and method (b) below take their shift by one rule, under one cap.
 * ``oracle_remainder`` — the series remainder after k terms by two
   independent methods: (a) subtracting main terms and partial sum from
   ``oracle_lngamma``, and (b) the exact periodic-kernel integral
@@ -43,7 +44,7 @@ import mpmath as mp
 from mpmath import mpc, mpf
 
 from . import bernoulli as _bernoulli_mod
-from .bernoulli import _scaled, bernoulli_number, shared_table
+from .bernoulli import _scaled, shared_table
 from .bounds import eta_fraction
 from .errors import ConsistencyError, DomainError, ResourceLimitError
 from .series import EMPIRICAL_CONSTANT, k_min, term_coefficient
@@ -101,6 +102,11 @@ _LOG_SLACK = 1e-6
 _PI_UP = 0x3243F6A8885A308E
 #: Fraction bits of a series tail's terms below those of its target.
 _TAIL_GUARD = 40
+#: Largest shift z -> z+n an oracle series takes (the test suite's largest
+#: is 83); far left of the axis a call is refused before any factor is formed.
+_MAX_SHIFT = 1000
+#: Growth of |z+n| when a series tail at z+n does not certify.
+_RADIUS_GROWTH = 1.15
 #: Entries ``_lngamma_cache`` holds before a miss empties it.
 _LNGAMMA_CACHE_SIZE = 1024
 
@@ -154,8 +160,9 @@ def stats() -> dict[str, int]:
     bisection of a unit piece any panel reached; the gauss family's end
     pieces are halves, level 1).  ``lngamma_cache_hits``:
     :func:`oracle_lngamma` calls answered from its cache.  ``shift_retries``:
-    shifts grown because a series tail did not certify, in
-    :func:`oracle_lngamma` and in method (b).  ``series_terms``: terms
+    growths of the shift radius because a series tail did not certify
+    within the Bernoulli cap, by the one shift rule of
+    :func:`oracle_lngamma` and method (b).  ``series_terms``: terms
     summed by the series tails (method (a)'s whole series in
     :func:`oracle_lngamma` and method (b)'s continuation) and by the partial
     sums of the first k terms.
@@ -179,6 +186,14 @@ def _check_digits(digits: int) -> int:
     if digits < 1 or digits > MAX_DIGITS:
         raise DomainError(f"digits must lie in [1, {MAX_DIGITS}], got {digits}")
     return digits
+
+
+def _height(t, what: str, name: str = "t") -> float:
+    """float(t), refused unless finite and > 0."""
+    tf = float(t)
+    if not 0.0 < tf < math.inf:
+        raise DomainError(f"{what} requires finite {name} > 0, got {t!r}")
+    return tf
 
 
 def _coeff(kind: str, j: int) -> mpf:
@@ -291,20 +306,33 @@ def _gl_nodes_01(prec: int) -> tuple[list[int], list[int]]:
 # ---------------------------------------------------------------------------
 
 
-def _shift_count(zz: mpc, radius_target: float) -> int:
-    """Smallest n >= 0 with Re(z)+n >= 1/2 and |z+n| >= radius_target."""
-    half = mpf("0.5")
-    n = 0
-    if zz.real < half:
-        n = int(mp.ceil(half - zz.real))
-    radius = mpf(radius_target)
-    gap2 = radius * radius - zz.imag * zz.imag
-    if gap2 > 0:
-        need = int(mp.ceil(mp.sqrt(gap2) - zz.real))
-        n = max(n, need)
-    while zz.real + n < half or abs(zz + n) < radius:
-        n += 1
-    return n
+def _shifted_tail(zz: mpc, k: int, family: str, tau: mpf, radius: float, least: int):
+    """The series tail after k terms at z + n, certified below tau:
+    (n, sum, last index).
+
+    n is the least integer >= ``least`` with Re(z)+n >= 1/2 and
+    |z+n| >= radius, in double arithmetic.  Where :func:`_tail_series`
+    cannot certify within the Bernoulli cap, the radius becomes
+    ``_RADIUS_GROWTH`` |z+n|, so n grows, and the tail is summed again.  Once n passes ``_MAX_SHIFT``,
+    ``ResourceLimitError`` is raised before anything is formed at z + n.
+    """
+    x, y = float(zz.real), float(zz.imag)
+    while True:
+        shift = max(least, 0.5 - x)
+        gap2 = radius * radius - y * y
+        if gap2 > 0:
+            shift = max(shift, math.sqrt(gap2) - x)
+        if shift > _MAX_SHIFT:
+            raise ResourceLimitError(
+                f"oracle series at z={zz}, k={k} needs the shift z -> z+n, "
+                f"n >= {shift:.1f}, beyond the cap {_MAX_SHIFT}"
+            )
+        n = math.ceil(shift)
+        tail = _tail_series(zz + n, k, family, tau)
+        if tail is not None:
+            return n, *tail
+        _count(shift_retries=1)
+        radius = float(abs(zz + n)) * _RADIUS_GROWTH
 
 
 def _shift_logs(zz: mpc, n: int) -> mpc:
@@ -338,63 +366,55 @@ def _shift_logs(zz: mpc, n: int) -> mpc:
         return log + mpc(0, 2 * m) * mp.pi
 
 
-def _lngamma_attempt(zz: mpc, n: int, digits: int):
-    """One shifted-series evaluation, the whole series as the tail after
-    k = 0 plus the main terms, its truncation error below 10^-(digits+6),
-    minus the shift's logs (:func:`_shift_logs`).
-
-    The adaptive stop (:func:`_tail_series`) uses the tail bound
-    sqrt(pi j) |T_j(w)|, which dominates the closed-half-plane Gamma-ratio
-    bound sqrt(pi) Gamma(j+1/2)/Gamma(j) |T_j(w)| for every j >= 1, so it
-    is valid with no restriction tying j to |w|.  Returns None when the
-    Bernoulli cap is hit before the bound certifies (the caller retries with
-    a larger shift radius, which makes the terms decay faster).
-    """
-    w = zz + n
-    tail = _tail_series(w, 0, "stirling", mpf(10) ** (-(digits + 6)))
-    if tail is None:
-        return None
-    return _main_terms_mp("stirling", w) + tail[0] - _shift_logs(zz, n)
-
-
 def oracle_lngamma(z, digits: int = 30) -> mpc:
     """lngamma(z) to ``digits`` rounded digits, principal branch, off the
     cut (-inf, 0].
 
-    Where the tail bound cannot certify the truncation within the Bernoulli
-    cap, the shift radius grows and the evaluation repeats, so a returned
-    value is always self-certified.  Results are cached by exact z and
-    digits; a miss with ``_LNGAMMA_CACHE_SIZE`` entries held empties the
-    cache first.
+    z is taken exactly (an mpmath argument keeps all its bits).  The whole
+    Stirling series is summed at z + n, n the least shift with
+    Re(z+n) >= 1/2 and |z+n| >= (digits + 8) ln 10 / (2 pi) + 2, its
+    truncation certified below 10^-(digits+6) (:func:`_shifted_tail`), and
+    the shift's logs are subtracted (:func:`_shift_logs`).  A shift past
+    ``_MAX_SHIFT`` = 1000 raises ``ResourceLimitError`` before any factor is
+    formed.  That target is absolute, so where |lngamma(z)| is below about
+    10^-6 the evaluation is repeated with the working digits raised by the
+    shortfall; lngamma(1) and lngamma(2) are exact zeros.  Results are
+    cached by exact z and digits; a miss with ``_LNGAMMA_CACHE_SIZE``
+    entries held empties the cache first.
     """
     digits = _check_digits(digits)
-    wp = digits + 15
-    with mp.workdps(wp):
-        zz = mpc(z)
-        if not mp.isfinite(zz):
-            raise DomainError(f"lngamma oracle needs a finite argument, got z={zz}")
-        if zz.imag == 0 and zz.real <= 0:
-            raise DomainError(
-                f"lngamma oracle is undefined on the cut (-inf, 0]: z={zz}"
-            )
-        key = (zz.real._mpf_, zz.imag._mpf_, digits)
-        with _cache_lock:
-            hit = _lngamma_cache.get(key)
-            if hit is not None:
-                _stats["lngamma_cache_hits"] += 1
-                return hit
-        radius_target = (digits + 8) * _LN10 / (2.0 * math.pi) + 2.0
-        for _ in range(6):
-            result = _lngamma_attempt(zz, _shift_count(zz, radius_target), digits)
-            if result is not None:
-                break
-            _count(shift_retries=1)
-            radius_target *= 1.15
-        else:
+    if isinstance(z, mpf):
+        z = mp.make_mpc((z._mpf_, mpf(0)._mpf_))
+    with mp.workdps(digits + 15):
+        zz = z if isinstance(z, mpc) else mpc(z)
+    if not mp.isfinite(zz):
+        raise DomainError(f"lngamma oracle needs a finite argument, got z={zz}")
+    if zz.imag == 0 and zz.real <= 0:
+        raise DomainError(f"lngamma oracle is undefined on the cut (-inf, 0]: z={zz}")
+    key = (zz.real._mpf_, zz.imag._mpf_, digits)
+    with _cache_lock:
+        hit = _lngamma_cache.get(key)
+        if hit is not None:
+            _stats["lngamma_cache_hits"] += 1
+            return hit
+    result = mpc(0)  # lngamma(1) = lngamma(2) = 0 exactly
+    work = digits
+    while zz != 1 and zz != 2:
+        with mp.workdps(work + 15):
+            radius = (work + 8) * _LN10 / (2.0 * math.pi) + 2.0
+            tau = mpf(10) ** (-(work + 6))
+            n, tail, _ = _shifted_tail(zz, 0, "stirling", tau, radius, 0)
+            result = _main_terms_mp("stirling", zz + n) + tail - _shift_logs(zz, n)
+            # |result| >= 2^(mag-2), so this many digits leave `digits` significant
+            need = digits - 6 - math.floor((mp.mag(result) - 2) * math.log10(2.0))
+        if need <= work:
+            break
+        if need > MAX_DIGITS:
             raise ResourceLimitError(
-                f"lngamma oracle cannot certify {digits} digits within the "
-                f"Bernoulli-table cap"
+                f"lngamma oracle needs {need} working digits for {digits} significant "
+                f"digits next to a zero at z={zz}, beyond the cap {MAX_DIGITS}"
             )
+        work = need
     with mp.workdps(digits):
         out = +result
     with _cache_lock:
@@ -413,12 +433,12 @@ def oracle_lngamma(z, digits: int = 30) -> mpc:
 class RemainderWitness(namedtuple(
     "RemainderWitness",
     "value method_a method_b digits_a shift tail_terms tail_value "
-    "crude_tail_bound difference tolerance",
+    "difference tolerance",
 )):
     """Both methods' values and the agreement evidence for one remainder:
     ``value``, ``method_a``, ``method_b`` and ``tail_value`` (mpc);
-    ``digits_a``, ``shift`` and ``tail_terms`` (int); ``crude_tail_bound``,
-    ``difference`` and ``tolerance`` (mpf)."""
+    ``digits_a``, ``shift`` and ``tail_terms`` (int); ``difference`` and
+    ``tolerance`` (mpf)."""
 
     __slots__ = ()
 
@@ -442,6 +462,12 @@ def _require_remainder_args(z, k: int, family: str) -> complex:
 def _log10_term(family: str, k: int, zz) -> float:
     """log10 |T_k(z)| from the coefficient at working precision."""
     return float((mp.log(abs(_coeff(family, k))) - (2 * k - 1) * mp.log(abs(zz))) / _LN10)
+
+
+def _term(family: str, k: int, x) -> mpf:
+    """c_k / x^(2k-1) at the working precision: T_k(x) for a real x, and
+    |T_k(z)| up to sign for x = |z|."""
+    return _coeff(family, k) / x ** (2 * k - 1)
 
 
 def _partial_sum_mp(family: str, k: int, zz):
@@ -784,43 +810,25 @@ def _remainder_by_integral(z: complex, k: int, family: str, digits: int, log_t: 
     """Method (b): periodic-kernel integral over [0, U] plus the series
     continuation of the remainder at z + U.
 
-    U adapts upward until the continuation's tail certificate reaches the
-    target.  The panels are chosen before any node is evaluated
-    (:func:`_mesh`), so that the proven quadrature and rounding error of
-    each is within its width's share of 10^(log_t - digits - 8), and each
-    is summed once.  The kernel B_2k({u + offset}) is evaluated once per
+    U >= 1 is the shift at which :func:`_shifted_tail` certifies the
+    continuation below 10^(log_t - digits - 9).  The panels are chosen
+    before any node is evaluated (:func:`_mesh`), so that the proven
+    quadrature and rounding error of each is within its width's share of
+    10^(log_t - digits - 8), and each is summed once.  The kernel B_2k({u + offset}) is evaluated once per
     panel place within a piece (:class:`_PeriodicKernel`); the node loop
     (:func:`_panel_sum`) runs in fixed point at ``mp.prec + 20`` bits.
     """
     wp = digits + 25
     mesh: list[tuple[int, int, int]] = []
-    levels = retries = 0
+    levels = 0
     kernel = None
     try:
         with mp.workdps(wp):
             zz = mpc(z)
             tau_tail = mpf(10) ** (log_t - digits - 9)
-            needed = max(1.0, (digits + 10 - log_t) * _LN10 / (2.0 * math.pi) + 1.0)
-            gap2 = needed * needed - float(zz.imag) ** 2
-            shift = 1
-            if gap2 > 0:
-                shift = max(1, int(math.ceil(math.sqrt(gap2) - float(zz.real))))
-            tail = None
-            for _ in range(12):
-                if shift > 1000:
-                    raise ResourceLimitError(
-                        f"remainder oracle needs more than 1000 unit panels at z={z}, k={k}"
-                    )
-                tail = _tail_series(zz + shift, k, family, tau_tail)
-                if tail is not None:
-                    break
-                retries += 1
-                shift = int(shift * 1.4) + 1
-            if tail is None:
-                raise ResourceLimitError(
-                    f"remainder oracle could not certify the series tail at z={z}, k={k}"
-                )
-            tail_sum, tail_terms = tail
+            radius = max(1.0, (digits + 10 - log_t) * _LN10 / (2.0 * math.pi) + 1.0)
+            # n >= 1: an empty integral would leave both methods on one series
+            shift, tail_sum, tail_terms = _shifted_tail(zz, k, family, tau_tail, radius, 1)
 
             prec = mp.mp.prec + 20
             log_budget = (log_t - digits - 8) * _LN10 - math.log(shift)
@@ -831,19 +839,13 @@ def _remainder_by_integral(z: complex, k: int, family: str, digits: int, log_t: 
             for panel in mesh:
                 integral += _panel_sum(kernel, zz, two_k, *panel)
 
-            value = -integral + tail_sum
-            crude_fr = abs(bernoulli_number(2 * k)) / (2 * k * (2 * k - 1))
-            crude = (mpf(crude_fr.numerator) / crude_fr.denominator) / mpf(shift) ** (
-                2 * k - 1
-            )
-            return value, tail_sum, tail_terms, shift, crude
+            return -integral + tail_sum, tail_sum, tail_terms, shift
     finally:
         _count(
             panels=len(mesh),
             levels=levels,
             node_evaluations=_NODES * len(mesh),
             kernel_evaluations=kernel.evaluations if kernel else 0,
-            shift_retries=retries,
             deepest_level=max((level for _, level, _ in mesh), default=0),
         )
 
@@ -884,7 +886,7 @@ def oracle_remainder(
         lg = oracle_lngamma(lngamma_arg, digits_a)
         a_val = lg - _main_terms_mp(family, zz) - _partial_sum_mp(family, k, zz)
 
-    b_val, tail_sum, tail_terms, shift, crude = _remainder_by_integral(
+    b_val, tail_sum, tail_terms, shift = _remainder_by_integral(
         zc, k, family, digits, log_t
     )
 
@@ -910,7 +912,6 @@ def oracle_remainder(
             shift=shift,
             tail_terms=tail_terms,
             tail_value=+tail_sum,
-            crude_tail_bound=+crude,
             difference=+difference,
             tolerance=+tolerance,
         )
@@ -930,9 +931,7 @@ def oracle_theta(t, digits: int = 30) -> mpf:
     and the branch bookkeeping is exercised by the certified path's tests).
     """
     digits = _check_digits(digits)
-    tf = float(t)
-    if not tf > 0.0 or math.isinf(tf):
-        raise DomainError(f"theta oracle requires finite t > 0, got {t!r}")
+    tf = _height(t, "theta oracle")
     wp = digits + 15
     with mp.workdps(wp):
         tt = mpf(tf)
@@ -960,9 +959,7 @@ def oracle_theta(t, digits: int = 30) -> mpf:
 
 def oracle_theta_remainder(k: int, t, digits: int = 30) -> mpf:
     """Remainder of the theta series after k terms: Im(R_hat_{k+1}(it))/2."""
-    tf = float(t)
-    if not 0.0 < tf < math.inf:
-        raise DomainError(f"theta remainder oracle requires finite t > 0, got {t!r}")
+    tf = _height(t, "theta remainder oracle")
     digits = _check_digits(digits)
     r = oracle_remainder(
         complex(0.0, tf), k, "gauss", min(digits + 5, MAX_DIGITS)
@@ -988,9 +985,7 @@ def theta_series_value(
     variant = getattr(variant, "value", variant)
     if variant not in ("standard", "arctan", "empirical"):
         raise DomainError(f"unknown theta variant {variant!r}")
-    tf = float(t)
-    if not tf > 0.0 or math.isinf(tf):
-        raise DomainError(f"theta series value requires finite t > 0, got {t!r}")
+    tf = _height(t, "theta series value")
     if type(k) is not int or k < 1:
         raise DomainError(f"term count must be a positive integer, got {k!r}")
     with mp.workdps(digits + 15):
@@ -1001,7 +996,7 @@ def theta_series_value(
             value += mp.atan(mp.exp(-mp.pi * tt)) / 2
         if variant == "empirical":
             report = k_min(tf)
-            t_min = _coeff("theta", report.k_min) / tt ** (2 * report.k_min - 1)
+            t_min = _term("theta", report.k_min, tt)
             value += (mp.pi * tt - report.k_min + _empirical_constant()) * t_min
     with mp.workdps(digits):
         return +value
@@ -1040,9 +1035,7 @@ def required_table2_digits(t) -> int:
 def table2_row(t, digits: int | None = None) -> NormalizedErrorRow:
     """Compute one normalized-error row; ``digits=None`` uses the required
     minimum for the height t."""
-    tf = float(t)
-    if not tf > 0.0 or math.isinf(tf):
-        raise DomainError(f"table row requires finite t > 0, got {t!r}")
+    tf = _height(t, "table row")
     needed = required_table2_digits(tf)
     if digits is None:
         digits = needed
@@ -1057,7 +1050,7 @@ def table2_row(t, digits: int | None = None) -> NormalizedErrorRow:
     standard = theta_series_value(tf, km, digits, "standard")
     with mp.workdps(digits + 15):
         tt = mpf(tf)
-        t_min = _coeff("theta", km) / tt ** (2 * km - 1)
+        t_min = _term("theta", km, tt)
         arctan_corrected = standard + mp.atan(mp.exp(-mp.pi * tt)) / 2
         col_a = (theta_true - standard) / t_min
         col_c = (theta_true - arctan_corrected) / t_min
@@ -1091,12 +1084,10 @@ def sharpness_ratio(k: int, y, digits: int = 20) -> mpf:
     and carries its two-method cross-check.
     """
     digits = _check_digits(digits)
-    yf = float(y)
-    if not 0.0 < yf < math.inf:
-        raise DomainError(f"sharpness ratio requires finite y > 0, got {y!r}")
+    yf = _height(y, "sharpness ratio", "y")
     value = oracle_remainder(complex(0.0, yf), k, "stirling", digits)
     with mp.workdps(digits + 10):
-        term_abs = abs(_coeff("stirling", k)) / mpf(yf) ** (2 * k - 1)
+        term_abs = abs(_term("stirling", k, mpf(yf)))
         ratio = abs(value.imag) / term_abs
     with mp.workdps(digits):
         return +ratio
@@ -1141,7 +1132,7 @@ def conjecture_scan(k_max: int = 40, digits: int = 20):
             z = complex(c, c)
         value = oracle_remainder(z, k, "stirling", digits)
         with mp.workdps(digits + 10):
-            term_abs = abs(_coeff("stirling", k)) / abs(mpc(z)) ** (2 * k - 1)
+            term_abs = abs(_term("stirling", k, abs(mpc(z))))
             true_ratio = float(abs(value) / term_abs)
         conjectured = k * k / (math.pi * math.pi * modulus * modulus - k * k)
         ratio = true_ratio / conjectured

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import time
 from fractions import Fraction
 
 import mpmath as mp
@@ -58,6 +59,56 @@ def test_lngamma_matches_the_external_reference(z):
 def test_lngamma_of_one_is_zero_to_full_precision():
     got = oracle_lngamma(1.0 + 0j, 40)
     assert abs(got) < mp.mpf(10) ** (-38)
+
+
+@pytest.mark.parametrize(("zero", "offset"), [(1, 0.0), (2, 0.0), (1, 2**-60), (2, -(2**-70))])
+@pytest.mark.parametrize("digits", [15, 40])
+def test_lngamma_next_to_its_zeros_keeps_its_significant_digits(zero, offset, digits):
+    # The truncation target is absolute, so next to lngamma(1) = lngamma(2)
+    # = 0 the evaluation repeats with the digits it falls short by.
+    with mp.workprec(200):
+        z = mp.mpc(zero) + offset
+    got = oracle_lngamma(z, digits)
+    if offset == 0.0:
+        assert got == 0
+        return
+    with mp.workdps(80):
+        want = mp.loggamma(z)
+        assert abs(got - want) <= abs(want) * mp.mpf(10) ** (1 - digits)
+
+
+def test_lngamma_refuses_a_zero_it_cannot_resolve_within_the_digit_cap():
+    with mp.workprec(1800):
+        z = mp.mpc(1) + mp.mpf(2) ** -1700  # lngamma(z) is about 1e-512
+    with pytest.raises(ResourceLimitError, match="next to a zero"):
+        oracle_lngamma(z, 520)
+
+
+def test_lngamma_takes_an_mpc_argument_exactly():
+    # Next to the pole at -2, lngamma'(z) is about 1e25: rounding z to the
+    # 45 working digits of a 30-digit call would move the value by 1e-21.
+    with mp.workdps(50):
+        z = mp.mpc(-2 - mp.mpf("1e-25"), mp.mpf("1e-400"))
+    with mp.workdps(45):
+        rounded = +z
+    assert rounded != z
+    for arg in (z, rounded):
+        got = oracle_lngamma(arg, 30)
+        with mp.workdps(60):
+            want = mp.loggamma(arg)
+            assert abs(got - want) <= abs(want) * mp.mpf(10) ** -29
+
+
+def test_lngamma_refuses_a_shift_past_the_cap_before_forming_it(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("formed a shift past the cap")
+
+    monkeypatch.setattr(oracle, "_shift_logs", unreachable)
+    monkeypatch.setattr(oracle, "_tail_series", unreachable)
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match=r"n >= 100009\.9, beyond the cap 1000"):
+        oracle_lngamma(-99999.5 + 1j, 15)
+    assert time.perf_counter() - start < 0.05
 
 
 def test_lngamma_rejects_the_cut():
