@@ -47,7 +47,7 @@ from . import bernoulli as _bernoulli_mod
 from .bernoulli import _scaled, shared_table
 from .bounds import eta_fraction
 from .errors import ConsistencyError, DomainError, ResourceLimitError
-from .series import EMPIRICAL_CONSTANT, k_min, term_coefficient
+from .series import EMPIRICAL_CONSTANT, _coefficient, k_min, term_coefficient
 
 __all__ = [
     "MAX_DIGITS",
@@ -102,11 +102,8 @@ _LOG_SLACK = 1e-6
 _PI_UP = 0x3243F6A8885A308E
 #: Fraction bits of a series tail's terms below those of its target.
 _TAIL_GUARD = 40
-#: Largest shift z -> z+n an oracle series takes (the test suite's largest
-#: is 83); far left of the axis a call is refused before any factor is formed.
+#: Largest shift z -> z+n an oracle series takes; beyond it a call is refused.
 _MAX_SHIFT = 1000
-#: Growth of |z+n| when a series tail at z+n does not certify.
-_RADIUS_GROWTH = 1.15
 #: Entries ``_lngamma_cache`` holds before a miss empties it.
 _LNGAMMA_CACHE_SIZE = 1024
 
@@ -127,7 +124,6 @@ _stats = dict.fromkeys(
         "node_evaluations",
         "kernel_evaluations",
         "lngamma_cache_hits",
-        "shift_retries",
         "deepest_level",
         "series_terms",
     ),
@@ -159,11 +155,8 @@ def stats() -> dict[str, int]:
     Bernoulli polynomial computed) and ``deepest_level`` (the deepest
     bisection of a unit piece any panel reached; the gauss family's end
     pieces are halves, level 1).  ``lngamma_cache_hits``:
-    :func:`oracle_lngamma` calls answered from its cache.  ``shift_retries``:
-    growths of the shift radius because a series tail did not certify
-    within the Bernoulli cap, by the one shift rule of
-    :func:`oracle_lngamma` and method (b).  ``series_terms``: terms
-    summed by the series tails (method (a)'s whole series in
+    :func:`oracle_lngamma` calls answered from its cache.  ``series_terms``:
+    terms summed by the series tails (method (a)'s whole series in
     :func:`oracle_lngamma` and method (b)'s continuation) and by the partial
     sums of the first k terms.
     """
@@ -306,33 +299,40 @@ def _gl_nodes_01(prec: int) -> tuple[list[int], list[int]]:
 # ---------------------------------------------------------------------------
 
 
-def _shifted_tail(zz: mpc, k: int, family: str, tau: mpf, radius: float, least: int):
+def _shifted_tail(zz: mpc, k: int, family: str, tau: mpf, least: int):
     """The series tail after k terms at z + n, certified below tau:
     (n, sum, last index).
 
-    n is the least integer >= ``least`` with Re(z)+n >= 1/2 and
-    |z+n| >= radius, in double arithmetic.  Where :func:`_tail_series`
-    cannot certify within the Bernoulli cap, the radius becomes
-    ``_RADIUS_GROWTH`` |z+n|, so n grows, and the tail is summed again.  Once n passes ``_MAX_SHIFT``,
-    ``ResourceLimitError`` is raised before anything is formed at z + n.
+    n is the least integer >= ``least`` with Re(z)+n >= 1/2 and |z+n| >= r,
+    r = min_j (safety sqrt(pi j) |c_j| / (tau/2))^(1/(2j-1)) in doubles, over
+    j = k+1, k+2, ... up to the first rise or the cap (an early stop only
+    raises r).  So at z + n a first j0 passes the stop test of
+    :func:`_tail_series` with a factor 2 to spare, and the terms fall up to
+    it, as they do up to any first pass.  The carried bound there, 7 j0
+    units plus the set-up's 2^(7-p) j0 |T_(k+1)|, is below tau 2^-17 for
+    both callers (|T_1| <= 1/6 against 10^-(work+6) at work+15 digits;
+    |T_(k+1)(z+n)| <= |rho_(k+1) T_k(z)| against 10^-(digits+9) |T_k(z)| at
+    digits+25), so the tail stops by j0.  A shift past ``_MAX_SHIFT`` raises
+    ``ResourceLimitError`` before anything is formed at z + n.
     """
+    log_tau = math.log(tau.man) + (tau.exp - (2 if family == "gauss" else 1)) * _LOG_2
+    log_r = math.inf
+    for j in range(k + 1, max(k + 1, _SERIES_INDEX_CAP) + 1):  # j = k+1 past the cap raises
+        _, m, e = _coefficient(family, j)
+        log_a = math.log(abs(m) * math.sqrt(math.pi * j)) + e * _LOG_2 - log_tau
+        if log_a / (2 * j - 1) > log_r:
+            break
+        log_r = log_a / (2 * j - 1)
+    radius = math.exp(log_r)
     x, y = float(zz.real), float(zz.imag)
-    while True:
-        shift = max(least, 0.5 - x)
-        gap2 = radius * radius - y * y
-        if gap2 > 0:
-            shift = max(shift, math.sqrt(gap2) - x)
-        if shift > _MAX_SHIFT:
-            raise ResourceLimitError(
-                f"oracle series at z={zz}, k={k} needs the shift z -> z+n, "
-                f"n >= {shift:.1f}, beyond the cap {_MAX_SHIFT}"
-            )
-        n = math.ceil(shift)
-        tail = _tail_series(zz + n, k, family, tau)
-        if tail is not None:
-            return n, *tail
-        _count(shift_retries=1)
-        radius = float(abs(zz + n)) * _RADIUS_GROWTH
+    shift = max(least, 0.5 - x, math.sqrt(max(0.0, radius * radius - y * y)) - x)
+    if shift > _MAX_SHIFT:
+        raise ResourceLimitError(
+            f"oracle series at z={zz}, k={k} needs the shift z -> z+n, "
+            f"n >= {shift:.1f}, beyond the cap {_MAX_SHIFT}"
+        )
+    n = math.ceil(shift)
+    return n, *_tail_series(zz + n, k, family, tau)
 
 
 def _shift_logs(zz: mpc, n: int) -> mpc:
@@ -371,16 +371,16 @@ def oracle_lngamma(z, digits: int = 30) -> mpc:
     cut (-inf, 0].
 
     z is taken exactly (an mpmath argument keeps all its bits).  The whole
-    Stirling series is summed at z + n, n the least shift with
-    Re(z+n) >= 1/2 and |z+n| >= (digits + 8) ln 10 / (2 pi) + 2, its
-    truncation certified below 10^-(digits+6) (:func:`_shifted_tail`), and
-    the shift's logs are subtracted (:func:`_shift_logs`).  A shift past
-    ``_MAX_SHIFT`` = 1000 raises ``ResourceLimitError`` before any factor is
-    formed.  That target is absolute, so where |lngamma(z)| is below about
-    10^-6 the evaluation is repeated with the working digits raised by the
-    shortfall; lngamma(1) and lngamma(2) are exact zeros.  Results are
-    cached by exact z and digits; a miss with ``_LNGAMMA_CACHE_SIZE``
-    entries held empties the cache first.
+    Stirling series is summed at the shift z + n of :func:`_shifted_tail`,
+    its truncation certified below 10^-(digits+6), and the shift's logs are
+    subtracted (:func:`_shift_logs`).  A shift past ``_MAX_SHIFT`` = 1000
+    raises ``ResourceLimitError`` before any factor is formed.  That target
+    is absolute, so where |lngamma(z)| is below about 10^-6 the evaluation
+    is repeated with the working digits raised by the shortfall, at least
+    doubled (up to the cap) where the value is within its own target;
+    lngamma(1) and lngamma(2) are exact zeros.  Results are cached by exact
+    z and digits; a miss with ``_LNGAMMA_CACHE_SIZE`` entries held empties
+    the cache first.
     """
     digits = _check_digits(digits)
     if isinstance(z, mpf):
@@ -401,18 +401,20 @@ def oracle_lngamma(z, digits: int = 30) -> mpc:
     work = digits
     while zz != 1 and zz != 2:
         with mp.workdps(work + 15):
-            radius = (work + 8) * _LN10 / (2.0 * math.pi) + 2.0
             tau = mpf(10) ** (-(work + 6))
-            n, tail, _ = _shifted_tail(zz, 0, "stirling", tau, radius, 0)
+            n, tail, _ = _shifted_tail(zz, 0, "stirling", tau, 0)
             result = _main_terms_mp("stirling", zz + n) + tail - _shift_logs(zz, n)
             # |result| >= 2^(mag-2), so this many digits leave `digits` significant
             need = digits - 6 - math.floor((mp.mag(result) - 2) * math.log10(2.0))
+            if abs(result) <= tau:  # no digit resolved: at least double, up to the cap
+                need = max(need, min(2 * work, MAX_DIGITS))
         if need <= work:
             break
         if need > MAX_DIGITS:
+            shown = math.ceil(max(zz.real._mpf_[3], zz.imag._mpf_[3]) * math.log10(2.0)) + 1
             raise ResourceLimitError(
                 f"lngamma oracle needs {need} working digits for {digits} significant "
-                f"digits next to a zero at z={zz}, beyond the cap {MAX_DIGITS}"
+                f"digits next to a zero at z={mp.nstr(zz, shown)}, beyond the cap {MAX_DIGITS}"
             )
         work = need
     with mp.workdps(digits):
@@ -494,8 +496,8 @@ def _main_terms_mp(family: str, zz: mpc) -> mpc:
 def _tail_series(w: mpc, k: int, family: str, tau: mpf):
     """Sum T_j(w) for j > k until the proven tail bound drops below tau.
 
-    Returns (sum, last_index) or None when the bound cannot reach tau within
-    the Bernoulli cap.  The stop is the first j with safety sqrt(pi j)
+    Returns (sum, last_index); reaching the Bernoulli cap is a
+    ``ConsistencyError``.  The stop is the first j with safety sqrt(pi j)
     |T_j| < tau (Theorem: the remainder after T_j is below that bound); the
     factor safety = 2 for the half-shifted family dominates every eta_j,
     keeping the certificate valid there too.
@@ -524,8 +526,8 @@ def _tail_series(w: mpc, k: int, family: str, tau: mpf):
     only while they fall: up to the stop |rho_j x| <= 1, so a step adds
     under 7 + 2^(5-p) |T~_j| units to e.  As in an mpmath sum, the
     set-up's rounding at the working precision bounds the accuracy of the
-    sum, and the fixed point adds under 7 (j-k)^2 units, below tau 2^-17
-    for j < 1000.
+    sum, and the fixed point adds under 7 (j-k)^2 units, below tau 2^-16
+    for j <= 1000.
     """
     prec = mp.mp.prec
     inv_w = 1 / w
@@ -553,8 +555,7 @@ def _tail_series(w: mpc, k: int, family: str, tau: mpf):
         if (a * a + b * b) * (safety2 * j * _PI_UP) < limit:
             break
         if j == _SERIES_INDEX_CAP:
-            _count(series_terms=j - k)
-            return None
+            raise ConsistencyError(f"series tail at w={w}, k={k} reached the index cap")
         j += 1
         if j >= len(ratios):
             ratios = _ratios(family, bits, j)
@@ -826,9 +827,8 @@ def _remainder_by_integral(z: complex, k: int, family: str, digits: int, log_t: 
         with mp.workdps(wp):
             zz = mpc(z)
             tau_tail = mpf(10) ** (log_t - digits - 9)
-            radius = max(1.0, (digits + 10 - log_t) * _LN10 / (2.0 * math.pi) + 1.0)
             # n >= 1: an empty integral would leave both methods on one series
-            shift, tail_sum, tail_terms = _shifted_tail(zz, k, family, tau_tail, radius, 1)
+            shift, tail_sum, tail_terms = _shifted_tail(zz, k, family, tau_tail, 1)
 
             prec = mp.mp.prec + 20
             log_budget = (log_t - digits - 8) * _LN10 - math.log(shift)

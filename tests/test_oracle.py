@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -84,6 +85,34 @@ def test_lngamma_refuses_a_zero_it_cannot_resolve_within_the_digit_cap():
         oracle_lngamma(z, 520)
 
 
+def test_lngamma_doubles_its_digits_where_a_pass_resolves_nothing(monkeypatch):
+    # lngamma(1 + 2^-3400) is about -1.8e-1024: every pass short of that
+    # returns noise within its own target, so the working digits at least
+    # double until the cap refuses, and the refusal shows z apart from 1.
+    passes = []
+    shifted_tail = oracle._shifted_tail
+
+    def spy(*args):
+        passes.append(mp.mp.dps)
+        return shifted_tail(*args)
+
+    monkeypatch.setattr(oracle, "_shifted_tail", spy)
+    clear_caches()
+    with mp.workprec(3500):
+        z = mp.mpc(1) + mp.mpf(2) ** -3400
+    with pytest.raises(ResourceLimitError, match=r"z=\(1\.0{1000,}[1-9]"):
+        oracle_lngamma(z, 20)
+    assert len(passes) <= 7, passes
+    passes.clear()
+    with mp.workprec(400):
+        z = mp.mpc(2) - mp.mpf(2) ** -300
+    got = oracle_lngamma(z, 20)
+    assert len(passes) <= 5, passes
+    with mp.workdps(150):
+        want = mp.loggamma(z)
+        assert abs(got - want) <= abs(want) * mp.mpf(10) ** -19
+
+
 def test_lngamma_takes_an_mpc_argument_exactly():
     # Next to the pole at -2, lngamma'(z) is about 1e25: rounding z to the
     # 45 working digits of a 30-digit call would move the value by 1e-21.
@@ -106,7 +135,7 @@ def test_lngamma_refuses_a_shift_past_the_cap_before_forming_it(monkeypatch):
     monkeypatch.setattr(oracle, "_shift_logs", unreachable)
     monkeypatch.setattr(oracle, "_tail_series", unreachable)
     start = time.perf_counter()
-    with pytest.raises(ResourceLimitError, match=r"n >= 100009\.9, beyond the cap 1000"):
+    with pytest.raises(ResourceLimitError, match=r"n >= 100007\.2, beyond the cap 1000"):
         oracle_lngamma(-99999.5 + 1j, 15)
     assert time.perf_counter() - start < 0.05
 
@@ -273,12 +302,12 @@ def test_gauss_legendre_rule_is_floored_from_one_cached_precision():
 
 def test_kernel_evaluations_do_not_grow_with_the_shift():
     # Far from the pole every unit piece passes its error bound unbisected:
-    # thirteen panels, each bound evaluated once and summed once, and one
+    # eleven panels, each bound evaluated once and summed once, and one
     # kernel table for the place (0, 0) serves all of them.
     clear_caches()
     witness = oracle_remainder(0.5 + 10j, 9, "stirling", 14, details=True)
     counts = stats()
-    assert witness.shift == 13
+    assert witness.shift == 11
     assert counts["remainders"] == 1
     assert counts["panels"] == counts["levels"] == witness.shift
     assert counts["node_evaluations"] == 20 * witness.shift
@@ -365,7 +394,7 @@ _INF, _NAN = math.inf, math.nan
     ],
 )
 def test_non_finite_arguments_are_domain_errors(call, args):
-    # refused up front, not as a conversion error or after shift retries
+    # refused up front, not as a conversion error
     with pytest.raises(DomainError, match="finite"):
         call(*args)
 
@@ -529,12 +558,13 @@ def _exact_tail_sum(w, k, family, last):
 
 
 def _check_tail(w, k, family, tau):
-    got = _tail_series(w, k, family, tau)
     want = _reference_tail(w, k, family, tau)
     if want is None:
-        assert got is None, (w, k, family)
+        with pytest.raises(ConsistencyError, match="index cap"):
+            _tail_series(w, k, family, tau)
         return
-    assert got is not None and got[1] == want[1], (w, k, family, got, want)
+    got = _tail_series(w, k, family, tau)
+    assert got[1] == want[1], (w, k, family, got, want)
     error = abs(got[0] - _exact_tail_sum(w, k, family, got[1]))
     assert error <= tau / 100, (w, k, family, mp.nstr(error / tau, 3))
 
@@ -656,3 +686,81 @@ def test_shift_logs_keep_a_factor_next_to_the_cut_on_its_side():
         want = mp.loggamma(zz)
         assert abs(want.imag + 3 * mp.pi) < 1e-20
         assert abs(value - want) <= mp.mpf(10) ** -28 * abs(want)
+
+
+def test_remainders_next_to_the_origin_take_each_shift_once(monkeypatch):
+    # c06's remainders at small |z| with k > pi |z + 1|, where a shift that
+    # ignores k leaves a tail whose terms rise: each shift is taken once, and
+    # its tail stops below the index cap.
+    shifts, lasts = [], []
+    shifted_tail, tail_series = oracle._shifted_tail, oracle._tail_series
+
+    def spy_shift(*args):
+        shifts.append(args)
+        return shifted_tail(*args)
+
+    def spy_tail(*args):
+        out = tail_series(*args)
+        lasts.append(out[1])
+        return out
+
+    monkeypatch.setattr(oracle, "_shifted_tail", spy_shift)
+    monkeypatch.setattr(oracle, "_tail_series", spy_tail)
+    clear_caches()
+    for z in (0.1j, 0.5 + 0.1j):
+        for k in range(11, 21):
+            for family in ("stirling", "gauss"):
+                for digits in (12, 21, 30):
+                    oracle_remainder(z, k, family, digits)
+    assert len(lasts) == len(shifts) >= 2 * 10 * 2 * 3
+    assert max(lasts) < oracle._SERIES_INDEX_CAP
+
+
+def _shift_cases(family):
+    """A seeded sample over k and 12 to 500 digits, with z left of the axis
+    (k = 0, as in oracle_lngamma) or next to it (method (b))."""
+    rng = random.Random(f"shift-rule:{family}")
+    for k in (0, 1, 5, 20, 90, 400):
+        for digits in (12, 45, 160, 500):
+            if k == 0:
+                z = complex(-60 * rng.random(), rng.uniform(-3, 3))
+            else:
+                z = complex(rng.random() ** 3, rng.choice((-1, 1)) * 10 ** rng.uniform(-2, 2))
+            yield k, digits, z
+
+
+@pytest.mark.parametrize("family", ["stirling", "gauss"])
+def test_the_shift_rule_certifies_at_once_and_near_the_least_shift(family):
+    # Each shift is taken once, from the proven tail bound, and its tail
+    # stops below the index cap; below it by two or more, the tail would
+    # not certify.
+    for k, digits, z in _shift_cases(family):
+        if k == 0:  # oracle_lngamma's target and precision
+            dps, least = digits + 15, 0
+            log_tau = -(digits + 6)
+        else:  # method (b)'s
+            dps, least = digits + 25, 1
+            with mp.workdps(30):
+                log_tau = oracle._log10_term(family, k, mp.mpc(z)) - digits - 9
+        with mp.workdps(dps):
+            zz, tau = mp.mpc(z), mp.mpf(10) ** log_tau
+            n, _, last = oracle._shifted_tail(zz, k, family, tau, least)
+            assert last < oracle._SERIES_INDEX_CAP, (k, digits, z)
+            m = n - 1
+            while m >= max(least, 0.5 - z.real):
+                try:
+                    _tail_series(zz + m, k, family, tau)
+                except ConsistencyError:
+                    break
+                m -= 1
+            assert n - (m + 1) <= 1, (k, digits, z, n, m + 1)
+
+
+def test_a_tail_past_the_index_cap_is_refused_at_its_first_coefficient():
+    # k at the cap leaves no index to scan: the first term's coefficient
+    # refuses, not a shift of infinite size.
+    with mp.workdps(30):
+        with pytest.raises(ResourceLimitError, match="Bernoulli index 2002"):
+            oracle._shifted_tail(
+                mp.mpc(300, 5), oracle._SERIES_INDEX_CAP, "stirling", mp.mpf(10) ** -40, 1
+            )
