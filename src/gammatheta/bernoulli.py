@@ -5,11 +5,11 @@ even Bernoulli numbers come from the tangent numbers by the integer
 recurrence of Brent and Harvey ("Fast computation of Bernoulli, tangent and
 secant numbers", 2013), so they need no multiprecision floats.  A polynomial
 is evaluated in the half-argument form ``B_j(1/2 + y)``, a polynomial in
-``y^2``, at the exact binary value of its mpf argument, and the result is
-rounded once, correctly, to the working precision: first in fixed point
-with a carried error bound, and exactly where that bound straddles a
-rounding boundary (Ziv's strategy).  Only the functions that take or return
-an mpf import mpmath, when called.
+``y^2``, by an exact integer Horner recursion at the exact binary value of
+its mpf argument, and the result is rounded once, correctly, to the working
+precision, with no fixed point and no Ziv fallback (only the oracle's
+quadrature kernel runs in fixed point).  Only the functions that take or
+return an mpf import mpmath, when called.
 Conventions:
 
 * ``bernoulli_number(j)`` takes the *even* index ``j`` and returns ``B_j``,
@@ -46,11 +46,6 @@ __all__ = [
 #: any supported computation needs is about 750; the cap leaves headroom
 #: while still catching runaway term counts.
 MAX_INDEX = 2000
-
-#: Bits below ``|B_j|`` beyond the working precision that the fixed-point
-#: polynomial evaluation keeps.
-_POLY_GUARD = 24
-
 
 def _tangent_numbers(n: int) -> list[int]:
     """``[0, T_1, ..., T_n]`` with ``T_m`` the m-th tangent number
@@ -157,9 +152,8 @@ def bernoulli_half(j: int) -> Fraction:
     return _SHARED.half(j)
 
 
-def _eval_exact(j: int, num: int, s: int, prec: int) -> tuple:
-    """``B_j(num / 2**s)`` as an mpf value tuple, correctly rounded to
-    ``prec`` bits.
+def _eval_dyadic(j: int, num: int, s: int) -> mpf:
+    """``B_j(num / 2**s)``, correctly rounded to the working precision.
 
     With ``y = num / 2**s - 1/2 = yn / 2**(s+1)`` and the half-argument
     coefficients ``c_i = a_i / d`` on one denominator, ``B_j(1/2 + y)``
@@ -167,7 +161,8 @@ def _eval_exact(j: int, num: int, s: int, prec: int) -> tuple:
     ``Y = yn^2`` and ``n = j/2``: one Horner recursion on integers, exact,
     and a single rounding of the quotient.
     """
-    from mpmath.libmp import from_rational, round_nearest
+    from mpmath import mp
+    from mpmath.libmp import from_int, from_man_exp, mpf_div, round_nearest
 
     coeffs = _SHARED.half_coefficients(j)
     den = math.lcm(*(c.denominator for c in coeffs))
@@ -177,61 +172,10 @@ def _eval_exact(j: int, num: int, s: int, prec: int) -> tuple:
     for c in coeffs:
         acc = acc * y2 + ((c.numerator * (den // c.denominator)) << shift)
         shift += step
-    return from_rational(acc, den << (shift - step), prec, round_nearest)
-
-
-def _eval_fixed(j: int, num: int, s: int, prec: int) -> tuple | None:
-    """``B_j(num / 2**s)`` as an mpf value tuple, correctly rounded to
-    ``prec`` bits, or None when this evaluation cannot tell the rounding.
-
-    The Horner recursion of :func:`_eval_exact` runs in fixed point: the
-    coefficients floored to units of ``2**e``, ``e`` about
-    ``prec + _POLY_GUARD`` bits under ``|B_j|``, and ``Y = y^2 <= 1/4``
-    floored to ``F = prec + _POLY_GUARD + 10`` fraction bits (exact when
-    ``2(s+1) <= F``).  The error bound is carried in units of ``2**e``: a
-    step ``acc' = floor(acc Y / 2^F) + floor(c / 2^e)`` turns ``err`` into
-    ``(err Y + (|acc| + err) delta) / 2^F + 3``, ``delta`` being 1 when Y
-    was floored and 0 otherwise (the +3 covers the two floors and the
-    ceiling).  The value lies in ``[acc - err, acc + err] 2**e``; when both
-    ends round to the same ``prec``-bit number (round-to-nearest is
-    monotone), that number is the correctly rounded value (Ziv's strategy).
-    """
-    from mpmath.libmp import from_man_exp, round_nearest
-
-    coeffs = _SHARED.half_coefficients(j)
-    b = _SHARED.number(j)
-    e = abs(b.numerator).bit_length() - b.denominator.bit_length() - prec - _POLY_GUARD
-    frac = prec + _POLY_GUARD + 10
-    y2 = (2 * num - (1 << s)) ** 2
-    extra = 2 * (s + 1) - frac  # y^2 = y2 / 2^(2(s+1))
-    delta = int(extra > 0)
-    big_y = y2 >> extra if delta else y2 << -extra
-    acc = err = 0
-    for c in coeffs:
-        err = ((err * big_y + (abs(acc) + err) * delta) >> frac) + 3
-        acc = ((acc * big_y) >> frac) + _scaled(c, -e)
-    lo = from_man_exp(acc - err, e, prec, round_nearest)
-    if lo != from_man_exp(acc + err, e, prec, round_nearest):
-        return None
-    return lo
-
-
-def _eval_dyadic(j: int, num: int, s: int) -> mpf:
-    """``B_j(num / 2**s)``, correctly rounded to the working precision: in
-    fixed point where that settles the rounding, else exactly."""
-    from mpmath import mp
-
-    value = _eval_fixed(j, num, s, mp.prec)
-    if value is None:
-        value = _eval_exact(j, num, s, mp.prec)
-    return mp.make_mpf(value)
-
-
-def _scaled(c: Fraction, frac: int) -> int:
-    """floor(c * 2**frac) for a rational c."""
-    if frac >= 0:
-        return (c.numerator << frac) // c.denominator
-    return c.numerator // (c.denominator << -frac)
+    # the power of two goes in the exponent: a shifted denominator would
+    # cost mpmath a bytewise scan of its trailing zeros
+    quotient = mpf_div(from_int(acc), from_man_exp(den, shift - step), mp.prec, round_nearest)
+    return mp.make_mpf(quotient)
 
 
 def bernoulli_poly(j: int, u) -> mpf:

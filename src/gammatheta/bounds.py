@@ -49,7 +49,6 @@ STIELTJES              classical |R_k| <= sec(arg z/2)^(2k) |T_k| off the
 BEHNKE_SOMMER          classical |R_{k+1}/T_{k+1}| < 1+(2k+1)/2*sqrt(pi/k)
 HARE                   |R_k| <= 4 sqrt(pi) Gamma(k+1/2)/Gamma(k) |T_k(i Im z)|,
                        Im z != 0
-FAULTY_HISTORICAL      a known-wrong theta bound kept for falsification
 CONJECTURED_QUADRATIC  sharper quadratic bound, unproven below k = 34
 =====================  ================================================
 
@@ -151,7 +150,6 @@ class BoundKind(str, Enum):
     STIELTJES = "stieltjes"
     BEHNKE_SOMMER = "behnke-sommer"
     HARE = "hare"
-    FAULTY_HISTORICAL = "faulty-historical"
     CONJECTURED_QUADRATIC = "conjectured-quadratic"
 
 

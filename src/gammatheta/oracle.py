@@ -39,12 +39,13 @@ from __future__ import annotations
 import math
 import threading
 from collections import namedtuple
+from fractions import Fraction
 
 import mpmath as mp
 from mpmath import mpc, mpf
 
 from . import bernoulli as _bernoulli_mod
-from .bernoulli import _scaled, shared_table
+from .bernoulli import shared_table
 from .bounds import eta_fraction
 from .errors import ConsistencyError, DomainError, ResourceLimitError
 from .series import EMPIRICAL_CONSTANT, _coefficient, k_min, term_coefficient
@@ -375,9 +376,10 @@ def oracle_lngamma(z, digits: int = 30) -> mpc:
     its truncation certified below 10^-(digits+6), and the shift's logs are
     subtracted (:func:`_shift_logs`).  A shift past ``_MAX_SHIFT`` = 1000
     raises ``ResourceLimitError`` before any factor is formed.  That target
-    is absolute, so where |lngamma(z)| is below about 10^-6 the evaluation
-    is repeated with the working digits raised by the shortfall, at least
-    doubled (up to the cap) where the value is within its own target;
+    is absolute, so where a nonzero part of lngamma(z) is below about
+    10^-6 the evaluation is repeated with the working digits raised by the
+    shortfall, at least doubled (up to the cap) where that part is within
+    its own target, so that each part holds ``digits`` significant digits.
     lngamma(1) and lngamma(2) are exact zeros.  Results are cached by exact
     z and digits; a miss with ``_LNGAMMA_CACHE_SIZE`` entries held empties
     the cache first.
@@ -404,9 +406,11 @@ def oracle_lngamma(z, digits: int = 30) -> mpc:
             tau = mpf(10) ** (-(work + 6))
             n, tail, _ = _shifted_tail(zz, 0, "stirling", tau, 0)
             result = _main_terms_mp("stirling", zz + n) + tail - _shift_logs(zz, n)
-            # |result| >= 2^(mag-2), so this many digits leave `digits` significant
-            need = digits - 6 - math.floor((mp.mag(result) - 2) * math.log10(2.0))
-            if abs(result) <= tau:  # no digit resolved: at least double, up to the cap
+            # the smaller nonzero part p (tau if none) has |p| >= 2^(mag-2),
+            # so this many digits leave `digits` significant in each part
+            part = min((abs(p) for p in (result.real, result.imag) if p), default=tau)
+            need = digits - 6 - math.floor((mp.mag(part) - 2) * math.log10(2.0))
+            if part <= tau:  # no digit resolved: at least double, up to the cap
                 need = max(need, min(2 * work, MAX_DIGITS))
         if need <= work:
             break
@@ -414,7 +418,8 @@ def oracle_lngamma(z, digits: int = 30) -> mpc:
             shown = math.ceil(max(zz.real._mpf_[3], zz.imag._mpf_[3]) * math.log10(2.0)) + 1
             raise ResourceLimitError(
                 f"lngamma oracle needs {need} working digits for {digits} significant "
-                f"digits next to a zero at z={mp.nstr(zz, shown)}, beyond the cap {MAX_DIGITS}"
+                f"digits next to a zero, or in a part far below |value|, at "
+                f"z={mp.nstr(zz, shown)}, beyond the cap {MAX_DIGITS}"
             )
         work = need
     with mp.workdps(digits):
@@ -638,6 +643,13 @@ def _fixed(x: mpf, frac: int) -> int:
     shift = exp + frac
     man = man << shift if shift >= 0 else man >> -shift
     return -man if sign else man
+
+
+def _scaled(c: Fraction, frac: int) -> int:
+    """floor(c * 2**frac) for a rational c."""
+    if frac >= 0:
+        return (c.numerator << frac) // c.denominator
+    return c.numerator // (c.denominator << -frac)
 
 
 def _panel_sum(

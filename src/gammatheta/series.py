@@ -173,16 +173,6 @@ def gauss_term(j: int, z: complex) -> complex:
     return _unscale(*_scaled_term("gauss", j, *_inverse_scaled(complex(z))))
 
 
-@lru_cache(maxsize=1024)
-def _theta_coefficient(j: int) -> tuple[Fraction, float]:
-    """The exact theta coefficient and its double (inf past the range)."""
-    coeff = _coefficient("theta", j)[0]
-    try:
-        return coeff, float(coeff)
-    except OverflowError:
-        return coeff, math.inf
-
-
 def theta_term(j: int, t: float) -> float:
     """j-th (positive) term of the theta expansion at ``t > 0``.
 
@@ -194,12 +184,12 @@ def theta_term(j: int, t: float) -> float:
     t = float(t)
     if not (t > 0.0) or math.isinf(t):
         raise DomainError(f"theta terms require finite t > 0, got {t!r}")
-    coeff, c = _theta_coefficient(j)
+    coeff, m, e = _coefficient("theta", j)
     p = 2 * j - 1
     try:
         tp = t**p
-        if tp != 0.0 and c < math.inf and math.isfinite(tp):
-            return c / tp
+        if tp != 0.0 and math.isfinite(tp):
+            return math.ldexp(m, e) / tp
     except OverflowError:
         pass
     exact = coeff / Fraction(t) ** p

