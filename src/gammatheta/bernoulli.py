@@ -42,9 +42,11 @@ __all__ = [
     "shared_table",
 ]
 
-#: Hard cap on the Bernoulli index (the ``j`` of ``B_j``).  The largest index
-#: any supported computation needs is about 750; the cap leaves headroom
-#: while still catching runaway term counts.
+#: Hard cap on the Bernoulli index (the ``j`` of ``B_j``).  Supported
+#: computations reach it: auto-mode theta scans to index 2000 at t ~ 318
+#: (``k_min`` is 944 at t = 300), an explicit lngamma ``k`` up to
+#: ``lngamma._K_CAP`` = 999 needs index 1998, and the oracle's series tails
+#: run to index 2000.  Past it a term count is a runaway and is refused.
 MAX_INDEX = 2000
 
 def _tangent_numbers(n: int) -> list[int]:
@@ -77,6 +79,7 @@ class BernoulliTable:
     def __init__(self) -> None:
         self._even: list[Fraction] = [Fraction(1)]  # B_0
         self._half_coeffs: dict[int, tuple[Fraction, ...]] = {}
+        self._half_numerators: dict[int, tuple[tuple[int, ...], int]] = {}
         self._lock = threading.Lock()
 
     # -- numbers ---------------------------------------------------------
@@ -133,6 +136,19 @@ class BernoulliTable:
                 self._half_coeffs[j] = cached
         return cached
 
+    def half_numerators(self, j: int) -> tuple[tuple[int, ...], int]:
+        """``half_coefficients(j)`` on one denominator: ``(a, d)`` with the
+        i-th coefficient ``a[i] / d``, d the least common denominator.
+        Cached per degree."""
+        cached = self._half_numerators.get(j)
+        if cached is None:
+            coeffs = self.half_coefficients(j)
+            den = math.lcm(*(c.denominator for c in coeffs))
+            cached = tuple(c.numerator * (den // c.denominator) for c in coeffs), den
+            with self._lock:
+                self._half_numerators[j] = cached
+        return cached
+
 
 _SHARED = BernoulliTable()
 
@@ -164,13 +180,12 @@ def _eval_dyadic(j: int, num: int, s: int) -> mpf:
     from mpmath import mp
     from mpmath.libmp import from_int, from_man_exp, mpf_div, round_nearest
 
-    coeffs = _SHARED.half_coefficients(j)
-    den = math.lcm(*(c.denominator for c in coeffs))
+    numerators, den = _SHARED.half_numerators(j)
     y2 = (2 * num - (1 << s)) ** 2
     step = 2 * (s + 1)
     acc = shift = 0
-    for c in coeffs:
-        acc = acc * y2 + ((c.numerator * (den // c.denominator)) << shift)
+    for a in numerators:
+        acc = acc * y2 + (a << shift)
         shift += step
     # the power of two goes in the exponent: a shifted denominator would
     # cost mpmath a bytewise scan of its trailing zeros

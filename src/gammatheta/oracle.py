@@ -2,26 +2,23 @@
 
 Everything the fast certified path is tested against lives here:
 
-* ``oracle_lngamma`` — shift far enough right that the series' smallest term
-  is below the target, sum adaptively, and certify the truncation with the
-  closed-half-plane tail bound before returning.  The series runs in
-  fixed-point integers with a carried rounding bound, so its stop test is a
-  comparison of integers; the shift's logs are one log of a product.  It
-  and method (b) below take their shift by one rule, under one cap.
+* ``oracle_lngamma`` — ``mpmath.loggamma`` at two working precisions, whose
+  results must agree in each part to the digits asked for.
 * ``oracle_remainder`` — the series remainder after k terms by two
   independent methods: (a) subtracting main terms and partial sum from
   ``oracle_lngamma``, and (b) the exact periodic-kernel integral
   ``-(1/2k) \\int_0^U B_2k({u + offset}) (z+u)^{-2k} du`` plus the series
   continuation of the remainder at ``z + U`` (an integer shift leaves the
-  periodic kernel invariant).  The two must agree or a consistency error is
-  raised.  Method (b)'s quadrature error is proven, not estimated: its
-  20-point Gauss-Legendre panels are chosen before any node is evaluated,
-  by bisecting the kernel's polynomial pieces until each panel's bound on
-  a Bernstein ellipse, plus its rounding, is within its share of the
-  budget; each panel is then summed once.
+  periodic kernel invariant).  The two must agree within 10^-digits of
+  their scale, or a consistency error is raised.  Method (b)'s quadrature
+  error is proven, not estimated: its 20-point Gauss-Legendre panels are
+  chosen before any node is evaluated, by bisecting the kernel's
+  polynomial pieces until each panel's bound on a Bernstein ellipse, plus
+  its rounding, is within its share of the budget; each panel is then
+  summed once.  Its series continuation runs in fixed-point integers with
+  a carried rounding bound, so its stop test is a comparison of integers.
 * ``oracle_theta`` / ``oracle_theta_remainder`` — the theta function from
-  the half-shifted log-Gamma on the critical line, cross-checked for small
-  ``t`` against the defining arg-Gamma form.
+  the half-shifted log-Gamma on the critical line.
 * ``table2_row`` — the four normalized-error columns of the reference table.
 * ``sharpness_ratio`` / ``conjecture_scan`` — the numeric spot checks and
   the grid scan behind the scan command.  On the imaginary axis every series
@@ -103,7 +100,7 @@ _LOG_SLACK = 1e-6
 _PI_UP = 0x3243F6A8885A308E
 #: Fraction bits of a series tail's terms below those of its target.
 _TAIL_GUARD = 40
-#: Largest shift z -> z+n an oracle series takes; beyond it a call is refused.
+#: Largest shift z -> z+n method (b) takes; beyond it a call is refused.
 _MAX_SHIFT = 1000
 #: Entries ``_lngamma_cache`` holds before a miss empties it.
 _LNGAMMA_CACHE_SIZE = 1024
@@ -111,7 +108,6 @@ _LNGAMMA_CACHE_SIZE = 1024
 _cache_lock = threading.Lock()
 _coeff_cache: dict[tuple[str, int, int], mpf] = {}
 _ratio_cache: dict[tuple[str, int], list[int]] = {}
-_half_log_2pi_cache: dict[int, mpf] = {}
 _nodes_cache: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
 _lngamma_cache: dict[tuple[object, object, int], mpc] = {}
 
@@ -138,7 +134,6 @@ def clear_caches() -> None:
     with _cache_lock:
         _coeff_cache.clear()
         _ratio_cache.clear()
-        _half_log_2pi_cache.clear()
         _nodes_cache.clear()
         _lngamma_cache.clear()
         for key in _stats:
@@ -157,9 +152,7 @@ def stats() -> dict[str, int]:
     bisection of a unit piece any panel reached; the gauss family's end
     pieces are halves, level 1).  ``lngamma_cache_hits``:
     :func:`oracle_lngamma` calls answered from its cache.  ``series_terms``:
-    terms summed by the series tails (method (a)'s whole series in
-    :func:`oracle_lngamma` and method (b)'s continuation) and by the partial
-    sums of the first k terms.
+    terms summed by method (b)'s series tail.
     """
     with _cache_lock:
         return dict(_stats)
@@ -225,18 +218,6 @@ def _ratios(family: str, bits: int, upto: int) -> list[int]:
     return table
 
 
-def _half_log_2pi() -> mpf:
-    """log(2 pi) / 2 at the working precision, computed once per precision."""
-    prec = mp.mp.prec
-    with _cache_lock:
-        hit = _half_log_2pi_cache.get(prec)
-    if hit is None:
-        hit = mp.log(2 * mp.pi) / 2
-        with _cache_lock:
-            _half_log_2pi_cache[prec] = hit
-    return hit
-
-
 # ---------------------------------------------------------------------------
 # Gauss-Legendre nodes (Newton iteration on the Legendre recurrence)
 # ---------------------------------------------------------------------------
@@ -300,89 +281,17 @@ def _gl_nodes_01(prec: int) -> tuple[list[int], list[int]]:
 # ---------------------------------------------------------------------------
 
 
-def _shifted_tail(zz: mpc, k: int, family: str, tau: mpf, least: int):
-    """The series tail after k terms at z + n, certified below tau:
-    (n, sum, last index).
-
-    n is the least integer >= ``least`` with Re(z)+n >= 1/2 and |z+n| >= r,
-    r = min_j (safety sqrt(pi j) |c_j| / (tau/2))^(1/(2j-1)) in doubles, over
-    j = k+1, k+2, ... up to the first rise or the cap (an early stop only
-    raises r).  So at z + n a first j0 passes the stop test of
-    :func:`_tail_series` with a factor 2 to spare, and the terms fall up to
-    it, as they do up to any first pass.  The carried bound there, 7 j0
-    units plus the set-up's 2^(7-p) j0 |T_(k+1)|, is below tau 2^-17 for
-    both callers (|T_1| <= 1/6 against 10^-(work+6) at work+15 digits;
-    |T_(k+1)(z+n)| <= |rho_(k+1) T_k(z)| against 10^-(digits+9) |T_k(z)| at
-    digits+25), so the tail stops by j0.  A shift past ``_MAX_SHIFT`` raises
-    ``ResourceLimitError`` before anything is formed at z + n.
-    """
-    log_tau = math.log(tau.man) + (tau.exp - (2 if family == "gauss" else 1)) * _LOG_2
-    log_r = math.inf
-    for j in range(k + 1, max(k + 1, _SERIES_INDEX_CAP) + 1):  # j = k+1 past the cap raises
-        _, m, e = _coefficient(family, j)
-        log_a = math.log(abs(m) * math.sqrt(math.pi * j)) + e * _LOG_2 - log_tau
-        if log_a / (2 * j - 1) > log_r:
-            break
-        log_r = log_a / (2 * j - 1)
-    radius = math.exp(log_r)
-    x, y = float(zz.real), float(zz.imag)
-    shift = max(least, 0.5 - x, math.sqrt(max(0.0, radius * radius - y * y)) - x)
-    if shift > _MAX_SHIFT:
-        raise ResourceLimitError(
-            f"oracle series at z={zz}, k={k} needs the shift z -> z+n, "
-            f"n >= {shift:.1f}, beyond the cap {_MAX_SHIFT}"
-        )
-    n = math.ceil(shift)
-    return n, *_tail_series(zz + n, k, family, tau)
-
-
-def _shift_logs(zz: mpc, n: int) -> mpc:
-    """sum_{i<n} log(z+i), principal logs, as one log of the product.
-
-    The product and its log are formed at the working precision plus
-    ``n.bit_length() + 4`` bits.  The log's imaginary part is the sum of the
-    factors' arguments up to a multiple 2 pi m; m is the nearest integer to
-    the gap between the float sum of their ``atan2`` and that part.  Each
-    factor's real part is formed in mpmath before it becomes a float, and
-    a part too small for a float becomes a zero of its sign, so every float
-    argument lies in the closed quadrant of the true one and a factor next
-    to the cut stays on its side.  It is within 2^-50 of the true argument
-    unless both parts of the factor are below 2^-1022, which holds for at
-    most one factor, and then within pi/2.  The float sum is off by under
-    pi/2 + n 2^-50 < pi, so m is exact.
-    """
-    if n == 0:
-        return mpc(0)
-    with mp.workprec(mp.mp.prec + n.bit_length() + 4):
-        y = float(zz.imag)
-        prod = zz
-        turns = [math.atan2(y, float(zz.real))]
-        for i in range(1, n):
-            factor = zz + i
-            prod *= factor
-            turns.append(math.atan2(y, float(factor.real)))
-        log = mp.log(prod)
-        turns = math.fsum(turns)
-        m = round((turns - float(log.imag)) / (2.0 * math.pi))
-        return log + mpc(0, 2 * m) * mp.pi
-
-
 def oracle_lngamma(z, digits: int = 30) -> mpc:
     """lngamma(z) to ``digits`` rounded digits, principal branch, off the
     cut (-inf, 0].
 
-    z is taken exactly (an mpmath argument keeps all its bits).  The whole
-    Stirling series is summed at the shift z + n of :func:`_shifted_tail`,
-    its truncation certified below 10^-(digits+6), and the shift's logs are
-    subtracted (:func:`_shift_logs`).  A shift past ``_MAX_SHIFT`` = 1000
-    raises ``ResourceLimitError`` before any factor is formed.  That target
-    is absolute, so where a nonzero part of lngamma(z) is below about
-    10^-6 the evaluation is repeated with the working digits raised by the
-    shortfall, at least doubled (up to the cap) where that part is within
-    its own target, so that each part holds ``digits`` significant digits.
-    lngamma(1) and lngamma(2) are exact zeros.  Results are cached by exact
-    z and digits; a miss with ``_LNGAMMA_CACHE_SIZE`` entries held empties
-    the cache first.
+    z is taken exactly (an mpmath argument keeps all its bits).  The value
+    is ``mpmath.loggamma`` at ``digits + 15`` and at ``digits + 30`` working
+    digits; each part of the two must agree within 10^-digits of the second
+    one's, or a ``ConsistencyError`` is raised.  The second is returned,
+    rounded.  lngamma(1) and lngamma(2) are exact zeros.  Results are cached
+    by exact z and digits; a miss with ``_LNGAMMA_CACHE_SIZE`` entries held
+    empties the cache first.
     """
     digits = _check_digits(digits)
     if isinstance(z, mpf):
@@ -400,28 +309,18 @@ def oracle_lngamma(z, digits: int = 30) -> mpc:
             _stats["lngamma_cache_hits"] += 1
             return hit
     result = mpc(0)  # lngamma(1) = lngamma(2) = 0 exactly
-    work = digits
-    while zz != 1 and zz != 2:
-        with mp.workdps(work + 15):
-            tau = mpf(10) ** (-(work + 6))
-            n, tail, _ = _shifted_tail(zz, 0, "stirling", tau, 0)
-            result = _main_terms_mp("stirling", zz + n) + tail - _shift_logs(zz, n)
-            # the smaller nonzero part p (tau if none) has |p| >= 2^(mag-2),
-            # so this many digits leave `digits` significant in each part
-            part = min((abs(p) for p in (result.real, result.imag) if p), default=tau)
-            need = digits - 6 - math.floor((mp.mag(part) - 2) * math.log10(2.0))
-            if part <= tau:  # no digit resolved: at least double, up to the cap
-                need = max(need, min(2 * work, MAX_DIGITS))
-        if need <= work:
-            break
-        if need > MAX_DIGITS:
-            shown = math.ceil(max(zz.real._mpf_[3], zz.imag._mpf_[3]) * math.log10(2.0)) + 1
-            raise ResourceLimitError(
-                f"lngamma oracle needs {need} working digits for {digits} significant "
-                f"digits next to a zero, or in a part far below |value|, at "
-                f"z={mp.nstr(zz, shown)}, beyond the cap {MAX_DIGITS}"
-            )
-        work = need
+    if zz != 1 and zz != 2:
+        with mp.workdps(digits + 15):
+            first = mp.loggamma(zz)
+        with mp.workdps(digits + 30):
+            result = mp.loggamma(zz)
+            tolerance = mpf(10) ** -digits
+            for a, b in ((first.real, result.real), (first.imag, result.imag)):
+                if abs(a - b) > tolerance * abs(b):
+                    raise ConsistencyError(
+                        f"lngamma oracle at z={zz}: mpmath.loggamma at {digits + 15} "
+                        f"and {digits + 30} digits disagree at {digits} digits"
+                    )
     with mp.workdps(digits):
         out = +result
     with _cache_lock:
@@ -480,7 +379,6 @@ def _term(family: str, k: int, x) -> mpf:
 def _partial_sum_mp(family: str, k: int, zz):
     """Sum of the first k terms of the family's series at zz (an mpf for a
     real zz)."""
-    _count(series_terms=k)
     inv_w = 1 / zz
     inv_w2 = inv_w * inv_w
     p = inv_w
@@ -493,9 +391,10 @@ def _partial_sum_mp(family: str, k: int, zz):
 
 def _main_terms_mp(family: str, zz: mpc) -> mpc:
     logw = mp.log(zz)
+    half_log_2pi = mp.log(2 * mp.pi) / 2
     if family == "stirling":
-        return (zz - mpf("0.5")) * logw - zz + _half_log_2pi()
-    return zz * logw - zz + _half_log_2pi()
+        return (zz - mpf("0.5")) * logw - zz + half_log_2pi
+    return zz * logw - zz + half_log_2pi
 
 
 def _tail_series(w: mpc, k: int, family: str, tau: mpf):
@@ -575,6 +474,43 @@ def _tail_series(w: mpc, k: int, family: str, tau: mpf):
         acc_im += t_im
     _count(series_terms=j - k)
     return mpc(mpf((acc_re, -frac)), mpf((acc_im, -frac))), j
+
+
+def _shifted_tail(zz: mpc, k: int, family: str, tau: mpf):
+    """Method (b)'s series tail after k terms at z + n, certified below tau:
+    (n, sum, last index).
+
+    n is the least integer >= 1 with Re(z)+n >= 1/2 and |z+n| >= r,
+    r = min_j (safety sqrt(pi j) |c_j| / (tau/2))^(1/(2j-1)) in doubles, over
+    j = k+1, k+2, ... up to the first rise or the cap (an early stop only
+    raises r).  n >= 1 keeps the integral over [0, n] from being empty.  At
+    z + n a first j0 passes the stop test of :func:`_tail_series` with a
+    factor 2 to spare, and the terms fall up to it, as they do up to any
+    first pass.  The carried bound there, 7 j0 units plus the set-up's
+    2^(7-p) j0 |T_(k+1)|, is below tau 2^-17 (|T_(k+1)(z+n)| <=
+    |rho_(k+1) T_k(z)| against 10^-(digits+9) |T_k(z)| at digits+25), so
+    the tail stops by j0.  A shift past ``_MAX_SHIFT`` (k next to the index
+    cap at a large |z|) raises ``ResourceLimitError`` before anything is
+    formed at z + n.
+    """
+    log_tau = math.log(tau.man) + (tau.exp - (2 if family == "gauss" else 1)) * _LOG_2
+    log_r = math.inf
+    for j in range(k + 1, max(k + 1, _SERIES_INDEX_CAP) + 1):  # j = k+1 past the cap raises
+        _, m, e = _coefficient(family, j)
+        log_a = math.log(abs(m) * math.sqrt(math.pi * j)) + e * _LOG_2 - log_tau
+        if log_a / (2 * j - 1) > log_r:
+            break
+        log_r = log_a / (2 * j - 1)
+    radius = math.exp(log_r)
+    x, y = float(zz.real), float(zz.imag)
+    shift = max(1.0, 0.5 - x, math.sqrt(max(0.0, radius * radius - y * y)) - x)
+    if shift > _MAX_SHIFT:
+        raise ResourceLimitError(
+            f"oracle series at z={zz}, k={k} needs the shift z -> z+n, "
+            f"n >= {shift:.1f}, beyond the cap {_MAX_SHIFT}"
+        )
+    n = math.ceil(shift)
+    return n, *_tail_series(zz + n, k, family, tau)
 
 
 class _PeriodicKernel:
@@ -839,8 +775,7 @@ def _remainder_by_integral(z: complex, k: int, family: str, digits: int, log_t: 
         with mp.workdps(wp):
             zz = mpc(z)
             tau_tail = mpf(10) ** (log_t - digits - 9)
-            # n >= 1: an empty integral would leave both methods on one series
-            shift, tail_sum, tail_terms = _shifted_tail(zz, k, family, tau_tail, 1)
+            shift, tail_sum, tail_terms = _shifted_tail(zz, k, family, tau_tail)
 
             prec = mp.mp.prec + 20
             log_budget = (log_t - digits - 8) * _LN10 - math.log(shift)
@@ -869,9 +804,11 @@ def oracle_remainder(
     ``digits`` digits, verified by two independent methods.
 
     Returns the rounded method-(a) value (an ``mpc``), or a full
-    :class:`RemainderWitness` when ``details=True``.  Raises a consistency
-    error if the methods disagree beyond ``10^(5-digits)`` relative to the
-    larger of the two values and the k-th term's magnitude.
+    :class:`RemainderWitness` when ``details=True``.  Method (a) takes
+    lngamma from :func:`oracle_lngamma` (``mpmath.loggamma``), which method
+    (b) does not use.  Raises a consistency error if the methods disagree
+    beyond ``10^-digits`` relative to the larger of the two values and the
+    k-th term's magnitude.
     """
     digits = _check_digits(digits)
     zc = _require_remainder_args(z, k, family)
@@ -905,7 +842,7 @@ def oracle_remainder(
     with mp.workdps(digits + 10):
         scale = max(abs(a_val), abs(b_val), mpf(10) ** log_t)
         difference = abs(a_val - b_val)
-        tolerance = mpf(10) ** (-(digits - 5)) * scale
+        tolerance = mpf(10) ** -digits * scale
         if difference > tolerance:
             raise ConsistencyError(
                 f"remainder methods disagree at z={zc}, k={k}, {family}: "
@@ -937,15 +874,12 @@ def oracle_remainder(
 def oracle_theta(t, digits: int = 30) -> mpf:
     """theta(t) for t > 0 to ``digits`` digits.
 
-    Computed from Im lngamma(1/2 + it); for t <= 3 the value is additionally
-    cross-checked against the defining form Im lngamma(1/4 + it/2) -
-    (t/2) log pi (for larger t the two differ only through the same oracle,
-    and the branch bookkeeping is exercised by the certified path's tests).
+    Computed from Im lngamma(1/2 + it) (:func:`oracle_lngamma`) as
+    Im lngamma(1/2 + it)/2 - (t/2) log(2 pi) - pi/8 + arctan(e^(-pi t))/2.
     """
     digits = _check_digits(digits)
     tf = _height(t, "theta oracle")
-    wp = digits + 15
-    with mp.workdps(wp):
+    with mp.workdps(digits + 15):
         tt = mpf(tf)
         lg = oracle_lngamma(mpc(mpf("0.5"), tt), min(digits + 8, MAX_DIGITS))
         value = (
@@ -954,17 +888,6 @@ def oracle_theta(t, digits: int = 30) -> mpf:
             - mp.pi / 8
             + mp.atan(mp.exp(-mp.pi * tt)) / 2
         )
-        if tt <= 3:
-            lg2 = oracle_lngamma(
-                mpc(mpf("0.25"), tt / 2), min(digits + 8, MAX_DIGITS)
-            )
-            alt = lg2.imag - tt / 2 * mp.log(mp.pi)
-            tolerance = mpf(10) ** (-(digits - 5)) * (1 + abs(value))
-            if abs(value - alt) > tolerance:
-                raise ConsistencyError(
-                    f"theta oracle forms disagree at t={tf}: "
-                    f"|delta|={mp.nstr(abs(value - alt), 5)}"
-                )
     with mp.workdps(digits):
         return +value
 

@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import math
 import random
-import time
 from fractions import Fraction
 
 import mpmath as mp
@@ -38,7 +37,6 @@ from gammatheta.oracle import (
     _partial_sum_mp,
     _PeriodicKernel,
     _ratios,
-    _shift_logs,
     _tail_series,
 )
 from gammatheta.series import term_coefficient
@@ -65,8 +63,8 @@ def test_lngamma_of_one_is_zero_to_full_precision():
 @pytest.mark.parametrize(("zero", "offset"), [(1, 0.0), (2, 0.0), (1, 2**-60), (2, -(2**-70))])
 @pytest.mark.parametrize("digits", [15, 40])
 def test_lngamma_next_to_its_zeros_keeps_its_significant_digits(zero, offset, digits):
-    # The truncation target is absolute, so next to lngamma(1) = lngamma(2)
-    # = 0 the evaluation repeats with the digits it falls short by.
+    # lngamma(1) = lngamma(2) = 0 exactly; next to them the value is small
+    # and still holds its digits relative to itself.
     with mp.workprec(200):
         z = mp.mpc(zero) + offset
     got = oracle_lngamma(z, digits)
@@ -88,46 +86,15 @@ def test_lngamma_keeps_its_significant_digits_in_each_part():
         want = mp.loggamma(z)
         for g, w in ((got.real, want.real), (got.imag, want.imag)):
             assert abs(g - w) <= abs(w) * mp.mpf(10) ** -39
-    # a part beyond the digit cap is refused though |value| is far from zero
+    # lngamma(3 + i 2^-4000) is about 0.693 + 7.0e-1205 i: the imaginary
+    # part keeps its digits, 1200 orders of magnitude below the real part
     with mp.workprec(4100):
         z = mp.mpc(3, mp.mpf(2) ** -4000)
-    with pytest.raises(ResourceLimitError, match="far below"):
-        oracle_lngamma(z, 20)
-
-
-def test_lngamma_refuses_a_zero_it_cannot_resolve_within_the_digit_cap():
-    with mp.workprec(1800):
-        z = mp.mpc(1) + mp.mpf(2) ** -1700  # lngamma(z) is about 1e-512
-    with pytest.raises(ResourceLimitError, match="next to a zero"):
-        oracle_lngamma(z, 520)
-
-
-def test_lngamma_doubles_its_digits_where_a_pass_resolves_nothing(monkeypatch):
-    # lngamma(1 + 2^-3400) is about -1.8e-1024: every pass short of that
-    # returns noise within its own target, so the working digits at least
-    # double until the cap refuses, and the refusal shows z apart from 1.
-    passes = []
-    shifted_tail = oracle._shifted_tail
-
-    def spy(*args):
-        passes.append(mp.mp.dps)
-        return shifted_tail(*args)
-
-    monkeypatch.setattr(oracle, "_shifted_tail", spy)
-    clear_caches()
-    with mp.workprec(3500):
-        z = mp.mpc(1) + mp.mpf(2) ** -3400
-    with pytest.raises(ResourceLimitError, match=r"z=\(1\.0{1000,}[1-9]"):
-        oracle_lngamma(z, 20)
-    assert len(passes) <= 7, passes
-    passes.clear()
-    with mp.workprec(400):
-        z = mp.mpc(2) - mp.mpf(2) ** -300
     got = oracle_lngamma(z, 20)
-    assert len(passes) <= 5, passes
-    with mp.workdps(150):
+    with mp.workdps(60):
         want = mp.loggamma(z)
-        assert abs(got - want) <= abs(want) * mp.mpf(10) ** -19
+        for g, w in ((got.real, want.real), (got.imag, want.imag)):
+            assert abs(g - w) <= abs(w) * mp.mpf(10) ** -19
 
 
 def test_lngamma_takes_an_mpc_argument_exactly():
@@ -145,16 +112,48 @@ def test_lngamma_takes_an_mpc_argument_exactly():
             assert abs(got - want) <= abs(want) * mp.mpf(10) ** -29
 
 
-def test_lngamma_refuses_a_shift_past_the_cap_before_forming_it(monkeypatch):
-    def unreachable(*args):
-        raise AssertionError("formed a shift past the cap")
+def _hard_lngamma_points():
+    """Next to a zero in the imaginary and in the real direction, far left of
+    the axis, and high on the critical line."""
+    with mp.workprec(3500):
+        return (
+            mp.mpc(1, mp.mpf(2) ** -150),
+            mp.mpc(1) + mp.mpf(2) ** -3400,
+            mp.mpc(-99999.5, 1),
+            mp.mpc(0.5, 30),
+        )
 
-    monkeypatch.setattr(oracle, "_shift_logs", unreachable)
-    monkeypatch.setattr(oracle, "_tail_series", unreachable)
-    start = time.perf_counter()
-    with pytest.raises(ResourceLimitError, match=r"n >= 100007\.2, beyond the cap 1000"):
-        oracle_lngamma(-99999.5 + 1j, 15)
-    assert time.perf_counter() - start < 0.05
+
+@pytest.mark.parametrize("digits", [20, 40])
+def test_lngamma_matches_mpmath_at_thirty_more_digits_in_each_part(digits):
+    for z in _hard_lngamma_points():
+        got = oracle_lngamma(z, digits)
+        with mp.workdps(digits + 30):
+            want = mp.loggamma(z)
+            for g, w in ((got.real, want.real), (got.imag, want.imag)):
+                assert abs(g - w) <= abs(w) * mp.mpf(10) ** -digits, (z, digits)
+
+
+def test_lngamma_refuses_where_its_two_precisions_disagree(monkeypatch):
+    # A fault that moves the imaginary part at the lower working precision
+    # only, by 10^-(digits-1) of that part, is a consistency error.
+    loggamma = mp.loggamma
+
+    def faulty(z):
+        value = loggamma(z)
+        if mp.mp.dps < 40:
+            value += mp.mpc(0, value.imag / 10**19)
+        return value
+
+    monkeypatch.setattr(mp, "loggamma", faulty)
+    clear_caches()
+    with pytest.raises(ConsistencyError, match="disagree at 20 digits"):
+        oracle_lngamma(0.5 + 7j, 20)
+    got = oracle_lngamma(0.5 + 7j, 30)  # 45 and 60 digits: no fault
+    with mp.workdps(60):
+        want = loggamma(mp.mpc(0.5, 7))
+    with mp.workdps(30):
+        assert got == +want
 
 
 def test_lngamma_rejects_the_cut():
@@ -367,13 +366,15 @@ def test_a_miss_at_capacity_empties_the_lngamma_cache_in_place():
 
 
 def test_stats_count_series_terms():
+    # method (b)'s tail terms; the partial sums of the first k terms are not
+    # series work of the oracle's own
     clear_caches()
     with mp.workdps(40):
         w = mp.mpc(20, 3)
         _, last = _tail_series(w, 3, "stirling", mp.mpf(10) ** -46)
         assert stats()["series_terms"] == last - 3
         _partial_sum_mp("gauss", 5, w)
-    assert stats()["series_terms"] == last + 2
+    assert stats()["series_terms"] == last - 3
     clear_caches()
     assert stats()["series_terms"] == 0
 
@@ -429,6 +430,61 @@ def test_half_family_remainder_real_part_is_k_independent_on_the_axis():
             assert abs(value - want) <= abs(want) * mp.mpf(10) ** (-25)
 
 
+def _mpmath_remainder(z, k, family, digits):
+    """The remainder after k terms from mpmath.loggamma and mpmath's own
+    Bernoulli numbers, at ``digits``."""
+    with mp.workdps(digits):
+        zz = mp.mpc(z)
+        half_log_2pi = mp.log(2 * mp.pi) / 2
+        if family == "stirling":
+            total = mp.loggamma(zz) - ((zz - 0.5) * mp.log(zz) - zz + half_log_2pi)
+        else:
+            total = mp.loggamma(zz + 0.5) - (zz * mp.log(zz) - zz + half_log_2pi)
+        for j in range(1, k + 1):
+            b = mp.bernoulli(2 * j)
+            if family == "gauss":  # B_2j(1/2) = -(1 - 2^(1-2j)) B_2j
+                b *= mp.mpf(2) ** (1 - 2 * j) - 1
+            total -= b / (2 * j * (2 * j - 1) * zz ** (2 * j - 1))
+        return total
+
+
+def _planted_cells():
+    """27 seeded points in the right half-plane with k <= 12, the first
+    pinned at 0.5 + 0.5i, k = 2."""
+    rng = random.Random("planted-coefficient")
+    cells = [(0.5 + 0.5j, 2)]
+    while len(cells) < 27:
+        r, phi = 10 ** rng.uniform(-0.5, 1.5), rng.uniform(-math.pi / 2, math.pi / 2)
+        cells.append((complex(r * math.cos(phi), r * math.sin(phi)), rng.randint(1, 12)))
+    return cells
+
+
+def test_a_planted_coefficient_error_is_refused_or_leaves_the_value_right(monkeypatch):
+    # c_(k+4) of the cell's family, 1e-6 off in fresh coefficient caches
+    # (the module's own stay clean), moves method (b)'s tail: each call must
+    # either refuse or return the remainder to the 20 digits it claims.
+    digits, refused = 20, 0
+    for z, k in _planted_cells():
+        for family in ("stirling", "gauss"):
+
+            def planted(kind, j, cell=(family, k + 4)):
+                c = term_coefficient(kind, j)
+                return c * (1 + Fraction(1, 10**6)) if (kind, j) == cell else c
+
+            monkeypatch.setattr(oracle, "term_coefficient", planted)
+            for cache in ("_coeff_cache", "_ratio_cache", "_lngamma_cache"):
+                monkeypatch.setattr(oracle, cache, {})
+            try:
+                got = oracle_remainder(z, k, family, digits)
+            except ConsistencyError:
+                refused += 1
+                continue
+            want = _mpmath_remainder(z, k, family, 50)
+            with mp.workdps(50):
+                assert abs(got - want) <= abs(want) * mp.mpf(10) ** -digits, (z, k, family)
+    assert refused > 0
+
+
 def test_remainder_magnitude_respects_the_proven_bound():
     for k, z in ((2, 0.5 + 4j), (6, 9.0 + 0j)):
         truth = abs(oracle_remainder(z, k, "stirling", 20))
@@ -445,6 +501,18 @@ def test_theta_matches_the_external_reference():
             z = mp.mpc(mp.mpf(1) / 4, mp.mpf(t) / 2)
             want = mp.im(mp.loggamma(z)) - mp.mpf(t) / 2 * mp.log(mp.pi)
             assert abs(got - want) <= (abs(want) + 1) * mp.mpf(10) ** (-38)
+
+
+def test_theta_matches_mpmath_siegeltheta_from_0_01_to_300():
+    # mpmath's theta comes from the defining form Im lngamma(1/4 + it/2) -
+    # (t/2) log pi (or its own asymptotic series), not the oracle's
+    # Im lngamma(1/2 + it) form.
+    for i in range(31):
+        t = 0.01 * 30000 ** (i / 30)
+        got = oracle_theta(t, 30)
+        with mp.workdps(40):
+            want = mp.siegeltheta(mp.mpf(t))
+            assert abs(got - want) <= mp.mpf(10) ** -28 * (abs(want) + 1), t
 
 
 def test_theta_requires_positive_finite_t():
@@ -615,7 +683,8 @@ _CELLS = tuple(
 
 
 def test_fixed_point_tail_matches_the_mpmath_loop_on_the_remainder_cells(monkeypatch):
-    # Both methods' tails, with the w, k, tau and precision each cell uses.
+    # Method (b)'s tail, one per cell, with the w, k, tau and precision each
+    # cell uses.
     calls = []
 
     def spy(w, k, family, tau):
@@ -627,7 +696,7 @@ def test_fixed_point_tail_matches_the_mpmath_loop_on_the_remainder_cells(monkeyp
     for z, k, family, digits in _CELLS:
         oracle_remainder(z, k, family, digits)
     monkeypatch.undo()
-    assert len(calls) == 2 * len(_CELLS)
+    assert len(calls) == len(_CELLS)
     for w, k, family, tau, prec in calls:
         with mp.workprec(prec):
             _check_tail(w, k, family, tau)
@@ -674,15 +743,17 @@ def test_term_ratios_grow_with_the_index():
         (-1e-8j, 60, 40),
         (0.25 + 0.5j, 300, 60),
         (-7.5 - 0.25j, 40, 30),
-        # the shifts the two sharpness spots of c05 take
+        # shifts as long as the two sharpness spots of c05 take
         (100j / math.pi, 47, 155),
         (400j / math.pi, 83, 415),
     ],
 )
 def test_shift_logs_take_the_branch_of_the_sum_of_logs(z, n, dps):
+    # lngamma(z + n) - lngamma(z) is the sum of the principal logs of the
+    # shift's factors z, ..., z + n - 1, branch and all.
     with mp.workdps(dps):
         zz = mp.mpc(z)
-        got = _shift_logs(zz, n)
+        got = oracle_lngamma(zz + n, dps) - oracle_lngamma(zz, dps)
         with mp.workdps(dps + 10):
             want = mp.fsum(mp.log(zz + i) for i in range(n))
         assert abs(got - want) <= mp.mpf(10) ** (5 - dps) * (1 + abs(want))
@@ -690,16 +761,17 @@ def test_shift_logs_take_the_branch_of_the_sum_of_logs(z, n, dps):
 
 def test_shift_logs_keep_a_factor_next_to_the_cut_on_its_side():
     # z + 2 = -1e-25 + 1e-400j: its real part rounds to -2.0 and its
-    # imaginary part to 0.0 as doubles, so only a factor formed before the
-    # float conversion keeps the argument near pi (the sum is 3 pi, not pi).
+    # imaginary part to 0.0 as doubles, yet the factor lies above the cut,
+    # so lngamma(z) is about -3 pi i off the real axis, and the shift's logs
+    # carry arguments near pi.
     with mp.workdps(45):
         zz = mp.mpc(-2 - mp.mpf("1e-25"), mp.mpf("1e-400"))
-        for n in (3, 5, 30):
-            got = _shift_logs(zz, n)
-            with mp.workdps(55):
-                want = mp.fsum(mp.log(zz + i) for i in range(n))
-            assert abs(got - want) <= mp.mpf(10) ** -40 * abs(want), n
     value = oracle_lngamma(zz, 30)
+    with mp.workdps(55):
+        for n in (3, 5, 30):
+            got = oracle_lngamma(zz + n, 30) - value
+            want = mp.fsum(mp.log(zz + i) for i in range(n))
+            assert abs(got - want) <= mp.mpf(10) ** -28 * abs(want), n
     with mp.workdps(60):
         want = mp.loggamma(zz)
         assert abs(want.imag + 3 * mp.pi) < 1e-20
@@ -736,7 +808,7 @@ def test_remainders_next_to_the_origin_take_each_shift_once(monkeypatch):
 
 def _shift_cases(family):
     """A seeded sample over k and 12 to 500 digits, with z left of the axis
-    (k = 0, as in oracle_lngamma) or next to it (method (b))."""
+    (k = 0, the whole series) or next to it (method (b))."""
     rng = random.Random(f"shift-rule:{family}")
     for k in (0, 1, 5, 20, 90, 400):
         for digits in (12, 45, 160, 500):
@@ -753,19 +825,19 @@ def test_the_shift_rule_certifies_at_once_and_near_the_least_shift(family):
     # stops below the index cap; below it by two or more, the tail would
     # not certify.
     for k, digits, z in _shift_cases(family):
-        if k == 0:  # oracle_lngamma's target and precision
-            dps, least = digits + 15, 0
+        if k == 0:  # an absolute target, at 15 guard digits
+            dps = digits + 15
             log_tau = -(digits + 6)
-        else:  # method (b)'s
-            dps, least = digits + 25, 1
+        else:  # method (b)'s target and precision
+            dps = digits + 25
             with mp.workdps(30):
                 log_tau = oracle._log10_term(family, k, mp.mpc(z)) - digits - 9
         with mp.workdps(dps):
             zz, tau = mp.mpc(z), mp.mpf(10) ** log_tau
-            n, _, last = oracle._shifted_tail(zz, k, family, tau, least)
+            n, _, last = oracle._shifted_tail(zz, k, family, tau)
             assert last < oracle._SERIES_INDEX_CAP, (k, digits, z)
             m = n - 1
-            while m >= max(least, 0.5 - z.real):
+            while m >= max(1, 0.5 - z.real):
                 try:
                     _tail_series(zz + m, k, family, tau)
                 except ConsistencyError:
@@ -774,11 +846,25 @@ def test_the_shift_rule_certifies_at_once_and_near_the_least_shift(family):
             assert n - (m + 1) <= 1, (k, digits, z, n, m + 1)
 
 
+def test_a_shift_past_the_cap_is_refused_before_the_tail_is_formed(monkeypatch):
+    # k = 999 at |z| = 1e8: the one index left, 1000, certifies only at
+    # |z + n| of about 3e8, so the shift is refused before any term is formed.
+    def unreachable(*args):
+        raise AssertionError("formed a tail past the shift cap")
+
+    monkeypatch.setattr(oracle, "_tail_series", unreachable)
+    with mp.workdps(30):
+        log_tau = oracle._log10_term("gauss", 999, mp.mpc(0, 1e8)) - 20 - 9
+    with mp.workdps(45):
+        with pytest.raises(ResourceLimitError, match="beyond the cap 1000"):
+            oracle._shifted_tail(mp.mpc(0, 1e8), 999, "gauss", mp.mpf(10) ** log_tau)
+
+
 def test_a_tail_past_the_index_cap_is_refused_at_its_first_coefficient():
     # k at the cap leaves no index to scan: the first term's coefficient
     # refuses, not a shift of infinite size.
     with mp.workdps(30):
         with pytest.raises(ResourceLimitError, match="Bernoulli index 2002"):
             oracle._shifted_tail(
-                mp.mpc(300, 5), oracle._SERIES_INDEX_CAP, "stirling", mp.mpf(10) ** -40, 1
+                mp.mpc(300, 5), oracle._SERIES_INDEX_CAP, "stirling", mp.mpf(10) ** -40
             )
