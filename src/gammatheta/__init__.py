@@ -26,7 +26,6 @@ from .bernoulli import (
     MAX_INDEX,
     bernoulli_half,
     bernoulli_number,
-    bernoulli_poly,
     half_shift_identity_check,
     periodic_bernoulli,
 )
@@ -48,7 +47,6 @@ from .bounds import (
     best_bound,
     c_k,
     c_k_string,
-    conjectured_bound,
     containment_grid,
     eta,
     eta_fraction,
@@ -121,7 +119,6 @@ __all__ = [
     "MAX_INDEX",
     "bernoulli_half",
     "bernoulli_number",
-    "bernoulli_poly",
     "half_shift_identity_check",
     "periodic_bernoulli",
     "MinTermReport",
@@ -139,7 +136,6 @@ __all__ = [
     "best_bound",
     "c_k",
     "c_k_string",
-    "conjectured_bound",
     "containment_grid",
     "eta",
     "eta_fraction",

@@ -9,7 +9,9 @@ is evaluated in the half-argument form ``B_j(1/2 + y)``, a polynomial in
 its mpf argument, and the result is rounded once, correctly, to the working
 precision, with no fixed point and no Ziv fallback (only the oracle's
 quadrature kernel runs in fixed point).  Only the functions that take or
-return an mpf import mpmath, when called.
+return an mpf import mpmath, when called.  mpmath's working precision is
+global to the process, so wherever the package sets it, it holds
+``_MPMATH_LOCK``: such calls run one at a time.
 Conventions:
 
 * ``bernoulli_number(j)`` takes the *even* index ``j`` and returns ``B_j``,
@@ -19,9 +21,10 @@ Conventions:
   fractional part, the kernel of the remainder integrals of the asymptotic
   expansions.
 
-The even Bernoulli numbers, the only stored values, are cached in a
-grow-on-demand table of exact rationals with a hard index cap; growth is
-serialized by a lock so the table is safe to share between threads.
+The even Bernoulli numbers, and each polynomial's coefficients in one
+form, are cached in a grow-on-demand table of exact values with a hard
+index cap; growth is serialized by the table's own lock, so the table is
+safe to share between threads.
 """
 from __future__ import annotations
 
@@ -36,7 +39,6 @@ __all__ = [
     "BernoulliTable",
     "bernoulli_number",
     "bernoulli_half",
-    "bernoulli_poly",
     "periodic_bernoulli",
     "half_shift_identity_check",
     "shared_table",
@@ -48,6 +50,10 @@ __all__ = [
 #: ``lngamma._K_CAP`` = 999 needs index 1998, and the oracle's series tails
 #: run to index 2000.  Past it a term count is a runaway and is refused.
 MAX_INDEX = 2000
+
+#: The one lock held wherever the package sets mpmath's working precision.
+_MPMATH_LOCK = threading.RLock()
+
 
 def _tangent_numbers(n: int) -> list[int]:
     """``[0, T_1, ..., T_n]`` with ``T_m`` the m-th tangent number
@@ -66,19 +72,21 @@ class BernoulliTable:
     """Grow-on-demand cache of even-index Bernoulli numbers.
 
     ``_even[m]`` holds ``B_{2m}`` (``_even[0] = 1``); ``B_{2m}(1/2)`` is
-    derived from it.  Odd-index numbers beyond ``B_1 = -1/2`` vanish
-    and are not stored.  Growth recomputes the tangent numbers ``T_m`` and
+    derived from it.  Odd-index numbers beyond ``B_1 = -1/2`` vanish and
+    are not stored.  A polynomial is cached in one form only,
+    ``half_numerators``: the coefficients of ``B_j(1/2 + y)`` on one
+    denominator.  Growth recomputes the tangent numbers ``T_m`` and
     sets ``B_{2m} = (-1)^(m-1) 2m T_m / (4^m (4^m - 1))``; it at least
     doubles the table each time (up to the cap), so the O(n^2) recurrence
     costs a constant factor over one run to the final size; a caller that
     knows its final size (``series.k_min``) asks for it first and runs it
     once.  Reads of already-grown entries take no lock (list reads are
-    atomic); growth is serialized.
+    atomic); growth is serialized by the table's own lock.  The table sets
+    no mpmath precision, so it never takes the shared ``_MPMATH_LOCK``.
     """
 
     def __init__(self) -> None:
         self._even: list[Fraction] = [Fraction(1)]  # B_0
-        self._half_coeffs: dict[int, tuple[Fraction, ...]] = {}
         self._half_numerators: dict[int, tuple[tuple[int, ...], int]] = {}
         self._lock = threading.Lock()
 
@@ -119,30 +127,21 @@ class BernoulliTable:
 
     # -- polynomials -----------------------------------------------------
 
-    def half_coefficients(self, j: int) -> tuple[Fraction, ...]:
+    def half_numerators(self, j: int) -> tuple[tuple[int, ...], int]:
         """Exact coefficients of ``B_j(1/2 + y)`` as a polynomial in ``y^2``,
-        highest power first: ``(1, C(j,2) B_2(1/2), ..., B_j(1/2))``.
+        highest power first, ``(1, C(j,2) B_2(1/2), ..., B_j(1/2))``, on one
+        denominator: ``(a, d)`` with the i-th coefficient ``a[i] / d``, d
+        the least common denominator.
 
         ``B_j(1/2 + y) = sum_i C(j,i) B_i(1/2) y^(j-i)`` and ``B_i(1/2)``
         vanishes for odd ``i``.  Cached per degree.
         """
         self._check_index(j)
-        cached = self._half_coeffs.get(j)
-        if cached is None:
-            cached = (Fraction(1),) + tuple(
-                math.comb(j, i) * self.half(i) for i in range(2, j + 1, 2)
-            )
-            with self._lock:
-                self._half_coeffs[j] = cached
-        return cached
-
-    def half_numerators(self, j: int) -> tuple[tuple[int, ...], int]:
-        """``half_coefficients(j)`` on one denominator: ``(a, d)`` with the
-        i-th coefficient ``a[i] / d``, d the least common denominator.
-        Cached per degree."""
         cached = self._half_numerators.get(j)
         if cached is None:
-            coeffs = self.half_coefficients(j)
+            coeffs = [Fraction(1)] + [
+                math.comb(j, i) * self.half(i) for i in range(2, j + 1, 2)
+            ]
             den = math.lcm(*(c.denominator for c in coeffs))
             cached = tuple(c.numerator * (den // c.denominator) for c in coeffs), den
             with self._lock:
@@ -193,19 +192,6 @@ def _eval_dyadic(j: int, num: int, s: int) -> mpf:
     return mp.make_mpf(quotient)
 
 
-def bernoulli_poly(j: int, u) -> mpf:
-    """``B_j(u)`` for even ``j`` and ``0 <= u <= 1`` (taken as an mpf at
-    working precision), correctly rounded."""
-    from mpmath import mpf
-
-    _SHARED._check_index(j)
-    u = mpf(u)
-    if not 0 <= u <= 1:
-        raise DomainError(f"bernoulli_poly argument must lie in [0,1], got {u}")
-    _, man, exp, _ = u._mpf_  # u = man * 2**exp with exp <= 0
-    return _eval_dyadic(j, man, -exp)
-
-
 def periodic_bernoulli(j: int, u) -> mpf:
     """``B_j({u})`` with ``{u} = u - floor(u)``, for any finite real ``u``
     (taken as an mpf at working precision), correctly rounded.  ``{u}`` is
@@ -236,14 +222,15 @@ def half_shift_identity_check(k: int, u, digits: int | None = None) -> bool:
 
     if k < 1:
         raise DomainError(f"half_shift_identity_check needs k >= 1, got {k}")
-    if digits is None:
-        digits = mp.dps
-    magnitude = abs(bernoulli_number(2 * k))
-    extra = max(0, int(mp.log10(magnitude)) + 1) if magnitude > 1 else 0
-    with mp.workdps(digits + 15 + extra):
-        uu = mpf(u)
-        lhs = periodic_bernoulli(2 * k, 2 * uu) / 2 ** (2 * k - 1)
-        lhs -= periodic_bernoulli(2 * k, uu)
-        rhs = periodic_bernoulli(2 * k, uu + mpf(1) / 2)
-        scale = max(mpf(1), abs(lhs), abs(rhs))
-        return bool(abs(lhs - rhs) < scale * mpf(10) ** (5 - digits))
+    with _MPMATH_LOCK:
+        if digits is None:
+            digits = mp.dps
+        magnitude = abs(bernoulli_number(2 * k))
+        extra = max(0, int(mp.log10(magnitude)) + 1) if magnitude > 1 else 0
+        with mp.workdps(digits + 15 + extra):
+            uu = mpf(u)
+            lhs = periodic_bernoulli(2 * k, 2 * uu) / 2 ** (2 * k - 1)
+            lhs -= periodic_bernoulli(2 * k, uu)
+            rhs = periodic_bernoulli(2 * k, uu + mpf(1) / 2)
+            scale = max(mpf(1), abs(lhs), abs(rhs))
+            return bool(abs(lhs - rhs) < scale * mpf(10) ** (5 - digits))

@@ -49,7 +49,6 @@ STIELTJES              classical |R_k| <= sec(arg z/2)^(2k) |T_k| off the
 BEHNKE_SOMMER          classical |R_{k+1}/T_{k+1}| < 1+(2k+1)/2*sqrt(pi/k)
 HARE                   |R_k| <= 4 sqrt(pi) Gamma(k+1/2)/Gamma(k) |T_k(i Im z)|,
                        Im z != 0
-CONJECTURED_QUADRATIC  sharper quadratic bound, unproven below k = 34
 =====================  ================================================
 
 Selection.  Each context has a ladder of the paper's own families, strongest
@@ -84,13 +83,12 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-import threading
 from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
-from .bernoulli import bernoulli_number
+from .bernoulli import _MPMATH_LOCK, bernoulli_number
 from .errors import DomainError
 from .fputil import ceil_float, up
 from .series import _coefficient, _require_index, stirling_term
@@ -106,7 +104,6 @@ __all__ = [
     "c_k_string",
     "rigorous_bound",
     "faulty_theta_bound",
-    "conjectured_bound",
     "best_bound",
     "applicable_bounds",
     "CONTAINMENT_T",
@@ -150,7 +147,6 @@ class BoundKind(str, Enum):
     STIELTJES = "stieltjes"
     BEHNKE_SOMMER = "behnke-sommer"
     HARE = "hare"
-    CONJECTURED_QUADRATIC = "conjectured-quadratic"
 
 
 class Target(str, Enum):
@@ -283,23 +279,20 @@ _CK_UP = (
     0.1123906156878483, 0.11239421692003582, 0.11239774562063577, 0.11240120395893777,
 )
 
-#: k -> c_k as the exact value of its 50-digit print, for ``c_k_string``.
-#: Filled under the lock: mpmath's working precision is global.
-_CK: dict[int, Fraction] = {}
-_CK_LOCK = threading.Lock()
-
-
-def _compute_ck(k: int) -> tuple[Fraction, float]:
-    """``sum(|T_(k+j)(k) / T_k(k)| for j = 1..2k)
+@lru_cache(maxsize=CK_MAX_K)
+def _compute_ck(k: int) -> Fraction:
+    """c_k as the exact value of its 50-digit print, cached per k:
+    ``sum(|T_(k+j)(k) / T_k(k)| for j = 1..2k)
     + sqrt(3 k pi) |T_(3k)(k) / T_k(k)|`` with the term ratios taken at the
     real point ``z = k``, computed at 60 working digits from the exact
     rational coefficient ratios and nudged up by a relative 1e-45, so the
     stored value is an upper bound on the true constant that is correct to
-    well over 40 digits.
+    well over 40 digits.  It holds ``_MPMATH_LOCK``: mpmath's working
+    precision is global.
     """
     from mpmath import mp
 
-    with mp.workdps(60):
+    with _MPMATH_LOCK, mp.workdps(60):
         b2k = bernoulli_number(2 * k)
         base = abs(mp.mpf(b2k.numerator)) / mp.mpf(b2k.denominator)
         base /= 2 * k * (2 * k - 1)
@@ -317,8 +310,7 @@ def _compute_ck(k: int) -> tuple[Fraction, float]:
                 ratio_3k = ratio
         total += mp.sqrt(3 * k * mp.pi) * ratio_3k
         stored = total * (1 + mp.mpf(10) ** -45)
-        fr = Fraction(mp.nstr(stored, 50, strip_zeros=False))
-    return fr, ceil_float(fr)
+        return Fraction(mp.nstr(stored, 50, strip_zeros=False))
 
 
 def _check_ck_index(k: int) -> None:
@@ -338,10 +330,7 @@ def c_k(k: int) -> float:
 def c_k_string(k: int, decimals: int = 6) -> str:
     """``c_k`` rounded up at ``decimals`` places, as a decimal string."""
     _check_ck_index(k)
-    with _CK_LOCK:
-        if k not in _CK:
-            _CK[k] = _compute_ck(k)[0]
-        fr = _CK[k]
+    fr = _compute_ck(k)
     scale = 10**decimals
     units = -((-fr.numerator * scale) // fr.denominator)
     whole, frac = divmod(units, scale)
@@ -539,7 +528,7 @@ def _classical(kind: BoundKind, k: int, z: complex, target: Target) -> BoundResu
 
 
 # ---------------------------------------------------------------------------
-# Non-rigorous bounds: kept only for falsification tests and scans.
+# Non-rigorous bounds: kept only for falsification tests.
 # ---------------------------------------------------------------------------
 
 def faulty_theta_bound(k: int, t: float) -> float:
@@ -563,34 +552,6 @@ def faulty_theta_bound(k: int, t: float) -> float:
         return math.inf
     exp_part = math.exp(-math.pi * t) if -math.pi * t > -745.0 else 0.0
     return power_part + exp_part
-
-
-def conjectured_bound(
-    k: int, z: complex, target: Target = Target.R_KP1
-) -> BoundResult:
-    """Sharper quadratic bound ``k^2 / (pi^2 |z|^2 - k^2)``; proven only for
-    k >= 34, flagged CONJECTURED below that.  Excluded from certification."""
-    kind, target = BoundKind.CONJECTURED_QUADRATIC, _by_value(Target, target)
-    _check_k(k)
-    z = complex(z)
-    if not _right_half_plane(z):
-        return _not_applicable(kind, target, "requires the closed right half-plane, z != 0")
-    az = math.hypot(z.real, z.imag)
-    if az < k:
-        return _not_applicable(kind, target, "requires |z| >= k")
-    try:
-        square = (math.pi * az) ** 2
-    except OverflowError:
-        square = math.inf
-    den = square - float(k) ** 2
-    if target is Target.R_KP1:
-        normalized = up(k * k / den, _CHAINS)
-    else:
-        # square / den, which is 1 in doubles once the square overflows
-        normalized = up(square / den if den < math.inf else 1.0, _CHAINS)
-    value = _times_term(normalized, "stirling", k, z)
-    flag = "PROVEN" if k >= 34 else "CONJECTURED"
-    return BoundResult(kind, target, value, normalized, flags=(flag,))
 
 
 # ---------------------------------------------------------------------------
@@ -662,8 +623,8 @@ def applicable_bounds(
 def best_bound(
     k: int, argument: complex, context: str, target: Target = Target.R_KP1
 ) -> BoundResult:
-    """Minimum applicable rigorous bound (faulty/conjectured are excluded
-    by construction — they are not in the candidate set).
+    """Minimum applicable rigorous bound (the faulty theta bound is excluded
+    by construction: it is not in the candidate set).
 
     Only the first applicable ladder entry and the classical bounds can be
     the minimum (after k terms, behind a quadratic rung, only the rung), so

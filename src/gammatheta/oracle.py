@@ -29,20 +29,21 @@ Everything the fast certified path is tested against lives here:
 
 All working precisions carry explicit guard digits; results are rounded to
 the requested digit count on return.  Caches are keyed by exact binary
-values and precision, so repeated calls are deterministic.
+values and precision, so repeated calls are deterministic.  Every public
+entry holds ``bernoulli._MPMATH_LOCK`` for the whole call (``conjecture_scan``
+for each sample), since mpmath's precision is global: calls are serialized.
 """
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from collections import namedtuple
-from fractions import Fraction
 
 import mpmath as mp
 from mpmath import mpc, mpf
 
 from . import bernoulli as _bernoulli_mod
-from .bernoulli import shared_table
+from .bernoulli import _MPMATH_LOCK, shared_table
 from .bounds import eta_fraction
 from .errors import ConsistencyError, DomainError, ResourceLimitError
 from .series import EMPIRICAL_CONSTANT, _coefficient, k_min, term_coefficient
@@ -105,7 +106,6 @@ _MAX_SHIFT = 1000
 #: Entries ``_lngamma_cache`` holds before a miss empties it.
 _LNGAMMA_CACHE_SIZE = 1024
 
-_cache_lock = threading.Lock()
 _coeff_cache: dict[tuple[str, int, int], mpf] = {}
 _ratio_cache: dict[tuple[str, int], list[int]] = {}
 _nodes_cache: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
@@ -128,18 +128,28 @@ _stats = dict.fromkeys(
 )
 
 
+def _serialized(entry):
+    """``entry`` holding ``_MPMATH_LOCK`` for the whole call."""
+    @functools.wraps(entry)
+    def call(*args, **kwargs):
+        with _MPMATH_LOCK:
+            return entry(*args, **kwargs)
+    return call
+
+
+@_serialized
 def clear_caches() -> None:
     """Drop all precision-keyed caches (primarily for tests) and reset the
     work counters."""
-    with _cache_lock:
-        _coeff_cache.clear()
-        _ratio_cache.clear()
-        _nodes_cache.clear()
-        _lngamma_cache.clear()
-        for key in _stats:
-            _stats[key] = 0
+    _coeff_cache.clear()
+    _ratio_cache.clear()
+    _nodes_cache.clear()
+    _lngamma_cache.clear()
+    for key in _stats:
+        _stats[key] = 0
 
 
+@_serialized
 def stats() -> dict[str, int]:
     """Snapshot of the oracle's work counters.
 
@@ -154,17 +164,7 @@ def stats() -> dict[str, int]:
     :func:`oracle_lngamma` calls answered from its cache.  ``series_terms``:
     terms summed by method (b)'s series tail.
     """
-    with _cache_lock:
-        return dict(_stats)
-
-
-def _count(**deltas: int) -> None:
-    with _cache_lock:
-        for key, n in deltas.items():
-            if key == "deepest_level":
-                _stats[key] = max(_stats[key], n)
-            else:
-                _stats[key] += n
+    return dict(_stats)
 
 
 def _check_digits(digits: int) -> int:
@@ -186,13 +186,10 @@ def _height(t, what: str, name: str = "t") -> float:
 def _coeff(kind: str, j: int) -> mpf:
     """Series coefficient as an mpf at the current working precision."""
     key = (kind, j, mp.mp.prec)
-    with _cache_lock:
-        hit = _coeff_cache.get(key)
+    hit = _coeff_cache.get(key)
     if hit is None:
         fr = term_coefficient(kind, j)
-        hit = mpf(fr.numerator) / fr.denominator
-        with _cache_lock:
-            _coeff_cache[key] = hit
+        hit = _coeff_cache[key] = mpf(fr.numerator) / fr.denominator
     return hit
 
 
@@ -204,8 +201,7 @@ def _ratios(family: str, bits: int, upto: int) -> list[int]:
     floors to fewer bits by a shift; a table at least doubles when it grows.
     """
     key = (family, bits)
-    with _cache_lock:
-        table = _ratio_cache.get(key, [0, 0])
+    table = _ratio_cache.get(key, [0, 0])
     if len(table) <= upto:
         size = min(max(upto + 1, 2 * len(table)), _SERIES_INDEX_CAP + 1)
         coeffs = [term_coefficient(family, j) for j in range(len(table) - 1, size)]
@@ -213,8 +209,7 @@ def _ratios(family: str, bits: int, upto: int) -> list[int]:
             (c.numerator * prev.denominator << bits) // (c.denominator * prev.numerator)
             for prev, c in zip(coeffs, coeffs[1:])
         ]
-        with _cache_lock:
-            _ratio_cache[key] = table
+        _ratio_cache[key] = table
     return table
 
 
@@ -241,8 +236,7 @@ def _gl_nodes_01(prec: int) -> tuple[list[int], list[int]]:
     """
     n = 20
     bits = max(128, 1 << (prec - 1).bit_length())
-    with _cache_lock:
-        hit = _nodes_cache.get(bits)
+    hit = _nodes_cache.get(bits)
     if hit is None:
         pairs: list[tuple[mpf, mpf]] = []
         with mp.workprec(bits + 40):
@@ -266,12 +260,10 @@ def _gl_nodes_01(prec: int) -> tuple[list[int], list[int]]:
             # them onto [0, 1] in ascending order.
             folded = [((1 - x) / 2, w / 2) for x, w in sorted(pairs, reverse=True)]
             folded += [((1 + x) / 2, w / 2) for x, w in sorted(pairs)]
-        hit = (
+        hit = _nodes_cache[bits] = (
             tuple(_fixed(x, bits) for x, _ in folded),
             tuple(_fixed(w, bits) for _, w in folded),
         )
-        with _cache_lock:
-            _nodes_cache[bits] = hit
     shift = bits - prec
     return [x >> shift for x in hit[0]], [w >> shift for w in hit[1]]
 
@@ -281,6 +273,7 @@ def _gl_nodes_01(prec: int) -> tuple[list[int], list[int]]:
 # ---------------------------------------------------------------------------
 
 
+@_serialized
 def oracle_lngamma(z, digits: int = 30) -> mpc:
     """lngamma(z) to ``digits`` rounded digits, principal branch, off the
     cut (-inf, 0].
@@ -303,11 +296,10 @@ def oracle_lngamma(z, digits: int = 30) -> mpc:
     if zz.imag == 0 and zz.real <= 0:
         raise DomainError(f"lngamma oracle is undefined on the cut (-inf, 0]: z={zz}")
     key = (zz.real._mpf_, zz.imag._mpf_, digits)
-    with _cache_lock:
-        hit = _lngamma_cache.get(key)
-        if hit is not None:
-            _stats["lngamma_cache_hits"] += 1
-            return hit
+    hit = _lngamma_cache.get(key)
+    if hit is not None:
+        _stats["lngamma_cache_hits"] += 1
+        return hit
     result = mpc(0)  # lngamma(1) = lngamma(2) = 0 exactly
     if zz != 1 and zz != 2:
         with mp.workdps(digits + 15):
@@ -323,11 +315,10 @@ def oracle_lngamma(z, digits: int = 30) -> mpc:
                     )
     with mp.workdps(digits):
         out = +result
-    with _cache_lock:
-        # emptied in place, not evicted: a miss always changes its length
-        if len(_lngamma_cache) >= _LNGAMMA_CACHE_SIZE:
-            _lngamma_cache.clear()
-        _lngamma_cache[key] = out
+    # emptied in place, not evicted: a miss always changes its length
+    if len(_lngamma_cache) >= _LNGAMMA_CACHE_SIZE:
+        _lngamma_cache.clear()
+    _lngamma_cache[key] = out
     return out
 
 
@@ -472,7 +463,7 @@ def _tail_series(w: mpc, k: int, family: str, tau: mpf):
         err = ((err_q * x_abs + (abs(q_re) + abs(q_im) + err_q) * x_err) >> rbits) + 3
         acc_re += t_re
         acc_im += t_im
-    _count(series_terms=j - k)
+    _stats["series_terms"] += j - k
     return mpc(mpf((acc_re, -frac)), mpf((acc_im, -frac))), j
 
 
@@ -538,7 +529,8 @@ class _PeriodicKernel:
         b = table.number(2 * k)
         # within one of log2 |B_2k|, minus prec
         self.exp = b.numerator.bit_length() - b.denominator.bit_length() - prec
-        self.coeffs = [_scaled(c, -self.exp) for c in table.half_coefficients(2 * k)]
+        numerators, den = table.half_numerators(2 * k)
+        self.coeffs = [_scaled(a, den, -self.exp) for a in numerators]
         self.nodes, self.weights = _gl_nodes_01(prec)
         self.evaluations = 0
         self._weighted: dict[tuple[int, int], list[int]] = {}
@@ -581,11 +573,11 @@ def _fixed(x: mpf, frac: int) -> int:
     return -man if sign else man
 
 
-def _scaled(c: Fraction, frac: int) -> int:
-    """floor(c * 2**frac) for a rational c."""
+def _scaled(a: int, d: int, frac: int) -> int:
+    """floor(a / d * 2**frac), exactly, for integers a and d > 0."""
     if frac >= 0:
-        return (c.numerator << frac) // c.denominator
-    return c.numerator // (c.denominator << -frac)
+        return (a << frac) // d
+    return a // (d << -frac)
 
 
 def _panel_sum(
@@ -655,9 +647,10 @@ def _panel_log_error(
     1 < rho < rho_p.  On E_rho:
 
     * |B_2k(1/2 + y)| <= sum_j |q_j| Y^(2j) <= 2 (2k)! e^(2 pi Y) / (2 pi)^2k,
-      with q_j the ``half_coefficients`` and Y = |y at the centre| +
-      hw (rho + 1/rho) / 2, because |B_2j(1/2)| < 2 (2j)! / (2 pi)^2j (the
-      middle sum is at most cosh(2 pi Y) times the constant);
+      with q_j the coefficients ``half_numerators`` gives over their
+      denominator and Y = |y at the centre| + hw (rho + 1/rho) / 2, because
+      |B_2j(1/2)| < 2 (2j)! / (2 pi)^2j (the middle sum is at most
+      cosh(2 pi Y) times the constant);
     * |z + u| >= hw (rho_p - rho)(1 - 1/(rho rho_p)) / 2.
 
     With M the quotient of the two, the 20-point rule errs by at most
@@ -788,15 +781,15 @@ def _remainder_by_integral(z: complex, k: int, family: str, digits: int, log_t: 
 
             return -integral + tail_sum, tail_sum, tail_terms, shift
     finally:
-        _count(
-            panels=len(mesh),
-            levels=levels,
-            node_evaluations=_NODES * len(mesh),
-            kernel_evaluations=kernel.evaluations if kernel else 0,
-            deepest_level=max((level for _, level, _ in mesh), default=0),
-        )
+        _stats["panels"] += len(mesh)
+        _stats["levels"] += levels
+        _stats["node_evaluations"] += _NODES * len(mesh)
+        _stats["kernel_evaluations"] += kernel.evaluations if kernel else 0
+        deepest = max((level for _, level, _ in mesh), default=0)
+        _stats["deepest_level"] = max(_stats["deepest_level"], deepest)
 
 
+@_serialized
 def oracle_remainder(
     z, k: int, family: str = "stirling", digits: int = 30, details: bool = False
 ):
@@ -812,7 +805,7 @@ def oracle_remainder(
     """
     digits = _check_digits(digits)
     zc = _require_remainder_args(z, k, family)
-    _count(remainders=1)
+    _stats["remainders"] += 1
 
     with mp.workdps(30):
         zz0 = mpc(zc)
@@ -871,6 +864,7 @@ def oracle_remainder(
 # ---------------------------------------------------------------------------
 
 
+@_serialized
 def oracle_theta(t, digits: int = 30) -> mpf:
     """theta(t) for t > 0 to ``digits`` digits.
 
@@ -892,6 +886,7 @@ def oracle_theta(t, digits: int = 30) -> mpf:
         return +value
 
 
+@_serialized
 def oracle_theta_remainder(k: int, t, digits: int = 30) -> mpf:
     """Remainder of the theta series after k terms: Im(R_hat_{k+1}(it))/2."""
     tf = _height(t, "theta remainder oracle")
@@ -907,6 +902,7 @@ def _empirical_constant() -> mpf:
     return mpf(EMPIRICAL_CONSTANT.numerator) / EMPIRICAL_CONSTANT.denominator
 
 
+@_serialized
 def theta_series_value(
     t,
     k: int,
@@ -967,6 +963,7 @@ def required_table2_digits(t) -> int:
     return int(math.ceil(2.0 * math.pi * float(t) / _LN10)) + 30
 
 
+@_serialized
 def table2_row(t, digits: int | None = None) -> NormalizedErrorRow:
     """Compute one normalized-error row; ``digits=None`` uses the required
     minimum for the height t."""
@@ -1008,6 +1005,7 @@ def table2_row(t, digits: int | None = None) -> NormalizedErrorRow:
 # ---------------------------------------------------------------------------
 
 
+@_serialized
 def sharpness_ratio(k: int, y, digits: int = 20) -> mpf:
     """|Im R_{k+1}(iy)| / |T_k(iy)| on the imaginary axis.
 
@@ -1065,10 +1063,11 @@ def conjecture_scan(k_max: int = 40, digits: int = 20):
         else:
             c = modulus / math.sqrt(2.0)
             z = complex(c, c)
-        value = oracle_remainder(z, k, "stirling", digits)
-        with mp.workdps(digits + 10):
-            term_abs = abs(_term("stirling", k, abs(mpc(z))))
-            true_ratio = float(abs(value) / term_abs)
+        with _MPMATH_LOCK:
+            value = oracle_remainder(z, k, "stirling", digits)
+            with mp.workdps(digits + 10):
+                term_abs = abs(_term("stirling", k, abs(mpc(z))))
+                true_ratio = float(abs(value) / term_abs)
         conjectured = k * k / (math.pi * math.pi * modulus * modulus - k * k)
         ratio = true_ratio / conjectured
         yield ConjectureSample(

@@ -15,7 +15,6 @@ from gammatheta.bernoulli import (
     BernoulliTable,
     bernoulli_half,
     bernoulli_number,
-    bernoulli_poly,
     half_shift_identity_check,
     periodic_bernoulli,
     shared_table,
@@ -131,15 +130,15 @@ def test_polynomial_endpoints_equal_the_number():
         with mp.workdps(digits):
             for index in (2, 8, 20, 50):
                 exact = _rounded(bernoulli_number(index))
-                assert bernoulli_poly(index, 0.0) == exact
-                assert bernoulli_poly(index, 1.0) == exact
+                assert periodic_bernoulli(index, 0.0) == exact
+                assert periodic_bernoulli(index, 1.0) == exact
 
 
 def test_polynomial_midpoint_equals_half_value():
     for digits in (15, 30, 60):
         with mp.workdps(digits):
             for index in (2, 10, 36):
-                assert bernoulli_poly(index, 0.5) == _rounded(bernoulli_half(index))
+                assert periodic_bernoulli(index, 0.5) == _rounded(bernoulli_half(index))
 
 
 def test_polynomial_is_correctly_rounded_near_a_quarter():
@@ -150,7 +149,7 @@ def test_polynomial_is_correctly_rounded_near_a_quarter():
             for index in (2, 10, 40, 120):
                 for sign in (1, -1):
                     u = Fraction(1, 4) + sign * Fraction(1, 2**40)
-                    assert bernoulli_poly(index, float(u)) == _rounded(_exact_poly(index, u))
+                    assert periodic_bernoulli(index, float(u)) == _rounded(_exact_poly(index, u))
 
 
 def test_periodic_extension_is_correctly_rounded_just_below_zero():
@@ -168,39 +167,31 @@ def test_periodic_extension_is_correctly_rounded_just_below_zero():
 )
 def test_even_polynomials_are_symmetric_about_one_half(j, u):
     # B_{2j}(u) = B_{2j}(1 - u).
-    left = bernoulli_poly(2 * j, u)
-    right = bernoulli_poly(2 * j, 1.0 - u)
+    left = periodic_bernoulli(2 * j, u)
+    right = periodic_bernoulli(2 * j, 1.0 - u)
     scale = max(abs(left), mp.mpf(1))
     assert abs(left - right) <= scale * mp.mpf(10) ** (-12)
-
-
-def test_polynomial_rejects_arguments_outside_unit_interval():
-    with pytest.raises(DomainError):
-        bernoulli_poly(4, -0.25)
-    with pytest.raises(DomainError):
-        bernoulli_poly(4, 1.25)
-    with pytest.raises(DomainError):
-        bernoulli_poly(4, mp.nan)
 
 
 def test_periodic_extension_reduces_modulo_one():
     for shift in (-3, -1, 0, 2, 7):
         got = periodic_bernoulli(8, 0.375 + shift)
-        assert got == bernoulli_poly(8, 0.375)
+        assert got == _rounded(_exact_poly(8, Fraction(3, 8)))
 
 
 def test_periodic_extension_is_exact_near_integer_boundaries():
     # u just below an integer must reduce to {u} ~ 1-eps, not wrap to 0.
     below = mp.mpf(3) - mp.mpf(2) ** (-40)
     got = periodic_bernoulli(6, below)
-    want = bernoulli_poly(6, 1.0 - 2.0 ** -40)
+    want = periodic_bernoulli(6, 1.0 - 2.0 ** -40)
     assert abs(got - want) < mp.mpf(10) ** (-12)
-    assert periodic_bernoulli(6, mp.mpf(-5)) == bernoulli_poly(6, 0.0)
+    assert periodic_bernoulli(6, mp.mpf(-5)) == _rounded(bernoulli_number(6))
 
 
 def test_periodic_extension_rejects_non_finite_arguments():
-    with pytest.raises(DomainError):
-        periodic_bernoulli(4, mp.inf)
+    for u in (mp.inf, mp.nan):
+        with pytest.raises(DomainError):
+            periodic_bernoulli(4, u)
 
 
 def test_half_shift_identity_holds_on_a_dense_grid():

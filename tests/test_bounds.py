@@ -23,7 +23,6 @@ from gammatheta.bounds import (
     best_bound,
     c_k,
     c_k_string,
-    conjectured_bound,
     containment_grid,
     eta,
     eta_fraction,
@@ -106,7 +105,7 @@ def test_ck_decimal_rounding_never_decreases_the_value():
 
 def test_ck_literals_are_the_computed_constants_rounded_up():
     for k in range(1, CK_MAX_K + 1):
-        assert c_k(k) == ceil_float(_compute_ck(k)[0]), k
+        assert c_k(k) == ceil_float(_compute_ck(k)), k
 
 
 def test_ck_table_rejects_out_of_range_indices():
@@ -308,8 +307,6 @@ _CLASSICAL_CASES = (
     (BoundKind.STIELTJES, Target.R_K),
     (BoundKind.HARE, Target.R_K),
     (BoundKind.BEHNKE_SOMMER, Target.R_KP1),
-    (BoundKind.CONJECTURED_QUADRATIC, Target.R_KP1),
-    (BoundKind.CONJECTURED_QUADRATIC, Target.R_K),
 )
 
 
@@ -332,12 +329,9 @@ def _exact_classical(kind: BoundKind, k: int, z: complex, target: Target):
         elif kind is BoundKind.BEHNKE_SOMMER:
             factor = 1 + mp.mpf(2 * k + 1) / 2 * mp.sqrt(mp.pi / k)
             return factor * term(k + 1, r)
-        elif kind is BoundKind.HARE:
+        else:  # HARE
             factor = 4 * mp.sqrt(mp.pi) * mp.gamma(k + mp.mpf(0.5)) / mp.gamma(k)
             return factor * term(k, y)
-        else:
-            square = (mp.pi * r) ** 2
-            factor = (k * k if target is Target.R_KP1 else square) / (square - k * k)
         return factor * term(k, r)
 
 
@@ -379,15 +373,15 @@ def test_imaginary_part_bound_past_the_double_range_is_an_applicable_inf():
 
 
 def test_classical_bounds_bracket_their_exact_formulas():
-    # Each classical and conjectured value is its factor from the parts of z
+    # Each classical value is its factor from the parts of z
     # times one term modulus: at least the exact formula and within the guard
     # factors of it, next to the axes too, where a rounded arg z loses the
     # factor.
     rng = random.Random(20261106)
     cases = []
     for k in range(1, 1000):
-        # |z| log-uniform in [1e-3, 1e16], and in [k, 10k], where the
-        # conjectured bound applies and most values are normal doubles
+        # |z| log-uniform in [1e-3, 1e16], and in [k, 10k], where most
+        # values are normal doubles
         for modulus in (10.0 ** rng.uniform(-3.0, 16.0), k * 10.0 ** rng.uniform(0.0, 1.0)):
             cases.append((k, cmath.rect(modulus, rng.uniform(-math.pi, math.pi))))
             axis = rng.choice((0.0, 0.5, 1.0, -0.5)) * math.pi
@@ -402,10 +396,7 @@ def test_classical_bounds_bracket_their_exact_formulas():
     normal = dict.fromkeys(_CLASSICAL_CASES, 0)
     for k, z in cases:
         for kind, target in _CLASSICAL_CASES:
-            if kind is BoundKind.CONJECTURED_QUADRATIC:
-                bound = conjectured_bound(k, z, target)
-            else:
-                bound = rigorous_bound(kind, k, z, "stirling", target)
+            bound = rigorous_bound(kind, k, z, "stirling", target)
             if bound.applicable:
                 exact = _exact_classical(kind, k, z, target)
                 assert _brackets(bound.value, exact), (kind, target, k, z, bound.value)
@@ -429,20 +420,6 @@ def test_refuted_historical_bound_matches_its_closed_form():
     assert faulty_theta_bound(k, t) == pytest.approx(want, rel=1e-12)
     with pytest.raises(DomainError):
         faulty_theta_bound(3, 0.0)
-
-
-def test_sharper_quadratic_form_is_flagged_by_proof_status():
-    assert "CONJECTURED" in conjectured_bound(10, 50.0 + 0j).flags
-    assert "PROVEN" in conjectured_bound(34, 50.0 + 0j).flags
-    assert conjectured_bound(10, 5.0 + 0j).applicable is False  # needs |z| >= k
-
-
-def test_certifying_selection_never_uses_unproven_or_refuted_forms():
-    excluded = {BoundKind.CONJECTURED_QUADRATIC}
-    for target in (Target.R_KP1, Target.R_K):
-        for candidate in applicable_bounds(6, 10.0 + 3j, "stirling", target):
-            assert candidate.kind not in excluded
-        assert best_bound(6, 10.0 + 3j, "stirling", target).kind not in excluded
 
 
 # -- selection ---------------------------------------------------------------
@@ -754,15 +731,12 @@ def test_string_kinds_and_targets_select_what_the_enums_select():
         by_value = applicable_bounds(3, z, context, "before-k-th-term")
         assert by_value == applicable_bounds(3, z, context, Target.R_K)
         assert all(b.target is Target.R_K for b in by_value)
-    conjectured = conjectured_bound(5, 50.0 + 0j, "after-k-terms")
-    assert conjectured == conjectured_bound(5, 50.0 + 0j, Target.R_KP1)
     for call in (
         lambda: rigorous_bound("no-such-kind", 3, z, "stirling"),
         lambda: rigorous_bound(BoundKind.QUADRATIC, 3, z, "stirling", "after-k"),
         lambda: rigorous_bound(BoundKind.QUADRATIC, 3, z, "fresnel"),
         lambda: best_bound(3, z, "stirling", "after-k"),
         lambda: applicable_bounds(3, z, "gauss", Target.R_K.name),
-        lambda: conjectured_bound(5, 50.0 + 0j, None),
     ):
         with pytest.raises(DomainError):
             call()
@@ -789,7 +763,6 @@ def test_an_argument_with_a_non_finite_part_has_no_applicable_bound(z):
             assert rigorous_bound(kind, 5, z, "stirling", target).applicable is False, kind
         half = rigorous_bound(BoundKind.HALF_GAMMA_RATIO, 5, z, "gauss", target)
         assert half.applicable is False
-        assert conjectured_bound(5, z, target).applicable is False
         for context in ("stirling", "gauss"):
             assert not any(b.applicable for b in applicable_bounds(5, z, context, target))
             with pytest.raises(DomainError, match="no applicable bound"):

@@ -146,10 +146,12 @@ def test_lngamma_where_the_modulus_overflows_exits_with_the_accuracy_code():
 
 
 def test_theta_sum_that_overflows_exits_with_the_accuracy_code():
-    result = run_cli("theta", "--t", "0.1", "--terms", "200")
-    assert result.code == 3
-    assert result.out == ""
-    assert json.loads(result.err)["error"]["type"] == "AccuracyError"
+    # at t = 0.5 the sum of 110 terms is finite and only the bound overflows
+    for t, terms in (("0.1", "200"), ("0.5", "110")):
+        result = run_cli("theta", "--t", t, "--terms", terms)
+        assert result.code == 3
+        assert result.out == ""
+        assert json.loads(result.err)["error"]["type"] == "AccuracyError"
 
 
 def test_term_count_beyond_the_table_cap_exits_with_the_resource_code():
@@ -282,6 +284,51 @@ def test_bounds_scan_covers_families_and_reports_winners():
         ):
             assert row[header.index("winner")] == "whittaker-watson"
             assert float(row[header.index("normalized")]) == 1.0
+    # one k: 19 grid points per family and 4 heights, at both targets
+    single = run_cli("scan", "--what", "bounds", "--grid", "k=3")
+    assert single.code == 0
+    records = parse_json_lines(single.out)
+    assert len(records) == 84
+    assert {r["outputs"]["k"] for r in records} == {"3"}
+
+
+def test_sharpness_scan_emits_one_record_per_spot(monkeypatch):
+    monkeypatch.setattr("gammatheta.oracle.SHARPNESS_SPOTS", ((2, 5.0),))
+    result = run_cli("scan", "--what", "sharpness")
+    assert result.code == 0
+    (record,) = parse_json_lines(result.out)
+    assert record["inputs"] == {"what": "sharpness", "grid": "", "digits": "20"}
+    outputs = record["outputs"]
+    assert set(outputs) == {"k", "y", "ratio"}
+    assert (outputs["k"], outputs["y"]) == ("2", "5.0")
+    # the oracle's ratio at 20 digits, printed with all of them
+    assert outputs["ratio"] == "0.011792886156716895848"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("scan", "--what", "bounds", "--grid", "k"),
+        ("scan", "--what", "bounds", "--grid", "k=x"),
+        ("scan", "--what", "bounds", "--grid", "k=0..2"),
+        ("scan", "--what", "conjecture", "--grid", "kmax=abc"),
+        ("scan", "--what", "conjecture", "--grid", "kmax=0"),
+        ("table2", "--t-list", ",,"),
+        ("table2", "--t-list", "1,x"),
+        ("table1", "--digits", "31"),
+    ],
+    ids=[
+        "grid-k", "grid-k=x", "grid-k=0..2", "grid-kmax=abc", "grid-kmax=0",
+        "t-list-empty", "t-list-1,x", "table1-digits-31",
+    ],
+)
+def test_malformed_grids_lists_and_digits_are_domain_error_records(argv):
+    result = run_cli(*argv)
+    assert result.code == 2
+    assert result.out == ""
+    error = json.loads(result.err)
+    assert error["error"]["type"] == "DomainError"
+    assert error["flags"] == ["ERROR"]
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import mpmath as mp
@@ -608,6 +610,41 @@ def test_clear_caches_keeps_results_stable():
     clear_caches()
     after = oracle_lngamma(0.5 + 9j, 30)
     assert before == after
+
+
+def test_concurrent_calls_at_two_precisions_equal_serial_calls():
+    # mpmath's working precision is global to the process: unless every call
+    # holds the package's one mpmath lock, threads at 15 and 60 digits change
+    # each other's precision mid-call, and calls fail or return other values.
+    # A short switch interval makes the threads interleave finely.
+    points = [complex(40.0 + i / 16, 1.0 + i / 32) for i in range(40)]
+    digits = (15, 60, 15, 60)
+    results, errors = {}, []
+
+    def work(thread):
+        for n, z in enumerate(points):
+            try:
+                results[thread, n] = oracle_remainder(z, 5, "stirling", digits[thread])
+            except Exception as exc:  # every failure is asserted on below
+                errors.append(exc)
+
+    clear_caches()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(results) == 160
+    clear_caches()
+    for (thread, n), value in sorted(results.items()):
+        assert value == oracle_remainder(points[n], 5, "stirling", digits[thread]), (thread, n)
 
 
 # -- the fixed-point series tail and the shift logs ---------------------------

@@ -104,6 +104,16 @@ def test_term_counts_whose_sum_overflows_are_refused():
             eval_theta(t, k=200)
 
 
+def test_a_finite_sum_whose_bound_overflows_is_refused():
+    # at t = 0.5 the sum of 110 terms is finite, but the theta-gamma-ratio
+    # bound after them is not: the refusal after the bound is built
+    assert 1e307 < series.partial_sum("theta", 110, 0.5) < math.inf
+    assert best_bound(110, 0.5, "theta", Target.R_KP1).value == math.inf
+    message = r"theta with 110 terms overflows double precision at t=0.5 \(value 1\.00\d*e\+307, radius inf\)"
+    with pytest.raises(AccuracyError, match=message):
+        eval_theta(0.5, 110)
+
+
 def test_an_overflowing_sum_forms_no_term_past_the_first_infinite_total(monkeypatch):
     # Past the overflow every further theta term takes the exact-Fraction
     # path; the sum stops at the first infinite total, where the refusal
