@@ -17,7 +17,7 @@ __all__ = [
 
 class DomainError(ValueError):
     """Input outside an operation's documented domain (cut argument, odd
-    Bernoulli index, u outside [0,1], insufficient digits, ...)."""
+    Bernoulli index, non-finite u, insufficient digits, ...)."""
 
 
 class AccuracyError(RuntimeError):
