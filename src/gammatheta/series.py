@@ -17,6 +17,13 @@ ulp per factor of its power at every magnitude, and bit for bit
 the certified path's case, runs a term-ratio recurrence in plain doubles
 instead (``partial_sum``).  The bounds form a term's modulus from |z|.
 
+A theta term is formed directly in doubles where ``t**p`` is a nonzero
+double, and otherwise decided from its binary exponent when that puts it
+past the double range (``+0.0`` below ``2**-1076``, ``inf`` above
+``2**1025``), so only a term that can round to a finite nonzero double is
+formed as an exact rational; every output is the same bits as the exact
+rational rounded once (``theta_term``).
+
 The theta family is divergent with a well-defined least term; ``k_min``
 locates it by the ratio test ``T_(k+1) / T_k = (c_(k+1) / c_k) / t**2 >= 1``
 on the stored mantissas and exponents of the coefficients, so no term is
@@ -176,9 +183,16 @@ def gauss_term(j: int, z: complex) -> complex:
 def theta_term(j: int, t: float) -> float:
     """j-th (positive) term of the theta expansion at ``t > 0``.
 
-    The direct double path is used when representable (error <= ~3 ulp);
-    otherwise the exact rational value is formed from the dyadic ``t`` and
-    rounded once, so over/underflow reflects the true magnitude.
+    The direct double path is used when representable (error <= ~3 ulp).
+    Otherwise the term's size is bounded from the stored coefficient ``c =
+    m 2**e``: ``L = log2(m) + e - p log2(t)``, p = 2j - 1.  A term with
+    ``L < -1076`` is ``+0.0`` and one with ``L > 1025`` is ``inf``; only a
+    term in between is formed as the exact rational ``c / t**p`` from the
+    dyadic ``t`` and rounded once.  The bits are those of that rational in
+    every case: m is rounded once, p < 2000 and ``|log2 t| <= 1075``, so L
+    is within 1e-8 of the true log2, and a term it puts below ``2**-1076``
+    or above ``2**1025`` is one the rational would round to 0.0 (below
+    ``2**-1075``) or overflow (at or above ``2**1024``).
     """
     _require_index(j)
     t = float(t)
@@ -192,6 +206,11 @@ def theta_term(j: int, t: float) -> float:
             return math.ldexp(m, e) / tp
     except OverflowError:
         pass
+    log2_size = math.log2(m) + e - p * math.log2(t)
+    if log2_size < -1076.0:
+        return 0.0
+    if log2_size > 1025.0:
+        return math.inf
     exact = coeff / Fraction(t) ** p
     try:
         f = float(exact)
@@ -293,27 +312,38 @@ def partial_sum(kind: str, k: int, argument: complex) -> complex:
     return acc
 
 
+#: ``c_1000 / c_999`` of the theta family, as ``k_min``'s ratio test forms it
+#: from the stored mantissas and exponents: the largest ratio the Bernoulli
+#: cap admits, so the largest ``t**2`` with a least term below the cap.
+_LAST_RATIO = float.fromhex("0x1.8acc085cbbe27p+16")
+
+
 def k_min(t: float) -> MinTermReport:
     """Index of the least theta term at ``t``: the first ``k`` with
     ``term(k) <= term(k+1)`` (ties count), found by the ratio test
     ``c_(k+1) / c_k >= t**2`` on the coefficients' mantissas and exponents.
-    The Bernoulli table is first grown once, to ``m = min(ceil(pi t) + 3,
-    MAX_INDEX/2)`` (k_min - pi t <= 1.26 for t in [0.25, 318]), so a cold
-    scan runs the tangent recurrence once, not at every doubling."""
+
+    The ratios increase with k, so the scan stops at k <= 999 (the last
+    index whose successor the Bernoulli cap admits) iff ``t**2`` is at most
+    the k = 999 ratio, ``_LAST_RATIO``; a larger ``t**2`` is refused before
+    the table grows.  Otherwise the table is first grown once, to ``m =
+    min(ceil(pi t) + 3, MAX_INDEX/2)`` (k_min - pi t <= 1.26 for t in
+    [0.25, 318]), so a cold scan runs the tangent recurrence once, not at
+    every doubling."""
     t = float(t)
     if not (t > 0.0) or math.isinf(t):
         raise DomainError(f"k_min requires finite t > 0, got {t!r}")
     cap = _bernoulli_mod.MAX_INDEX // 2
-    bernoulli_number(2 * min(math.ceil(min(math.pi * t, cap)) + 3, cap))
     square = t * t
+    if square > _LAST_RATIO:
+        raise ResourceLimitError(
+            f"least term of the theta family at t={t} lies beyond the "
+            f"Bernoulli cap (scanned to k={cap})"
+        )
+    bernoulli_number(2 * min(math.ceil(min(math.pi * t, cap)) + 3, cap))
     _, m, e = _coefficient("theta", 1)
     k = 1
     while True:
-        if 2 * (k + 1) > _bernoulli_mod.MAX_INDEX:
-            raise ResourceLimitError(
-                f"least term of the theta family at t={t} lies beyond the "
-                f"Bernoulli cap (scanned to k={k})"
-            )
         _, m_next, e_next = _coefficient("theta", k + 1)
         if math.ldexp(m_next / m, e_next - e) >= square:
             break

@@ -12,7 +12,9 @@ Each family of points is required to have zero violations:
 * lngamma(z) within 1/4 of its zeros at z = 1 and z = 2, where the radius
   is absolute, not relative;
 * theta(t) in all three variants at heights log-uniform in [1e-6, 0.24],
-  where auto mode sums one term;
+  where auto mode sums one term, and at 14 log-spaced heights from 118 to
+  317.9, where the terms near the least one underflow doubles and the
+  least term is at most the cap's k = 999;
 * both families at a fixed k in 21...999 with |z| >= k, so that the sum
   runs the term-ratio recurrence at large k without a shift;
 * the points where the objectives of ``test_worst_case_search.py`` peak,
@@ -121,6 +123,21 @@ def test_small_theta_heights_contain_mpmath_siegeltheta():
                 if not error <= result.radius:
                     found.append((t, variant, float(error / result.radius)))
     assert found == []
+
+
+def test_theta_heights_up_to_the_cap_contain_mpmath_siegeltheta():
+    heights = [118.0 * (317.9 / 118.0) ** (i / 13) for i in range(14)]
+    found = []
+    with mp.workdps(50):
+        for t in heights:
+            truth = mp.siegeltheta(t)
+            for variant in ThetaVariant:
+                result = eval_theta(t, variant=variant)
+                error = abs(mp.mpf(result.value) - truth)
+                if not error <= result.radius:
+                    found.append((t, variant, float(error / result.radius)))
+    assert found == []
+    assert eval_theta(heights[-1]).k_used == 999
 
 
 def test_fixed_large_k_values_contain_mpmath_loggamma():

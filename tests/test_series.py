@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gammatheta import DomainError, ResourceLimitError
+from gammatheta import DomainError, ResourceLimitError, series
+from gammatheta.bernoulli import MAX_INDEX
 from gammatheta.series import (
     MinTermReport,
     gauss_term,
@@ -321,6 +322,118 @@ def test_least_term_beyond_the_bernoulli_cap_is_a_resource_error():
         k_min(330.0)
     with pytest.raises(ResourceLimitError):
         eval_theta(330.0)
+
+
+def _scanned_k_min(t: float) -> int:
+    """The least-term index by the ratio test over the whole table: the
+    first k with ``c_(k+1) / c_k >= t**2``, formed from the stored
+    mantissas and exponents, refused once k + 1 passes the cap."""
+    square = t * t
+    _, m, e = series._coefficient("theta", 1)
+    k = 1
+    while True:
+        if 2 * (k + 1) > MAX_INDEX:
+            raise ResourceLimitError(
+                f"least term of the theta family at t={t} lies beyond the "
+                f"Bernoulli cap (scanned to k={k})"
+            )
+        _, m_next, e_next = series._coefficient("theta", k + 1)
+        if math.ldexp(m_next / m, e_next - e) >= square:
+            return k
+        m, e = m_next, e_next
+        k += 1
+
+
+def _outcome(scan, t: float):
+    try:
+        return scan(t)
+    except ResourceLimitError as exc:
+        return str(exc)
+
+
+def test_the_refusal_before_the_table_grows_matches_the_table_scan():
+    # k_min refuses t with t*t above the stored k = 999 ratio before it grows
+    # the table; that is the scan's refusal because the ratios increase
+    ratios = []
+    _, m, e = series._coefficient("theta", 1)
+    for k in range(1, MAX_INDEX // 2):
+        _, m_next, e_next = series._coefficient("theta", k + 1)
+        ratios.append(math.ldexp(m_next / m, e_next - e))
+        m, e = m_next, e_next
+    assert all(a < b for a, b in zip(ratios, ratios[1:]))
+    assert ratios[-1] == series._LAST_RATIO == float.fromhex("0x1.8acc085cbbe27p+16")
+    edge = math.sqrt(series._LAST_RATIO)
+    heights = [edge]
+    for direction in (0.0, math.inf):
+        t = edge
+        for _ in range(40):
+            t = math.nextafter(t, direction)
+            heights.append(t)
+    heights += [318.0, 1000.0, 1e200]
+    outcomes = set()
+    for t in heights:
+        scanned = _outcome(_scanned_k_min, t)
+        assert _outcome(lambda t: k_min(t).k_min, t) == scanned, t
+        outcomes.add(type(scanned))
+    assert outcomes == {int, str}
+
+
+def test_a_refused_height_does_not_grow_the_bernoulli_table(monkeypatch):
+    def no_growth(n):
+        raise AssertionError(f"the table was grown to B_{n}")
+
+    monkeypatch.setattr(series, "bernoulli_number", no_growth)
+    message = r"at t=1000\.0 lies beyond the Bernoulli cap \(scanned to k=1000\)"
+    with pytest.raises(ResourceLimitError, match=message):
+        k_min(1000.0)
+
+
+def _exact_theta_term(j: int, t: float) -> float:
+    """The j-th theta term as the exact rational rounded once."""
+    try:
+        return float(term_coefficient("theta", j) / Fraction(t) ** (2 * j - 1))
+    except OverflowError:
+        return math.inf
+
+
+def test_theta_terms_past_the_double_range_are_the_rounded_rational():
+    # Around each edge of the exponent rule, and at the first term it
+    # decides, theta_term has the bits of the exact rational rounded once;
+    # at the small fixed heights the terms far past k_min overflow.
+    rng = random.Random(20261020)
+    heights = [0.25, 0.5, 1.0, 3.0, 10.0]
+    heights += [10.0 ** rng.uniform(math.log10(0.25), math.log10(318.0)) for _ in range(32)]
+    heights += [10.0 ** rng.uniform(math.log10(118.0), math.log10(318.0)) for _ in range(32)]
+    checked = {"zero": 0, "inf": 0, "first": 0}
+    for t in heights:
+        first_skipped = None
+        for j in range(1, MAX_INDEX // 2 + 1):
+            size = _log2_coefficient("theta", j) - (2 * j - 1) * math.log2(t)
+            near_zero, near_inf = abs(size + 1076.0) <= 3.0, abs(size - 1025.0) <= 3.0
+            first = first_skipped is None and size < -1076.0
+            if first:
+                first_skipped = j
+            if near_zero or near_inf or first:
+                got = theta_term(j, t)
+                assert got.hex() == _exact_theta_term(j, t).hex(), (j, t)
+                checked["zero"] += near_zero
+                checked["inf"] += near_inf
+                checked["first"] += first
+    assert checked["zero"] >= 100 and checked["inf"] >= 20 and checked["first"] >= 30, checked
+
+
+def test_a_theta_term_past_the_double_range_forms_no_rational(monkeypatch):
+    # the coefficients are cached first; then no Fraction may be formed
+    for j in (900, 999):
+        term_coefficient("theta", j)
+
+    def no_fraction(*args):
+        raise AssertionError("an exact rational was formed")
+
+    monkeypatch.setattr(series, "Fraction", no_fraction)
+    zero = theta_term(900, 300.0)
+    assert zero == 0.0 and math.copysign(1.0, zero) == 1.0
+    assert theta_term(999, 0.5) == math.inf
 
 
 def test_theta_terms_are_unimodal_around_the_least_term():

@@ -93,6 +93,23 @@ def test_auto_mode_uses_the_least_term_index():
     assert eval_theta(0.1).k_used == 1  # terms grow from the start here
 
 
+#: ``(value.hex(), radius.hex(), k_used)`` of auto-mode ``eval_theta(t)``
+#: at heights where the terms near the least one underflow doubles, taken
+#: while every such term was still formed as an exact rational.
+HIGH_T_PINS = {
+    124.7: ("0x1.ee3ed8f90f966p+6", "0x1.9300000000000p-37", 393),
+    193.0: ("0x1.d33428fbef4c9p+7", "0x1.3480000000000p-35", 607),
+    240.4: ("0x1.3d77b0010214fp+8", "0x1.7e00000000000p-34", 756),
+    299.5: ("0x1.ac86e3d2da0dcp+8", "0x1.db00000000000p-34", 942),
+}
+
+
+@pytest.mark.parametrize(("t", "pin"), sorted(HIGH_T_PINS.items()))
+def test_auto_mode_near_the_cap_keeps_its_bits(t, pin):
+    result = eval_theta(t)
+    assert (result.value.hex(), result.radius.hex(), result.k_used) == pin
+
+
 def test_explicit_term_count_is_respected():
     assert eval_theta(5.0, k=9).k_used == 9
 
@@ -115,9 +132,9 @@ def test_a_finite_sum_whose_bound_overflows_is_refused():
 
 
 def test_an_overflowing_sum_forms_no_term_past_the_first_infinite_total(monkeypatch):
-    # Past the overflow every further theta term takes the exact-Fraction
-    # path; the sum stops at the first infinite total, where the refusal
-    # (value and radius inf) is already decided, so no bound is built.
+    # Past the overflow every further theta term is inf; the sum stops at
+    # the first infinite total, where the refusal (value and radius inf) is
+    # already decided, so no bound is built.
     t, k = 1e-3, 999
     total, last = 0.0, 0
     while total < math.inf:
