@@ -23,8 +23,8 @@ Conventions:
 
 The even Bernoulli numbers, and each polynomial's coefficients in one
 form, are cached in a grow-on-demand table of exact values with a hard
-index cap; growth is serialized by the table's own lock, so the table is
-safe to share between threads.
+index cap.  It grows one index at a time, at O(n) per index, under its
+own lock, so the table is safe to share between threads.
 """
 from __future__ import annotations
 
@@ -48,24 +48,27 @@ __all__ = [
 #: computations reach it: auto-mode theta scans to index 2000 at t ~ 318
 #: (``k_min`` is 944 at t = 300), an explicit lngamma ``k`` up to
 #: ``lngamma._K_CAP`` = 999 needs index 1998, and the oracle's series tails
-#: run to index 2000.  Past it a term count is a runaway and is refused.
+#: run to index 2000.  Past it a term count is a runaway and is refused;
+#: at it the table's last column holds about 1.9 MB of integers.
 MAX_INDEX = 2000
 
 #: The one lock held wherever the package sets mpmath's working precision.
 _MPMATH_LOCK = threading.RLock()
 
 
-def _tangent_numbers(n: int) -> list[int]:
-    """``[0, T_1, ..., T_n]`` with ``T_m`` the m-th tangent number
-    (1, 2, 16, 272, ...), by Brent and Harvey's O(n^2) integer recurrence."""
-    t = [0, 1] + [0] * (n - 1)
-    for m in range(2, n + 1):
-        t[m] = (m - 1) * t[m - 1]
-    for k in range(2, n + 1):
-        prev = t[k - 1]
-        for j in range(k, n + 1):
-            prev = t[j] = (j - k) * prev + (j - k + 2) * t[j]
-    return t
+def _tangent_step(column: list[int]) -> int:
+    """Extend Brent and Harvey's tangent-number recurrence from index j to
+    j+1, in place, in O(j) multiply-adds; return ``T_(j+1)`` (1, 2, 16, ...).
+
+    ``column`` holds index j's value after each pass, ``T_j`` last, and
+    becomes index j+1's: pass 1 is ``j column[0]``, pass k is
+    ``v = (j+1-k) column[k-1] + (j+3-k) v``, and the last doubles."""
+    j = len(column)
+    v = column[0] = j * column[0]
+    for i in range(1, j):
+        v = column[i] = (j - i) * column[i] + (j + 2 - i) * v
+    column.append(2 * v)
+    return column[-1]
 
 
 class BernoulliTable:
@@ -75,42 +78,38 @@ class BernoulliTable:
     derived from it.  Odd-index numbers beyond ``B_1 = -1/2`` vanish and
     are not stored.  A polynomial is cached in one form only,
     ``half_numerators``: the coefficients of ``B_j(1/2 + y)`` on one
-    denominator.  Growth recomputes the tangent numbers ``T_m`` and
-    sets ``B_{2m} = (-1)^(m-1) 2m T_m / (4^m (4^m - 1))``; it at least
-    doubles the table each time (up to the cap), so the O(n^2) recurrence
-    costs a constant factor over one run to the final size; a caller that
-    knows its final size (``series.k_min``) asks for it first and runs it
-    once.  Reads of already-grown entries take no lock (list reads are
-    atomic); growth is serialized by the table's own lock.  The table sets
-    no mpmath precision, so it never takes the shared ``_MPMATH_LOCK``.
+    denominator.  Growth to ``B_{2m}`` extends the tangent recurrence
+    (:func:`_tangent_step`) index by index, from the last column it kept,
+    to exactly m, and sets ``B_{2m} = (-1)^(m-1) 2m T_m / (4^m (4^m - 1))``.
+    Reads of already-grown entries take no lock (list reads are atomic);
+    growth is serialized by the table's own lock.  The table sets no
+    mpmath precision, so it never takes the shared ``_MPMATH_LOCK``.
     """
 
     def __init__(self) -> None:
         self._even: list[Fraction] = [Fraction(1)]  # B_0
+        self._column = [1]  # index 1's column: T_1 = 1
         self._half_numerators: dict[int, tuple[tuple[int, ...], int]] = {}
         self._lock = threading.Lock()
 
     # -- numbers ---------------------------------------------------------
 
     def _check_index(self, j: int) -> None:
-        if j % 2 != 0 or j < 2:
-            raise DomainError(f"Bernoulli index must be even and >= 2, got {j}")
+        if type(j) is not int or j % 2 != 0 or j < 2:
+            raise DomainError(f"Bernoulli index must be an even int >= 2, got {j!r}")
         if j > MAX_INDEX:
             raise ResourceLimitError(
                 f"Bernoulli index {j} exceeds the hard cap {MAX_INDEX}"
             )
 
     def _grow(self, upto_m: int) -> None:
-        """Ensure B_{2m} is cached for all m <= upto_m."""
+        """Cache B_{2m} for all m <= upto_m, one index at a time."""
         with self._lock:
-            evens = self._even
-            if upto_m < len(evens):
-                return
-            n = min(max(upto_m, 2 * (len(evens) - 1)), MAX_INDEX // 2)
-            tangent = _tangent_numbers(n)
-            for m in range(len(evens), n + 1):
+            evens, column = self._even, self._column
+            for m in range(len(evens), upto_m + 1):
+                tangent = _tangent_step(column) if m > 1 else column[0]
                 q = 1 << (2 * m)
-                b = Fraction(2 * m * tangent[m], q * (q - 1))
+                b = Fraction(2 * m * tangent, q * (q - 1))
                 evens.append(b if m % 2 else -b)
 
     def number(self, j: int) -> Fraction:
@@ -220,8 +219,8 @@ def half_shift_identity_check(k: int, u, digits: int | None = None) -> bool:
     """
     from mpmath import mp, mpf
 
-    if k < 1:
-        raise DomainError(f"half_shift_identity_check needs k >= 1, got {k}")
+    if type(k) is not int or k < 1:
+        raise DomainError(f"half_shift_identity_check needs an int k >= 1, got {k!r}")
     with _MPMATH_LOCK:
         if digits is None:
             digits = mp.dps

@@ -328,8 +328,10 @@ def c_k(k: int) -> float:
 
 
 def c_k_string(k: int, decimals: int = 6) -> str:
-    """``c_k`` rounded up at ``decimals`` places, as a decimal string."""
+    """``c_k`` rounded up at ``decimals`` places (1 to 100), as a decimal string."""
     _check_ck_index(k)
+    if type(decimals) is not int or not 1 <= decimals <= 100:
+        raise DomainError(f"c_k decimals must be an int in [1, 100], got {decimals!r}")
     fr = _compute_ck(k)
     scale = 10**decimals
     units = -((-fr.numerator * scale) // fr.denominator)

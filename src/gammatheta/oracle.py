@@ -168,7 +168,7 @@ def stats() -> dict[str, int]:
 
 
 def _check_digits(digits: int) -> int:
-    if not isinstance(digits, int):
+    if type(digits) is not int:
         raise DomainError(f"digits must be an integer, got {digits!r}")
     if digits < 1 or digits > MAX_DIGITS:
         raise DomainError(f"digits must lie in [1, {MAX_DIGITS}], got {digits}")
@@ -194,22 +194,20 @@ def _coeff(kind: str, j: int) -> mpf:
 
 
 def _ratios(family: str, bits: int, upto: int) -> list[int]:
-    """``floor(c_j / c_(j-1) * 2**bits)`` at index j, for 2 <= j <= upto at
-    least (entries 0 and 1 are unused), c_j the family's coefficients.
+    """``floor(c_j / c_(j-1) * 2**bits)`` at index j, for 2 <= j <= upto
+    (entries 0 and 1 are unused), c_j the family's coefficients.
 
     Kept per (family, bits) with ``bits`` a power of two, so a caller
-    floors to fewer bits by a shift; a table at least doubles when it grows.
+    floors to fewer bits by a shift; a table grows in place to exactly
+    ``upto``.
     """
-    key = (family, bits)
-    table = _ratio_cache.get(key, [0, 0])
+    table = _ratio_cache.setdefault((family, bits), [0, 0])
     if len(table) <= upto:
-        size = min(max(upto + 1, 2 * len(table)), _SERIES_INDEX_CAP + 1)
-        coeffs = [term_coefficient(family, j) for j in range(len(table) - 1, size)]
-        table = table + [
+        coeffs = [term_coefficient(family, j) for j in range(len(table) - 1, upto + 1)]
+        table.extend(
             (c.numerator * prev.denominator << bits) // (c.denominator * prev.numerator)
             for prev, c in zip(coeffs, coeffs[1:])
-        ]
-        _ratio_cache[key] = table
+        )
     return table
 
 
@@ -453,7 +451,7 @@ def _tail_series(w: mpc, k: int, family: str, tau: mpf):
             raise ConsistencyError(f"series tail at w={w}, k={k} reached the index cap")
         j += 1
         if j >= len(ratios):
-            ratios = _ratios(family, bits, j)
+            _ratios(family, bits, j)  # grows ``ratios`` in place
         rho = ratios[j] >> shift
         q_re = (t_re * rho) >> rbits
         q_im = (t_im * rho) >> rbits

@@ -326,21 +326,16 @@ def k_min(t: float) -> MinTermReport:
     The ratios increase with k, so the scan stops at k <= 999 (the last
     index whose successor the Bernoulli cap admits) iff ``t**2`` is at most
     the k = 999 ratio, ``_LAST_RATIO``; a larger ``t**2`` is refused before
-    the table grows.  Otherwise the table is first grown once, to ``m =
-    min(ceil(pi t) + 3, MAX_INDEX/2)`` (k_min - pi t <= 1.26 for t in
-    [0.25, 318]), so a cold scan runs the tangent recurrence once, not at
-    every doubling."""
+    the table grows."""
     t = float(t)
     if not (t > 0.0) or math.isinf(t):
         raise DomainError(f"k_min requires finite t > 0, got {t!r}")
-    cap = _bernoulli_mod.MAX_INDEX // 2
     square = t * t
     if square > _LAST_RATIO:
         raise ResourceLimitError(
             f"least term of the theta family at t={t} lies beyond the "
-            f"Bernoulli cap (scanned to k={cap})"
+            f"Bernoulli cap (scanned to k={_bernoulli_mod.MAX_INDEX // 2})"
         )
-    bernoulli_number(2 * min(math.ceil(min(math.pi * t, cap)) + 3, cap))
     _, m, e = _coefficient("theta", 1)
     k = 1
     while True:

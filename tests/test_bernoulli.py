@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import mpmath as mp
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gammatheta import DomainError, ResourceLimitError
+from gammatheta import DomainError, ResourceLimitError, bernoulli
 from gammatheta.bernoulli import (
     MAX_INDEX,
     BernoulliTable,
@@ -97,6 +99,19 @@ def test_out_of_range_indices_are_rejected(index):
     exc = DomainError if index <= 0 else ResourceLimitError
     with pytest.raises(exc):
         bernoulli_number(index)
+
+
+@pytest.mark.parametrize("index", [4.0, True, Fraction(4), "4"])
+def test_indices_that_are_not_ints_are_rejected(index):
+    # one rule for every index the module takes: an int, not a bool or a
+    # float of integral value
+    with pytest.raises(DomainError, match="even int"):
+        bernoulli_number(index)
+    with pytest.raises(DomainError, match="even int"):
+        bernoulli_half(index)
+    with mp.workdps(20):
+        with pytest.raises(DomainError, match="even int"):
+            periodic_bernoulli(index, 0.3)
 
 
 @pytest.mark.parametrize("index", sorted(LOW_BERNOULLI))
@@ -205,6 +220,9 @@ def test_half_shift_identity_holds_on_a_dense_grid():
 def test_half_shift_identity_check_rejects_bad_index():
     with pytest.raises(DomainError):
         half_shift_identity_check(0, 0.3)
+    for k in (True, 2.0):
+        with pytest.raises(DomainError, match="int k"):
+            half_shift_identity_check(k, 0.3)
 
 
 @pytest.mark.parametrize("k", [1, 2, 5, 10, 50, 100])
@@ -252,16 +270,63 @@ def test_growth_in_steps_equals_growth_in_one_call():
         stepped.number(MAX_INDEX + 2)
 
 
-def test_growth_at_least_doubles_up_to_the_cap():
+def test_growth_reaches_exactly_the_index_asked():
     table = BernoulliTable()
-    table.number(24)
-    assert len(table._even) == 13
-    table.number(26)
-    assert len(table._even) == 25
-    table.number(1200)
-    assert len(table._even) == 601
-    table.number(1204)
-    assert len(table._even) == MAX_INDEX // 2 + 1
+    for j, size in ((24, 13), (26, 14), (2, 14), (1200, 601), (1204, 603)):
+        table.number(j)
+        assert len(table._even) == size, j
+        assert len(table._column) == size - 1, j
+
+
+def _counting_steps(monkeypatch) -> list[int]:
+    """Patch the recurrence step to record the index it extends from."""
+    step = bernoulli._tangent_step
+    calls: list[int] = []
+    monkeypatch.setattr(
+        bernoulli, "_tangent_step", lambda column: calls.append(len(column)) or step(column)
+    )
+    return calls
+
+
+def test_growth_by_one_index_makes_one_step(monkeypatch):
+    table = BernoulliTable()
+    table.number(1998)
+    calls = _counting_steps(monkeypatch)
+    table.number(2000)
+    assert calls == [999]
+    assert table.number(2000) == _bernfrac(2000)
+
+
+def test_each_index_is_extended_once(monkeypatch):
+    calls = _counting_steps(monkeypatch)
+    table = BernoulliTable()
+    for j in (2, 10, 8, 400, 402, 404):
+        table.number(j)
+    assert calls == list(range(1, 202))
+
+
+def test_threads_growing_one_table_agree_with_a_serial_build():
+    serial = BernoulliTable()
+    serial.number(MAX_INDEX)
+    shared = BernoulliTable()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=shared.number, args=(j,))
+            for j in (MAX_INDEX, 600, 1400, 38)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert shared._even == serial._even
+    assert shared._column == serial._column
+    for j in range(2, MAX_INDEX + 1, 2):
+        assert shared.number(j) == _bernfrac(j), j
 
 
 def test_fresh_table_is_independent_of_the_shared_one():

@@ -83,6 +83,17 @@ def test_ck_string_rounds_up_not_to_nearest():
     assert c_k_string(100, 6) == "0.112402"
 
 
+@pytest.mark.parametrize("decimals", [0, -1, 2.5, 10**6, 101, True, 6.0])
+def test_ck_string_refuses_decimals_outside_one_to_a_hundred(decimals):
+    with pytest.raises(DomainError, match="decimals"):
+        c_k_string(1, decimals)
+
+
+def test_ck_string_takes_decimals_from_one_to_a_hundred():
+    assert c_k_string(1, 1) == "0.1"
+    assert len(c_k_string(1, 100)) == 102
+
+
 def test_ck_values_increase_and_stay_below_the_limit():
     previous = 0.0
     for k in range(1, 101):

@@ -59,10 +59,11 @@ from gammatheta import bernoulli
 from gammatheta.theta import eval_theta
 
 calls = []
-tangent_numbers = bernoulli._tangent_numbers
-bernoulli._tangent_numbers = lambda n: calls.append(n) or tangent_numbers(n)
+step = bernoulli._tangent_step
+bernoulli._tangent_step = lambda column: calls.append(len(column)) or step(column)
 eval_theta(50.0)
-assert len(calls) == 1, calls
+# each index past T_1 is extended once, in order: one run of the recurrence
+assert calls == list(range(1, len(bernoulli.shared_table()._even) - 1)), calls
 print("ok")
 """
 

@@ -172,6 +172,9 @@ def test_digit_requests_are_validated():
         oracle_lngamma(2.0 + 0j, MAX_DIGITS + 1)
     with pytest.raises(DomainError):
         oracle_lngamma(2.0 + 0j, 12.5)
+    # a bool is not a digit count
+    with pytest.raises(DomainError, match="digits must be an integer"):
+        oracle_theta(1.0, True)
 
 
 def test_values_are_consistent_across_precision_requests():
@@ -757,6 +760,16 @@ def test_fixed_point_tail_stops_on_the_exact_bound(family):
                 assert _tail_series(w, k, family, +below)[1] == j + 1, (k, digits)
                 above = exact * (1 + mp.mpf(2) ** -20)
                 assert _tail_series(w, k, family, +above)[1] == j, (k, digits)
+
+
+def test_term_ratios_grow_in_place_to_exactly_the_index_asked():
+    clear_caches()
+    table = _ratios("gauss", 64, 10)
+    assert len(table) == 11
+    assert _ratios("gauss", 64, 7) is table and len(table) == 11
+    assert _ratios("gauss", 64, 12) is table and len(table) == 13
+    c12, c11 = term_coefficient("gauss", 12), term_coefficient("gauss", 11)
+    assert table[12] == math.floor(c12 / c11 * 2**64)
 
 
 def test_term_ratios_grow_with_the_index():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gammatheta import DomainError, ResourceLimitError, series
+from gammatheta import DomainError, ResourceLimitError, bernoulli, series
 from gammatheta.bernoulli import MAX_INDEX
 from gammatheta.series import (
     MinTermReport,
@@ -379,13 +379,12 @@ def test_the_refusal_before_the_table_grows_matches_the_table_scan():
 
 
 def test_a_refused_height_does_not_grow_the_bernoulli_table(monkeypatch):
-    def no_growth(n):
-        raise AssertionError(f"the table was grown to B_{n}")
-
-    monkeypatch.setattr(series, "bernoulli_number", no_growth)
+    monkeypatch.setattr(bernoulli, "_SHARED", bernoulli.BernoulliTable())
+    series._coefficient.cache_clear()
     message = r"at t=1000\.0 lies beyond the Bernoulli cap \(scanned to k=1000\)"
     with pytest.raises(ResourceLimitError, match=message):
         k_min(1000.0)
+    assert len(bernoulli.shared_table()._even) == 1
 
 
 def _exact_theta_term(j: int, t: float) -> float:
