@@ -87,8 +87,8 @@ class BernoulliTable:
     """
 
     def __init__(self) -> None:
-        self._even: list[Fraction] = [Fraction(1)]  # B_0
-        self._column = [1]  # index 1's column: T_1 = 1
+        self._even: list[Fraction] = [Fraction(1), Fraction(1, 6)]  # B_0, B_2
+        self._column: list[int] | None = [1]  # index 1's column: T_1 = 1
         self._half_numerators: dict[int, tuple[tuple[int, ...], int]] = {}
         self._lock = threading.Lock()
 
@@ -103,14 +103,19 @@ class BernoulliTable:
             )
 
     def _grow(self, upto_m: int) -> None:
-        """Cache B_{2m} for all m <= upto_m, one index at a time."""
+        """Cache B_{2m} for all m <= upto_m, one index at a time; a column
+        an exception took out mid-step is rebuilt from T_1 first."""
         with self._lock:
-            evens, column = self._even, self._column
+            evens, column, self._column = self._even, self._column, None
+            if column is None:
+                column = [1]
+                while len(column) < len(evens) - 1:
+                    _tangent_step(column)
             for m in range(len(evens), upto_m + 1):
-                tangent = _tangent_step(column) if m > 1 else column[0]
                 q = 1 << (2 * m)
-                b = Fraction(2 * m * tangent, q * (q - 1))
+                b = Fraction(2 * m * _tangent_step(column), q * (q - 1))
                 evens.append(b if m % 2 else -b)
+            self._column = column
 
     def number(self, j: int) -> Fraction:
         """Exact ``B_j`` for even ``j >= 2``."""

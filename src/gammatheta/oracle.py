@@ -439,7 +439,7 @@ def _tail_series(w: mpc, k: int, family: str, tau: mpf):
     safety2 = 4 if family == "gauss" else 1
     bits = max(128, 1 << (rbits - 1).bit_length())
     shift = bits - rbits
-    ratios = _ratios(family, bits, k + 2)
+    ratios = _ratios(family, bits, min(k + 2, _SERIES_INDEX_CAP))
     acc_re, acc_im = t_re, t_im
     j = k + 1
     while True:

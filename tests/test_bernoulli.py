@@ -305,6 +305,34 @@ def test_each_index_is_extended_once(monkeypatch):
     assert calls == list(range(1, 202))
 
 
+@pytest.mark.parametrize("where", ["before", "within", "after"])
+def test_an_interrupted_growth_leaves_later_numbers_exact(monkeypatch, where):
+    # An exception before a step, halfway through one, or after it but
+    # before the number is stored must not corrupt any later growth.
+    step = bernoulli._tangent_step
+
+    def failing(column):
+        if len(column) == 150:
+            if where == "within":
+                column[0] *= 3
+            elif where == "after":
+                step(column)
+            raise KeyboardInterrupt
+        return step(column)
+
+    table = BernoulliTable()
+    table.number(100)
+    monkeypatch.setattr(bernoulli, "_tangent_step", failing)
+    with pytest.raises(KeyboardInterrupt):
+        table.number(400)
+    monkeypatch.setattr(bernoulli, "_tangent_step", step)
+    assert len(table._even) == 151
+    table.number(600)
+    assert len(table._column) == len(table._even) - 1 == 300
+    for j in range(2, 601, 2):
+        assert table.number(j) == _bernfrac(j), (where, j)
+
+
 def test_threads_growing_one_table_agree_with_a_serial_build():
     serial = BernoulliTable()
     serial.number(MAX_INDEX)

@@ -910,6 +910,18 @@ def test_a_shift_past_the_cap_is_refused_before_the_tail_is_formed(monkeypatch):
             oracle._shifted_tail(mp.mpc(0, 1e8), 999, "gauss", mp.mpf(10) ** log_tau)
 
 
+@pytest.mark.parametrize("family", ["stirling", "gauss"])
+def test_a_tail_after_the_last_admitted_term_count_stops_at_the_cap(family):
+    # k = 999 leaves one index, 1000, the cap: the shift makes its term
+    # certify, so the tail stops there without a ratio past the cap.
+    clear_caches()
+    witness = oracle_remainder(100, 999, family, 20, details=True)
+    assert witness.tail_terms == oracle._SERIES_INDEX_CAP  # the last index summed
+    assert witness.difference <= witness.tolerance
+    sizes = [len(table) for table in oracle._ratio_cache.values()]
+    assert max(sizes) <= oracle._SERIES_INDEX_CAP + 1
+
+
 def test_a_tail_past_the_index_cap_is_refused_at_its_first_coefficient():
     # k at the cap leaves no index to scan: the first term's coefficient
     # refuses, not a shift of infinite size.

@@ -379,12 +379,14 @@ def test_the_refusal_before_the_table_grows_matches_the_table_scan():
 
 
 def test_a_refused_height_does_not_grow_the_bernoulli_table(monkeypatch):
-    monkeypatch.setattr(bernoulli, "_SHARED", bernoulli.BernoulliTable())
+    fresh = bernoulli.BernoulliTable()
+    seeded = len(fresh._even)
+    monkeypatch.setattr(bernoulli, "_SHARED", fresh)
     series._coefficient.cache_clear()
     message = r"at t=1000\.0 lies beyond the Bernoulli cap \(scanned to k=1000\)"
     with pytest.raises(ResourceLimitError, match=message):
         k_min(1000.0)
-    assert len(bernoulli.shared_table()._even) == 1
+    assert len(fresh._even) == seeded
 
 
 def _exact_theta_term(j: int, t: float) -> float:
