@@ -519,6 +519,15 @@ class _PeriodicKernel:
     2^(prec+10) units, so each step adds under 2.6 units to a quarter of
     the error carried in, and every value is within 4 units of ``2**exp``.
     Tables live as long as the instance: one remainder call.
+
+    The error bounds that choose the panels majorize B_2k(1/2 + y) over
+    |y| <= Y by the smaller of the polynomial majorant sum_j |q_j| Y^(2j),
+    q_j the coefficients here, and the Fourier majorant
+    2 (2k)! e^(2 pi Y) / (2 pi)^2k (:func:`_log_kernel_majorant`).  The
+    polynomial one is never the larger, and far the smaller from
+    Y ~ k / pi on, as on the Bernstein ellipses of the panels next to the
+    pole; the Fourier one is taken for k >= 130, whose coefficients leave
+    the double range.
     """
 
     def __init__(self, k: int, prec: int) -> None:
@@ -596,42 +605,88 @@ def _panel_sum(
     negative.
     """
     prec = kernel.prec
+    prec2 = 2 * prec
     frac = prec + level + _GUARD_BITS
     start = (
         _fixed(zz.real, frac) + ((c2 - 1) << (frac - 1)) + (index << (frac - level))
     )
     zi = _fixed(zz.imag, frac)
-    bits = bin(two_k)[3:]  # after the leading one, most significant first
+    # the exponent's bits after the leading one, most significant first
+    bits = [bit == "1" for bit in bin(two_k)[3:]]
     acc_re = acc_im = 0
     scale = None
     for node, t in zip(kernel.nodes, kernel.weighted(level, index)):
         a = start + (node << _GUARD_BITS)
         b = zi
-        s = max(a.bit_length(), b.bit_length()) - prec
+        la, lb = a.bit_length(), b.bit_length()
+        s = (la if la > lb else lb) - prec
         a >>= s
         b >>= s
         e = s - frac
         ra, rb, re_ = a, b, e
         for bit in bits:
-            ra, rb = ra * ra - rb * rb, (ra * rb) << 1
+            ra, rb = (ra + rb) * (ra - rb), (ra * rb) << 1
             re_ <<= 1
-            if bit == "1":
+            if bit:
                 ra, rb = ra * a - rb * b, ra * b + rb * a
                 re_ += e
-            s = max(ra.bit_length(), rb.bit_length()) - prec
+            la, lb = ra.bit_length(), rb.bit_length()
+            s = (la if la > lb else lb) - prec
             ra >>= s
             rb >>= s
             re_ += s
         d = ra * ra + rb * rb
-        ia = ((ra << (2 * prec)) // d) * t
-        ib = ((-rb << (2 * prec)) // d) * t
-        ie = -re_ - 2 * prec
+        ie = -re_ - prec2
         if scale is None:
             scale = ie + 2
-        acc_re += ia >> (scale - ie)
-        acc_im += ib >> (scale - ie)
+        shift = scale - ie
+        acc_re += (((ra << prec2) // d) * t) >> shift
+        acc_im += (((-rb << prec2) // d) * t) >> shift
     exp = scale + kernel.exp - level
     return mpc(mpf((acc_re, exp)), mpf((acc_im, exp))) / two_k
+
+
+@functools.lru_cache(maxsize=None)
+def _majorant_coefficients(k: int) -> tuple[float, ...] | None:
+    """|q_j|, the coefficients of B_2k(1/2 + y) in y^2 from
+    ``half_numerators(2k)``, highest power first, each a double within half
+    an ulp; None where one of them leaves the double range (k >= 130)."""
+    numerators, den = shared_table().half_numerators(2 * k)
+    try:
+        return tuple(abs(a) / den for a in numerators)
+    except OverflowError:
+        return None
+
+
+def _log_kernel_majorant(k: int, big_y: float) -> float:
+    """Natural log of a bound on |B_2k(1/2 + y)| over complex |y| <= big_y,
+    the smaller of two majorants.
+
+    The polynomial one, sum_j |q_j| Y^(2j), is |B_2k(1/2 + iY)|, the
+    coefficients alternating in sign; it is summed by Horner in doubles and
+    rounded upward by ``_UP``, far above its at most 4k + 2 roundings of
+    2^-53 relative (coefficients and Y^2 included).  The Fourier
+    one, 2 (2k)! e^(2 pi Y) / (2 pi)^2k, follows from
+    |B_2j(1/2)| < 2 (2j)! / (2 pi)^2j, which bounds the polynomial one by
+    cosh(2 pi Y) times the same constant.  So the polynomial form is never
+    the larger: it is at most about half the Fourier form while Y is well
+    under k / pi, and far below it from Y ~ k / pi on, where the panels
+    next to the pole put Y (k = 2, Y = 2: 18 against 8.8e3).  The Fourier
+    form is the one taken where the coefficients leave the double range
+    (k >= 130) or the sum overflows; the roundings of its few doubles are
+    left to the margin of :func:`_panel_log_error`.
+    """
+    fourier = (
+        _LOG_2 + math.lgamma(2 * k + 1) - 2 * k * _LOG_2PI + 2 * math.pi * big_y
+    )
+    coeffs = _majorant_coefficients(k)
+    if coeffs is None:
+        return fourier
+    y2 = big_y * big_y
+    acc = 0.0
+    for c in coeffs:
+        acc = acc * y2 + c
+    return min(fourier, math.log(acc * _UP))
 
 
 def _panel_log_error(
@@ -646,9 +701,12 @@ def _panel_log_error(
 
     * |B_2k(1/2 + y)| <= sum_j |q_j| Y^(2j) <= 2 (2k)! e^(2 pi Y) / (2 pi)^2k,
       with q_j the coefficients ``half_numerators`` gives over their
-      denominator and Y = |y at the centre| + hw (rho + 1/rho) / 2, because
-      |B_2j(1/2)| < 2 (2j)! / (2 pi)^2j (the middle sum is at most
-      cosh(2 pi Y) times the constant);
+      denominator and Y = |y at the centre| + hw (rho + 1/rho) / 2.  The
+      bound taken is the smaller of the two majorants
+      (:func:`_log_kernel_majorant`): the polynomial one wherever its
+      coefficients fit in doubles (k < 130), which is never the larger and
+      is far the smaller next to the pole, where Y is comparable to k / pi;
+      the Fourier one beyond;
     * |z + u| >= hw (rho_p - rho)(1 - 1/(rho rho_p)) / 2.
 
     With M the quotient of the two, the 20-point rule errs by at most
@@ -659,12 +717,15 @@ def _panel_log_error(
     panel, r = hw (rho - 1)^2 / (2 rho) being the least distance from the
     panel to E_rho (at its ends).  rho is the root in (0, rho_p) of
     pi hw + 2k / (rho_p - rho) = 38 / rho (rho_p capped at e^300), where the
-    leading terms of the bound's logarithm balance.  Rounding adds under
-    2 hw B D^-2k 2^-prec (24k + 340 + 2^22), with B the majorant above on
+    leading terms of the Fourier form's logarithm balance; any rho in
+    (1, rho_p) gives a proven bound.  Rounding adds under
+    2 hw B D^-2k 2^-prec (24k + 540 + 2^22), with B the majorant above on
     the real panel and D the pole's distance to the first node: in the
     fixed-point node loop, power by squaring errs by under 20k 2^-prec
     relative, the inversion by 2^(1-prec) and the weighted kernel by 5
-    units of its 2**exp per node; the conversion to an mpc and the division
+    units of its 2**exp per node, 2**exp being under 2^(1-prec) |B_2k| and
+    |B_2k| <= 2 |B_2k(1/2)| <= 2 B (20 nodes: 400 B 2^-prec); the
+    conversion to an mpc and the division
     by 2k, at the working precision of prec - 20 bits, by 2^(22-prec).  A
     sum of two terms is taken as twice the larger.  Every term is a
     logarithm, so nothing overflows at any k, and the result is raised by a
@@ -681,7 +742,6 @@ def _panel_log_error(
     log_rho_p *= 1.0 - 2.0**-40
     two_k = 2 * k
     log_hw = math.log(hw)
-    log_scale = _LOG_2 + math.lgamma(two_k + 1) - two_k * _LOG_2PI
     mid = abs(left + hw - c2 / 2)
     floors = (2 - prec) * _LOG_2
     rho_p = math.exp(min(log_rho_p, 300.0))
@@ -697,15 +757,15 @@ def _panel_log_error(
             + math.log(math.expm1(lr - log_rho_p) * math.expm1(-lr - log_rho_p))
         )
         big_y = (mid + hw * (rho + 1 / rho) / 2) * _UP
-        log_m = log_scale + 2 * math.pi * big_y - two_k * log_pole
+        log_m = _log_kernel_majorant(k, big_y) - two_k * log_pole
         rule = _LOG_GAUSS - 39 * lr - math.log(ratio)
         near = 4 / (math.expm1(lr) * -math.expm1(-lr))  # 4 rho / (rho - 1)^2
         quadrature = log_hw + log_m + max(rule, floors + math.log(20 + near))
-    big_b = log_scale + 2 * math.pi * (mid + hw) * _UP
+    big_b = _log_kernel_majorant(k, (mid + hw) * _UP)
     first = math.hypot(xa + _FIRST_NODE_DOWN * 2 * hw, y) / _UP
     loop = (
         log_hw + _LOG_2 + big_b - two_k * math.log(first) + floors - 2 * _LOG_2
-        + math.log(24 * k + 340 + (1 << 22))
+        + math.log(24 * k + 540 + (1 << 22))
     )
     return max(quadrature, loop) + _LOG_2 - math.log(two_k) + _LOG_SLACK
 

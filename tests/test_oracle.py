@@ -32,8 +32,10 @@ from gammatheta.oracle import (
 from gammatheta import oracle
 from gammatheta.oracle import (
     _FIRST_NODE_DOWN,
+    _GUARD_BITS,
     _gl_nodes_01,
     _lngamma_cache,
+    _log_kernel_majorant,
     _panel_log_error,
     _panel_sum,
     _partial_sum_mp,
@@ -249,24 +251,36 @@ def _exact_panel(k, family, z, c2, level, index, digits):
 
 
 _PANELS = (
+    # (k, family, z, c2, level, index, working digits)
     # nested panels [0, 2^-L] next to the pole at -0.1i
-    [(2, "stirling", 0.1j, 1, level, 0) for level in range(6)]
+    [(2, "stirling", 0.1j, 1, level, 0, 45) for level in range(6)]
     + [
-        (9, "stirling", 0.5 + 10j, 1, 0, 0),
-        (9, "stirling", 0.5 + 10j, 25, 0, 0),
-        (16, "gauss", 5 + 0j, 0, 1, 1),
-        (16, "gauss", 5 + 0j, 2, 0, 0),
-        (16, "gauss", 5 + 0j, 2, 2, 3),
-        (383, "stirling", 127.32j, 1, 0, 0),
+        (9, "stirling", 0.5 + 10j, 1, 0, 0, 45),
+        (9, "stirling", 0.5 + 10j, 25, 0, 0, 45),
+        (16, "gauss", 5 + 0j, 0, 1, 1, 45),
+        (16, "gauss", 5 + 0j, 2, 0, 0, 45),
+        (16, "gauss", 5 + 0j, 2, 2, 3, 45),
+        (383, "stirling", 127.32j, 1, 0, 0, 45),
     ]
+    # the table-2 theta rows' panels next to the pole, levels 0-3 of the
+    # first piece, where the polynomial majorant decides the mesh: method (b)
+    # of oracle_theta_remainder(k, t, ceil(2 pi t / ln 10) + 30) works at 25
+    # digits above the remainder's 38 (t = 0.75) and 40 (t = 1.5)
+    + [(2, "gauss", 0.75j, 0, 1 + d, 1 << d, 63) for d in range(4)]
+    + [(5, "gauss", 1.5j, 0, 1 + d, 1 << d, 65) for d in range(4)]
 )
 
 
-@pytest.mark.parametrize(("k", "family", "z", "c2", "level", "index"), _PANELS)
-def test_panel_error_bound_holds(k, family, z, c2, level, index):
-    # The 20-node panel sum at 45 digits differs from the panel's integral,
-    # taken by mp.quad at twice the digits, by no more than its proven bound.
-    digits = 20 + 25
+@pytest.mark.parametrize(
+    ("k", "family", "z", "c2", "level", "index", "digits"),
+    _PANELS,
+    # a panel's id leaves out its working digits
+    ids=["-".join(map(str, panel[:6])) for panel in _PANELS],
+)
+def test_panel_error_bound_holds(k, family, z, c2, level, index, digits):
+    # The 20-node panel sum at the working digits differs from the panel's
+    # integral, taken by mp.quad at twice the digits, by no more than its
+    # proven bound.
     with mp.workdps(digits):
         prec = mp.mp.prec + 20
         kernel = _PeriodicKernel(k, prec)
@@ -276,6 +290,89 @@ def test_panel_error_bound_holds(k, family, z, c2, level, index):
     with mp.workdps(2 * digits):
         error = abs(got - want)
         assert error == 0 or mp.log(error) <= bound, (mp.nstr(error, 5), math.exp(bound))
+
+
+@pytest.mark.parametrize("k", range(1, 41))
+def test_kernel_majorant_bounds_the_polynomial_on_its_disc(k):
+    # For |y| <= Y the rounded-up majorant is at least |B_2k(1/2 + y)|; at
+    # y = +-iY the polynomial majorant is |B_2k(1/2 + y)| itself, so a
+    # majorant that drops any coefficient fails there.
+    rng = random.Random(f"kernel-majorant:{k}")
+    with mp.workdps(50):
+        for big_y in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0):
+            ys = [1j * big_y, -1j * big_y, complex(big_y), complex(-big_y)]
+            for _ in range(8):
+                r = big_y * math.sqrt(rng.random())
+                phase = 2 * math.pi * rng.random()
+                ys.append(complex(r * math.cos(phase), r * math.sin(phase)))
+            bound = mp.exp(_log_kernel_majorant(k, big_y))
+            for y in ys:
+                value = abs(mp.bernpoly(2 * k, mp.mpf(1) / 2 + mp.mpc(y)))
+                assert value <= bound, (big_y, y, mp.nstr(value, 20), mp.nstr(bound, 20))
+
+
+def _reference_panel_sum(kernel, zz, two_k, c2, level, index):
+    """The node loop of _panel_sum as first written, kept to pin its
+    integers."""
+    prec = kernel.prec
+    frac = prec + level + _GUARD_BITS
+    start = (
+        oracle._fixed(zz.real, frac) + ((c2 - 1) << (frac - 1)) + (index << (frac - level))
+    )
+    zi = oracle._fixed(zz.imag, frac)
+    bits = bin(two_k)[3:]  # after the leading one, most significant first
+    acc_re = acc_im = 0
+    scale = None
+    for node, t in zip(kernel.nodes, kernel.weighted(level, index)):
+        a = start + (node << _GUARD_BITS)
+        b = zi
+        s = max(a.bit_length(), b.bit_length()) - prec
+        a >>= s
+        b >>= s
+        e = s - frac
+        ra, rb, re_ = a, b, e
+        for bit in bits:
+            ra, rb = ra * ra - rb * rb, (ra * rb) << 1
+            re_ <<= 1
+            if bit == "1":
+                ra, rb = ra * a - rb * b, ra * b + rb * a
+                re_ += e
+            s = max(ra.bit_length(), rb.bit_length()) - prec
+            ra >>= s
+            rb >>= s
+            re_ += s
+        d = ra * ra + rb * rb
+        ia = ((ra << (2 * prec)) // d) * t
+        ib = ((-rb << (2 * prec)) // d) * t
+        ie = -re_ - 2 * prec
+        if scale is None:
+            scale = ie + 2
+        acc_re += ia >> (scale - ie)
+        acc_im += ib >> (scale - ie)
+    exp = scale + kernel.exp - level
+    return mp.mpc(mp.mpf((acc_re, exp)), mp.mpf((acc_im, exp))) / two_k
+
+
+@pytest.mark.parametrize("family", ["stirling", "gauss"])
+def test_panel_sum_matches_the_reference_loop_bit_for_bit(family):
+    rng = random.Random(f"panel-sum:{family}")
+    parity = 1 if family == "stirling" else 0
+    for _ in range(120):
+        k = rng.randint(1, 20)
+        digits = rng.randint(12, 40)
+        level = rng.randint(0, 4)
+        index = rng.randrange(1 << level)
+        c2 = 2 * rng.randint(1, 10) - parity
+        z = complex(3 * rng.random(), rng.choice((0.01, 1.0, 20.0)) * (2 * rng.random() - 1))
+        with mp.workdps(digits + 25):
+            kernel = _PeriodicKernel(k, mp.mp.prec + 20)
+        # a working precision that keeps every bit of the sums, so that the
+        # results compare the loop's integers, not their rounding
+        with mp.workprec(4 * kernel.prec):
+            zz = mp.mpc(z)
+            got = _panel_sum(kernel, zz, 2 * k, c2, level, index)
+            want = _reference_panel_sum(kernel, zz, 2 * k, c2, level, index)
+        assert got._mpc_ == want._mpc_, (k, digits, z, c2, level, index)
 
 
 @pytest.mark.parametrize("k", [3, 16])
