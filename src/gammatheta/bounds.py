@@ -90,8 +90,8 @@ from functools import lru_cache
 
 from .bernoulli import _MPMATH_LOCK, bernoulli_number
 from .errors import DomainError
-from .fputil import ceil_float, up
-from .series import _coefficient, _require_index, stirling_term
+from .fputil import GUARD, ceil_float, up
+from .series import _row, stirling_term
 
 __all__ = [
     "BoundKind",
@@ -171,7 +171,7 @@ class BoundResult(namedtuple(
 
 
 def _not_applicable(kind: BoundKind, target: Target, reason: str) -> BoundResult:
-    return BoundResult(kind, target, math.inf, math.inf, False, reason)
+    return _new(BoundResult, (kind, target, math.inf, math.inf, False, reason, ()))
 
 
 #: Guard-chain count for every bound value: covers the lgamma / exp chain of
@@ -180,6 +180,8 @@ def _not_applicable(kind: BoundKind, target: Target, reason: str) -> BoundResult
 _CHAINS = 12
 #: Smallest positive normal double.
 _NORMAL_MIN = sys.float_info.min
+#: Builds a namedtuple without its Python-level ``__new__``.
+_new = tuple.__new__
 #: 2**-1/2, the least scaled modulus ``_times_term`` raises to a power.
 _SQRT_HALF = math.sqrt(0.5)
 
@@ -203,8 +205,7 @@ def _times_term(
     The exponent ``e - p s + scale`` is applied once: a value below the
     normal range is rounded once and stepped up, one past the double range
     is ``inf``."""
-    _require_index(k)
-    _, mantissa, exponent = _coefficient(family, k)
+    mantissa, exponent = _row(family, k)[1:3]
     x, y = argument.real, argument.imag
     s = math.frexp(max(abs(x), abs(y)))[1]
     a = math.hypot(math.ldexp(x, -s), math.ldexp(y, -s))
@@ -212,10 +213,10 @@ def _times_term(
         a, s = 2.0 * a, s - 1
     p = 2 * k - 1
     fraction, shift = math.frexp(abs(mantissa) / a ** p)
+    g = GUARD  # up(normalized * fraction, _CHAINS), written out
+    guarded = normalized * fraction * g * g * g * g * g * g * g * g * g * g * g * g
     try:
-        value = math.ldexp(
-            up(normalized * fraction, _CHAINS), exponent - p * s + shift + scale
-        )
+        value = math.ldexp(guarded, exponent - p * s + shift + scale)
     except OverflowError:
         return math.inf
     if value < _NORMAL_MIN:
@@ -369,28 +370,10 @@ def _plain_factor(kind: BoundKind, k: int, z: complex) -> float | str:
         az = math.inf
     if k > az:
         return "requires k <= |z|"
-    return _quadratic(k, az, kind is BoundKind.CK_QUADRATIC)
-
-
-def _quadratic(k: int, az: float, ck: bool) -> float:
-    """``c_k (k/|z|)^2``, or ``(k/|z|)^2 / (pi^2 - 1)`` if not ``ck``, rounded
-    up, from ``az = |z|``."""
     ratio = k / az
-    if ck:
+    if kind is BoundKind.CK_QUADRATIC:
         return up(_CK_UP[k - 1] * ratio * ratio, 2)
     return up(ratio * ratio / _PI2M1_DOWN, 2)
-
-
-def _family_value(
-    family: str, k: int, z: complex, factor: float, extra: float = 0.0
-) -> tuple[float, float]:
-    """``(normalized, value)`` of a family's bound from its base's after-k-terms
-    factor: gauss and theta carry eta_k, and ``extra = 1`` gives the
-    before-k-th-term form (triangle inequality)."""
-    if family != "stirling":
-        factor = eta(k) * up(factor, _CHAINS)
-    normalized = up(factor + extra, _CHAINS)
-    return normalized, _times_term(normalized, family, k, z)
 
 
 #: The ladders of the module docstring, strongest first: per family, each
@@ -419,10 +402,18 @@ _LADDERS = {
 def _quadratic_rung(family: str, k: int, w: complex) -> tuple[BoundKind, float]:
     """Kind and value of ``best_bound`` after k terms at w with Re w >= 0 and
     |w| >= k: the ladder's first rung, ``ck-quadratic`` for k <= 100 and
-    ``quadratic`` (``half-quadratic`` for gauss) above."""
+    ``quadratic`` (``half-quadratic`` for gauss) above, by the products of
+    ``_ladder_bound`` in its order, ``up``'s guards written out."""
+    ratio = k / abs(w)
     ck = k <= CK_MAX_K
     kind = _LADDERS[family][BoundKind.CK_QUADRATIC if ck else BoundKind.QUADRATIC]
-    return kind, _family_value(family, k, w, _quadratic(k, abs(w), ck))[1]
+    factor = _CK_UP[k - 1] * ratio * ratio if ck else ratio * ratio / _PI2M1_DOWN
+    g = GUARD  # the factor's 2 guards and the normalized value's _CHAINS = 12
+    normalized = factor * g * g * g * g * g * g * g * g * g * g * g * g * g * g
+    if family == "gauss":  # eta_k, then _CHAINS guards more
+        factor = eta(k) * normalized
+        normalized = factor * g * g * g * g * g * g * g * g * g * g * g * g
+    return kind, _times_term(normalized, family, k, w)
 
 
 def _ladder_bound(
@@ -440,9 +431,12 @@ def _ladder_bound(
     factor = _plain_factor(base, k, z)
     if isinstance(factor, str):
         return _not_applicable(kind, target, factor)
-    extra = 1.0 if target is Target.R_K else 0.0
-    normalized, value = _family_value(family, k, z, factor, extra)
-    return BoundResult(kind=kind, target=target, value=value, normalized=normalized)
+    if family != "stirling":  # gauss and theta carry eta_k
+        factor = eta(k) * up(factor, _CHAINS)
+    # 1 more gives the before-k-th-term form (triangle inequality)
+    normalized = up(factor + (1.0 if target is Target.R_K else 0.0), _CHAINS)
+    value = _times_term(normalized, family, k, z)
+    return _new(BoundResult, (kind, target, value, normalized, True, "", ()))
 
 
 # ---------------------------------------------------------------------------
@@ -560,13 +554,11 @@ def faulty_theta_bound(k: int, t: float) -> float:
 # Selection.
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=2048)
-def _screen_log(family: str, k: int) -> float:
-    """``L_k + 2 log k``, cached per family and k: less (2k+1) log|w| it is
-    the log of ``_quadratic_rung`` at w, up to roundings and guard factors.
+def _screen_log(family: str, k: int, mantissa: float, exponent: int) -> float:
+    """``L_k + 2 log k`` of a stirling or gauss row (``series``): less (2k+1)
+    log|w|, the log of ``_quadratic_rung`` at w up to roundings and guards.
     L_k is the log of the rung's constant (c_k, or 1/(pi^2 - 1) above
-    k = 100, times eta_k for gauss) times |coefficient_k|."""
-    _, mantissa, exponent = _coefficient(family, k)
+    k = 100, times eta_k for gauss) times |mantissa| 2**exponent."""
     constant = _CK_UP[k - 1] if k <= CK_MAX_K else 1.0 / _PI2M1_DOWN
     if family == "gauss":
         constant *= eta(k)

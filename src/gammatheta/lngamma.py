@@ -28,9 +28,9 @@ import math
 from collections import namedtuple
 
 from . import bernoulli as _bernoulli_mod
-from .bounds import Target, _quadratic_rung, _screen_log, best_bound
+from .bounds import Target, _new, _quadratic_rung, best_bound
 from .errors import AccuracyError, ConsistencyError, DomainError, ResourceLimitError
-from .series import partial_sum
+from .series import _ROWS, TINY, _row, partial_sum
 
 __all__ = [
     "CertifiedValue",
@@ -71,10 +71,6 @@ class CertifiedValue(namedtuple(
     __slots__ = ()
 
 
-def _on_cut(z: complex) -> bool:
-    return z.imag == 0.0 and z.real <= 0.0
-
-
 def _shift(z: complex, modulus: float) -> tuple[complex, int]:
     """Step ``z`` up by ones until ``|w| >= modulus``.  This ends within
     ``2 * modulus + 1`` steps: a walk starts only if Re(z) > -modulus, and
@@ -87,17 +83,14 @@ def _shift(z: complex, modulus: float) -> tuple[complex, int]:
     return w, steps
 
 
-def _plan(
-    z: complex, k: int, family: str, shifted: tuple[complex, int] | None = None
-) -> TruncationPlan:
-    """Shift ``z`` until ``|w| >= max(k, 1)``, unless ``shifted`` holds
-    ``(w, shifts)``, and bound the remainder there, at the very ``w`` the
-    evaluation sums at: by the ladder's first rung, or left of the axis by
-    ``best_bound``'s refusal."""
-    w, shifts = shifted or _shift(z, float(k))
+def _plan(z: complex, k: int, family: str) -> TruncationPlan:
+    """Shift ``z`` until ``|w| >= max(k, 1)`` and bound the remainder there,
+    at the very ``w`` the evaluation sums at: by the ladder's first rung, or
+    left of the axis by ``best_bound``'s refusal."""
+    w, shifts = _shift(z, float(k))
     if w.real < 0.0:
         best_bound(k, w, family, Target.R_KP1)
-    return TruncationPlan(k, shifts, *_quadratic_rung(family, k, w))
+    return _new(TruncationPlan, (k, shifts) + _quadratic_rung(family, k, w))
 
 
 def _main_terms(w: complex, logw: complex, family: str) -> complex:
@@ -114,17 +107,16 @@ def _eval_right(z: complex, plan: TruncationPlan, family: str) -> CertifiedValue
 
     The fp charge is 2 ulp of the running magnitude (at least 1) per
     operation; a magnitude past the double range is not charged, and
-    ``_finite`` refuses the value it belongs to."""
-    fp = 0.0
+    ``_certified`` refuses the value it belongs to."""
+    fp, w, log_sum = 0.0, z, complex(0.0, 0.0)
     offset = 0.0 if family == "stirling" else 0.5
-    w = z
-    log_sum = complex(0.0, 0.0)
+    log, ulp = cmath.log, math.ulp
     for _ in range(plan.shifts):
-        lw = cmath.log(w + offset)
+        lw = log(w + offset)
         log_sum += lw
         # One log, one add, plus the rounding of the shifted argument itself:
         # 2 operations at 4 ulp; these logs are finite.
-        fp += 8 * math.ulp(max(abs(log_sum), abs(lw), 1.0))
+        fp += 8 * ulp(max(abs(log_sum), abs(lw), 1.0))
         w += 1.0
 
     logw = cmath.log(w)
@@ -139,9 +131,10 @@ def _eval_right(z: complex, plan: TruncationPlan, family: str) -> CertifiedValue
     # k term additions plus assembly.  At |w| >= max(k, 1) the sum is off by
     # under 2k ulp of 1 (``partial_sum``), which the k-operation share of
     # this charge covers, since its scale is at least 1.
-    scale = max(math.hypot(value.real, value.imag), main_modulus, 1.0)
+    modulus = math.hypot(value.real, value.imag)
+    scale = max(modulus, main_modulus, 1.0)
     fp += (plan.k + 6) * 2 * math.ulp(scale) if scale < math.inf else 0.0
-    return _finite(CertifiedValue(value, plan.truncation_bound + fp, plan))
+    return _certified(value, modulus, plan.truncation_bound + fp, plan, ())
 
 
 def _reflect(z: complex, inner: CertifiedValue) -> CertifiedValue:
@@ -153,21 +146,18 @@ def _reflect(z: complex, inner: CertifiedValue) -> CertifiedValue:
     modulus = math.hypot(value.real, value.imag)
     scale = max(modulus, math.hypot(log_sin.real, log_sin.imag), math.pi * abs(z), 1.0)
     fp = 20 * math.ulp(scale) if scale < math.inf else 0.0  # 10 operations
-    return _finite(CertifiedValue(
-        value, inner.radius + fp, inner.plan, inner.flags + ("REFLECTED",)
-    ))
+    return _certified(value, modulus, inner.radius + fp, inner.plan, ("REFLECTED",))
 
 
-def _finite(result: CertifiedValue) -> CertifiedValue:
-    """Refuse a value, its modulus or radius that overflowed: the fp charge
-    skips infinite magnitudes, so no radius would be certified."""
-    value = result.value
-    if not (math.hypot(value.real, value.imag) < math.inf and math.isfinite(result.radius)):
+def _certified(value: complex, modulus: float, radius: float, plan, flags) -> CertifiedValue:
+    """The certified value, refused where its modulus (``hypot``) or radius
+    overflowed: the fp charge skips infinite magnitudes."""
+    if not (modulus < math.inf and math.isfinite(radius)):
         raise AccuracyError(
             f"lngamma overflows double precision here (value {value}, "
-            f"radius {result.radius})"
+            f"radius {radius})"
         )
-    return result
+    return _new(CertifiedValue, (value, radius, plan, flags))
 
 
 def _log_sin_pi(z: complex) -> complex:
@@ -219,7 +209,7 @@ def choose_k(z: complex, eps: float | None, context: str = "stirling") -> Trunca
     means the floating-point floor (``_fp_floor``).
 
     Upward scan under the shift rule |w_k| >= max(k, 1), screened in log
-    space by log bound_k ~ L_k + 2 log k - (2k+1) log|w_k| (``_screen_log``).
+    space by log bound_k ~ L_k + 2 log k - (2k+1) log|w_k| (the rows' screen).
     A k is skipped only where that estimate exceeds log eps by
     ``_SCREEN_MARGIN``.  It lies within 1e-9 of the exact bound's log (4e-11
     measured), so a skipped k misses eps and the smallest k that meets eps
@@ -240,29 +230,31 @@ def choose_k(z: complex, eps: float | None, context: str = "stirling") -> Trunca
     if eps is None:
         eps = floor
     elif not eps >= floor:
-        raise AccuracyError(
-            f"target accuracy {eps:g} is unattainable (best achievable radius "
-            f"~{floor:.3g})",
-            best_radius=floor,
-        )
+        raise _unattainable(eps, floor)
     limit = math.log(eps) + _SCREEN_MARGIN
-    screen = _screen_log
-    modulus = abs(w)
-    log_w = math.log(modulus)
+    rows, inf, modulus = _ROWS[context], math.inf, abs(w)
+    log_w, right = math.log(modulus), w.real >= 0.0
     for k in range(1, _K_CAP + 1):
         if modulus < k:
             while modulus < k:
                 w += 1.0
                 shifts += 1
                 modulus = abs(w)
-            log_w = math.log(modulus)
-        estimate = screen(context, k) - (2 * k + 1) * log_w
-        if limit < estimate < math.inf and w.real >= 0.0:
+            log_w, right = math.log(modulus), w.real >= 0.0
+        screen = rows[k][4] if k < len(rows) else _row(context, k)[4]
+        if limit < screen - (2 * k + 1) * log_w < inf and right:
             continue
-        plan = _plan(z, k, context, (w, shifts))
-        if plan.truncation_bound <= eps:
-            return plan
+        if not right:  # best_bound refuses there, as in _plan
+            best_bound(k, w, context, Target.R_KP1)
+        kind, bound = _quadratic_rung(context, k, w)
+        if bound <= eps:
+            return _new(TruncationPlan, (k, shifts, kind, bound))
     raise ConsistencyError(f"internal: no k <= {_K_CAP} meets eps {eps:g} at z={z}")
+
+
+def _unattainable(eps: float, floor: float) -> AccuracyError:
+    message = f"target accuracy {eps:g} is unattainable (best achievable radius ~{floor:.3g})"
+    return AccuracyError(message, best_radius=floor)
 
 
 def _resolve_request(
@@ -292,13 +284,18 @@ def eval_lngamma(
     with neither, the target is the floating-point floor at z.
     """
     z = complex(z)
-    if _on_cut(z):
+    if z.imag == 0.0 and z.real <= 0.0:
         raise DomainError(f"lngamma is not defined on the cut (-inf, 0]: z={z}")
     if z.real < 0.0:
-        # The accuracy request targets the truncation bound; halve it for
-        # the inner evaluation so the reflection assembly keeps headroom.
-        inner_accuracy = accuracy / 2.0 if accuracy is not None else None
-        inner = eval_lngamma(-z, k=k, accuracy=inner_accuracy)
+        # The target is halved (to TINY at least) for the inner evaluation,
+        # so the reflection keeps headroom, and refused at twice its floor.
+        half = max(accuracy / 2.0, TINY) if accuracy and accuracy > 0.0 else accuracy
+        try:
+            inner = eval_lngamma(-z, k, half)
+        except AccuracyError as exc:
+            if exc.best_radius is None:
+                raise
+            raise _unattainable(accuracy, 2.0 * exc.best_radius) from None
         return _reflect(z, inner)
     plan = _resolve_request(z, "stirling", k, accuracy)
     return _eval_right(z, plan, "stirling")

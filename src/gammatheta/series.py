@@ -28,14 +28,24 @@ The theta family is divergent with a well-defined least term; ``k_min``
 locates it by the ratio test ``T_(k+1) / T_k = (c_(k+1) / c_k) / t**2 >= 1``
 on the stored mantissas and exponents of the coefficients, so no term is
 formed and none over- or underflows.
+
+Each family keeps one row table, the one store of what is kept per index,
+grown under a lock to exactly the index asked.  Row j is ``(c_j, m, e,
+ratio, x)``: the exact c_j; ``c_j = m 2**e`` with m rounded once and ``1/2
+<= |m| < 1``; ``partial_sum``'s ratio ``c_j / c_(j-1)`` rounded once (c_1 at
+j = 1), for theta ``k_min``'s ``m_j / m_(j-1) 2**(e_j - e_(j-1))`` (None at
+j = 1); and x, ``choose_k``'s screen log (``bounds._screen_log``), for theta
+``m 2**e`` (None past the double range).
 """
 from __future__ import annotations
 
 import cmath
 import math
+import threading
+from bisect import bisect_left
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
+from operator import itemgetter
 
 from .bernoulli import bernoulli_half, bernoulli_number
 from .errors import DomainError, ResourceLimitError
@@ -81,19 +91,39 @@ def _require_index(j: int) -> None:
         )
 
 
-@lru_cache(maxsize=4096)
+#: The row tables of the module docstring; row j is ``_ROWS[kind][j]``.
+_ROWS = {kind: [None] for kind in FAMILIES}
+_ROWS_LOCK = threading.Lock()
+
+
+def _row(kind: str, j: int) -> tuple:
+    """Row j of a family's table, j checked as ``_require_index`` does; the
+    table grows under the lock to exactly row j."""
+    rows = _ROWS[kind]
+    if type(j) is int and 0 < j < len(rows):
+        return rows[j]
+    _require_index(j)
+    from .bounds import _screen_log  # bounds imports this module
+    with _ROWS_LOCK:
+        while len(rows) <= j:
+            i, previous = len(rows), rows[-1]
+            b = bernoulli_number(2 * i) if kind == "stirling" else bernoulli_half(2 * i)
+            c = abs(b) / (4 * i * (2 * i - 1)) if kind == "theta" else b / (2 * i * (2 * i - 1))
+            e = abs(c.numerator).bit_length() - c.denominator.bit_length()
+            m, shift = math.frexp(float(c / Fraction(2) ** e))
+            e += shift
+            if kind == "theta":  # m 2**e overflows from e = 1025 on
+                ratio = math.ldexp(m / previous[1], e - previous[2]) if previous else None
+                rows.append((c, m, e, ratio, math.ldexp(m, e) if e <= 1024 else None))
+            else:
+                ratio = float(c / previous[0]) if previous else float(c)
+                rows.append((c, m, e, ratio, _screen_log(kind, i, m, e)))
+    return rows[j]
+
+
 def _coefficient(kind: str, j: int) -> tuple[Fraction, float, int]:
-    """The exact coefficient c and ``(m, e)`` with ``c = m 2**e``, ``m``
-    rounded once and ``1/2 <= |m| < 1`` (also beyond the double range)."""
-    if kind == "stirling":
-        c = bernoulli_number(2 * j) / (2 * j * (2 * j - 1))
-    elif kind == "gauss":
-        c = bernoulli_half(2 * j) / (2 * j * (2 * j - 1))
-    else:
-        c = abs(bernoulli_half(2 * j)) / (4 * j * (2 * j - 1))
-    e = abs(c.numerator).bit_length() - c.denominator.bit_length()
-    m, shift = math.frexp(float(c / Fraction(2) ** e))
-    return c, m, e + shift
+    """The exact coefficient c and its ``(m, e)``: row j's first columns."""
+    return _row(kind, j)[:3]
 
 
 def term_coefficient(kind: str, j: int) -> Fraction:
@@ -198,12 +228,12 @@ def theta_term(j: int, t: float) -> float:
     t = float(t)
     if not (t > 0.0) or math.isinf(t):
         raise DomainError(f"theta terms require finite t > 0, got {t!r}")
-    coeff, m, e = _coefficient("theta", j)
+    coeff, m, e, _, direct = _row("theta", j)
     p = 2 * j - 1
     try:
         tp = t**p
-        if tp != 0.0 and math.isfinite(tp):
-            return math.ldexp(m, e) / tp
+        if tp != 0.0 and math.isfinite(tp) and direct is not None:
+            return direct / tp
     except OverflowError:
         pass
     log2_size = math.log2(m) + e - p * math.log2(t)
@@ -219,23 +249,8 @@ def theta_term(j: int, t: float) -> float:
     return f
 
 
-#: Per family, ``c_1`` and then ``c_j / c_{j-1}`` for j = 2, 3, ...: each
-#: exact ratio rounded once, grown to the largest k asked for (so never
-#: further into the Bernoulli table than the terms themselves reach).
-_RATIOS = {"stirling": (), "gauss": ()}
 #: Below this modulus ``1.0 / w`` is a plain complex division.
 _DIRECT_INVERSE_MAX = 2.0 ** 1000
-
-
-def _ratios(kind: str, k: int) -> tuple[float, ...]:
-    ratios = _RATIOS[kind]
-    if len(ratios) < k:
-        ratios += tuple(
-            float(_coefficient(kind, j)[0] / (_coefficient(kind, j - 1)[0] if j > 1 else 1))
-            for j in range(len(ratios) + 1, k + 1)
-        )
-        _RATIOS[kind] = ratios
-    return ratios
 
 
 def partial_sum(kind: str, k: int, argument: complex) -> complex:
@@ -271,11 +286,23 @@ def partial_sum(kind: str, k: int, argument: complex) -> complex:
         raise DomainError(f"term count must be a non-negative int, got {k!r}")
     if kind == "theta":
         t = float(argument.real) if isinstance(argument, complex) else float(argument)
-        total = 0.0
-        for j in range(1, k + 1):
-            total += theta_term(j, t)
+        total, cap = 0.0, _bernoulli_mod.MAX_INDEX // 2
+        if k:
+            if not 0.0 < t < math.inf:  # refused before the table grows
+                raise DomainError(f"theta terms require finite t > 0, got {t!r}")
+            _row("theta", min(k, cap))
+        # theta_term's direct path inline (t**p is finite unless it raises)
+        for j, row in enumerate(_ROWS["theta"][1:k + 1], 1):
+            try:
+                tp = t ** (2 * j - 1)
+            except OverflowError:
+                tp = 0.0
+            direct = row[4]
+            total += direct / tp if tp and direct is not None else theta_term(j, t)
             if total == math.inf:
-                break
+                return total
+        if k > cap:
+            theta_term(cap + 1, t)  # refuses the first index past the cap
         return total
     acc = complex(0.0, 0.0)
     if k == 0:
@@ -283,7 +310,9 @@ def partial_sum(kind: str, k: int, argument: complex) -> complex:
     w = complex(argument)
     modulus = math.hypot(w.real, w.imag)
     if modulus >= k:
-        ratios = _ratios(kind, k)
+        rows = _ROWS[kind]
+        if len(rows) <= k:
+            _row(kind, k)
         if modulus < _DIRECT_INVERSE_MAX:
             inv = 1.0 / w
         else:
@@ -291,10 +320,10 @@ def partial_sum(kind: str, k: int, argument: complex) -> complex:
             scaled_inv, s = _inverse_scaled(w)
             inv = _unscale(scaled_inv, -s)
         x = inv * inv
-        term = ratios[0] * inv
+        term = rows[1][3] * inv
         acc += term
-        for ratio in ratios[1:k]:
-            term *= ratio * x
+        for row in rows[2:k + 1]:
+            term *= row[3] * x
             acc += term
         return acc
     scaled = _inverse_scaled(w)
@@ -326,7 +355,8 @@ def k_min(t: float) -> MinTermReport:
     The ratios increase with k, so the scan stops at k <= 999 (the last
     index whose successor the Bernoulli cap admits) iff ``t**2`` is at most
     the k = 999 ratio, ``_LAST_RATIO``; a larger ``t**2`` is refused before
-    the table grows."""
+    the table grows.  The ratios are the theta rows' own column, bisected
+    where grown and scanned on past that."""
     t = float(t)
     if not (t > 0.0) or math.isinf(t):
         raise DomainError(f"k_min requires finite t > 0, got {t!r}")
@@ -336,15 +366,11 @@ def k_min(t: float) -> MinTermReport:
             f"least term of the theta family at t={t} lies beyond the "
             f"Bernoulli cap (scanned to k={_bernoulli_mod.MAX_INDEX // 2})"
         )
-    _, m, e = _coefficient("theta", 1)
-    k = 1
-    while True:
-        _, m_next, e_next = _coefficient("theta", k + 1)
-        if math.ldexp(m_next / m, e_next - e) >= square:
-            break
-        m, e = m_next, e_next
+    rows = _ROWS["theta"]
+    k = bisect_left(rows, square, 2, len(rows), key=itemgetter(3)) - 1
+    while k + 1 >= len(rows) and _row("theta", k + 1)[3] < square:
         k += 1
     t_min = theta_term(k, t)
     if t_min == 0.0:
         t_min = TINY
-    return MinTermReport(t=t, k_min=k, t_min=t_min)
+    return tuple.__new__(MinTermReport, (t, k, t_min))  # not its Python-level __new__

@@ -48,6 +48,10 @@ class ThetaVariant(str, Enum):
     EMPIRICAL = "empirical"
 
 
+#: Each variant by its value, and so by itself (a member hashes as its value).
+_VARIANTS = {variant.value: variant for variant in ThetaVariant}
+
+
 class ThetaResult(namedtuple(
     "ThetaResult",
     "t value radius k_used variant bound_kind flags advisory_correction",
@@ -92,8 +96,8 @@ def eval_theta(
     """
     t = float(t)
     try:
-        variant = ThetaVariant(variant)
-    except ValueError:
+        variant = _VARIANTS[variant]
+    except (KeyError, TypeError):
         raise DomainError(f"unknown theta variant {variant!r}") from None
     auto = k is None or k == "auto"
     if not auto and (type(k) is not int or k < 1):
@@ -154,4 +158,5 @@ def eval_theta(
         # a value or bound past the double range: nothing would be certified
         raise _overflow(k_used, t, value, radius)
 
-    return ThetaResult(t, value, radius, k_used, variant, bound.kind, tuple(flags), advisory)
+    fields = (t, value, radius, k_used, variant, bound.kind, tuple(flags), advisory)
+    return tuple.__new__(ThetaResult, fields)  # not the namedtuple's Python-level __new__

@@ -129,6 +129,17 @@ def test_unattainable_accuracy_exits_with_the_accuracy_code():
     assert json.loads(result.err)["error"]["type"] == "AccuracyError"
 
 
+def test_unattainable_accuracy_left_of_the_axis_exits_with_the_accuracy_code():
+    # the reflection halves the target; below the floor, even to 0.0, the
+    # record quotes the caller's target
+    for accuracy in ("5e-324", "1e-300"):
+        result = run_cli("lngamma", "--re=-2.5", "--im", "1", "--accuracy", accuracy)
+        assert result.code == 3
+        error = json.loads(result.err)["error"]
+        assert error["type"] == "AccuracyError"
+        assert error["message"].startswith(f"target accuracy {float(accuracy):g} ")
+
+
 def test_lngamma_where_the_modulus_overflows_exits_with_the_accuracy_code():
     # |z| overflows in the first two; at 2e305(1 + i) only the main terms' does
     for argv in (

@@ -75,8 +75,8 @@ from gammatheta import bernoulli, bounds, series
 table = bernoulli.shared_table()
 seeded = len(bernoulli.BernoulliTable()._even)
 assert len(table._even) == seeded, "the import grew the Bernoulli table"
-caches = (bounds._screen_log, bounds.eta, series._coefficient)
-filled = [c.__name__ for c in caches if c.cache_info().currsize]
+filled = [kind for kind, rows in series._ROWS.items() if len(rows) > 1]
+filled += ["eta"] if bounds.eta.cache_info().currsize else []
 assert not filled, f"the import built {filled}"
 gammatheta.eval_lngamma(6 + 1j)
 assert len(table._even) - 1 <= 8, len(table._even) - 1

@@ -10,7 +10,7 @@ import pytest
 from conftest import ChargeReference, brackets_exact_product, fp_floor
 
 from gammatheta import AccuracyError, ConsistencyError, DomainError
-from gammatheta import bounds, lngamma
+from gammatheta import bounds, lngamma, series
 from gammatheta.bounds import CK_MAX_K, BoundKind, c_k, eta_fraction
 from gammatheta.fputil import ceil_float, up
 from gammatheta.series import partial_sum, term_coefficient
@@ -356,6 +356,53 @@ def test_the_radius_adds_the_fp_charges_in_order():
             eval_lngamma(z, k=5)
 
 
+def test_a_reflected_target_below_the_floor_is_refused_at_the_callers_value():
+    # The inner call plans -z at half the target, so the caller's threshold
+    # is twice the floor at -z; 5e-324, whose half is 0.0, is refused too.
+    for z in (complex(-2.5, 1.0), complex(-0.3, -40.0), complex(-7e4, 2e-3)):
+        threshold = 2.0 * fp_floor(-z)
+        below = math.nextafter(threshold, 0.0)
+        for accuracy in (5e-324, 1e-300, below):
+            with pytest.raises(AccuracyError) as info:
+                eval_lngamma(z, accuracy=accuracy)
+            assert str(info.value) == (
+                f"target accuracy {accuracy:g} is unattainable (best achievable "
+                f"radius ~{threshold:.3g})"
+            )
+            assert info.value.best_radius == threshold
+        assert eval_lngamma(z, accuracy=threshold).plan == choose_k(-z, threshold / 2.0)
+    with pytest.raises(DomainError, match="must be positive, got -1.0"):
+        eval_lngamma(complex(-2.5, 1.0), accuracy=-1.0)
+
+
+def test_the_rung_is_the_catalog_bound_bit_for_bit():
+    # The certified rung against rigorous_bound at the same k and w: k across
+    # the c_k switch at 100/101, |w| from k to 2**1000, and w where the
+    # value lies at the subnormal edge.
+    rng = random.Random(20261031)
+    subnormal = 0
+    for i in range(3000):
+        family = rng.choice(("stirling", "gauss"))
+        k = rng.choice((rng.randint(1, 999), rng.randint(95, 106), rng.randint(1, 12)))
+        if i % 3 == 0:
+            # log|w| that puts the screen's estimate of the value at 2**-1022 .. 2**-1080
+            log_value = -rng.uniform(1022.0, 1080.0) * math.log(2.0)
+            screen = series._row(family, k)[4]
+            log_w = (screen - log_value) / (2 * k + 1)
+            if not math.log(k) <= log_w < 1000 * math.log(2.0):
+                continue
+        else:
+            log_w = rng.uniform(math.log(k), 1000 * math.log(2.0))
+        w = cmath.rect(math.exp(log_w), rng.uniform(-0.5 * math.pi, 0.5 * math.pi))
+        if abs(w) < k or w.real < 0.0:
+            continue
+        kind, value = bounds._quadratic_rung(family, k, w)
+        catalog = bounds.rigorous_bound(kind, k, w, family)
+        assert (catalog.kind, catalog.value.hex()) == (kind, value.hex()), (family, k, w)
+        subnormal += 0.0 < value < 2.0 ** -1022
+    assert subnormal >= 200, subnormal
+
+
 # -- the screen in choose_k --------------------------------------------------
 # The reference is the exhaustive upward scan the log-space screen replaced:
 # an exact plan at every k, with the quadratic rung written out as the
@@ -497,7 +544,11 @@ def test_the_screen_builds_one_exact_bound_per_call(monkeypatch):
 
 @pytest.mark.parametrize("estimate", [math.inf, -math.inf, math.nan])
 def test_a_non_finite_estimate_is_decided_by_the_exact_bound(monkeypatch, estimate):
-    monkeypatch.setattr(lngamma, "_screen_log", lambda family, k: estimate)
+    # every row's screen column reads the planted estimate
+    for family in ("stirling", "gauss"):
+        series._row(family, lngamma._K_CAP)
+        planted = [None] + [row[:4] + (estimate,) for row in series._ROWS[family][1:]]
+        monkeypatch.setitem(series._ROWS, family, planted)
     for z in screen_points(40, 20261022):
         for family in ("stirling", "gauss"):
             want = outcome(exhaustive_choose_k, z, None, family)

@@ -4,6 +4,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
+import threading
 from fractions import Fraction
 
 import mpmath as mp
@@ -382,7 +383,7 @@ def test_a_refused_height_does_not_grow_the_bernoulli_table(monkeypatch):
     fresh = bernoulli.BernoulliTable()
     seeded = len(fresh._even)
     monkeypatch.setattr(bernoulli, "_SHARED", fresh)
-    series._coefficient.cache_clear()
+    monkeypatch.setitem(series._ROWS, "theta", [None])
     message = r"at t=1000\.0 lies beyond the Bernoulli cap \(scanned to k=1000\)"
     with pytest.raises(ResourceLimitError, match=message):
         k_min(1000.0)
@@ -477,3 +478,95 @@ def test_term_index_validation():
         partial_sum("stirling", True, 3)
     with pytest.raises(ResourceLimitError):
         theta_term(1100, 5.0)
+
+
+def _summed_one_at_a_time(k: int, t: float):
+    """Adding theta_term(j, t) for j = 1..k, stopping at +inf, or the
+    error's type and text."""
+    try:
+        total = 0.0
+        for j in range(1, k + 1):
+            total += theta_term(j, t)
+            if total == math.inf:
+                break
+        return total.hex()
+    except (DomainError, ResourceLimitError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _summed(k: int, t: float):
+    try:
+        return partial_sum("theta", k, t).hex()
+    except (DomainError, ResourceLimitError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_the_theta_sum_is_its_terms_added_one_at_a_time():
+    # auto k and fixed k past k_min up to the cap and beyond it; at t ~ 4.1
+    # the powers t**(2j-1) overflow from j = 200 on, and refused heights
+    # and counts past the cap keep theta_term's errors
+    rng = random.Random(20261031)
+    cases = [(4.1, 200), (4.1, 1000), (4.1, 1001), (0.5, 1001), (300.0, 1001)]
+    cases += [(t, k) for t in (0.0, -1.0, math.inf, math.nan) for k in (0, 1, 5)]
+    for _ in range(150):
+        t = 10.0 ** rng.uniform(-6.0, math.log10(318.0))
+        auto = k_min(t).k_min
+        cases.append((t, auto))
+        if t < 40.0:  # above it the exact rationals make a fixed-k sum slow
+            cases.append((t, rng.randint(auto + 1, 1000)))
+    for t, k in cases:
+        assert _summed(k, t) == _summed_one_at_a_time(k, t), (t, k)
+
+
+def test_k_min_is_the_coefficient_scan_on_a_dense_grid():
+    # the least-term index against a plain scan over _coefficient's ratios:
+    # log-spaced heights up to the cap, and each ratio's edge and its
+    # neighbours a few ulps away
+    ratios = [None]
+    _, m, e = series._coefficient("theta", 1)
+    for k in range(1, MAX_INDEX // 2):
+        _, m_next, e_next = series._coefficient("theta", k + 1)
+        ratios.append(math.ldexp(m_next / m, e_next - e))
+        m, e = m_next, e_next
+    heights = [10.0 ** (-4.0 + 6.5 * i / 3000) for i in range(3001)]
+    for ratio in ratios[1:]:
+        t = math.sqrt(ratio)
+        heights.append(t)
+        for direction in (0.0, math.inf):
+            u = t
+            for _ in range(3):
+                u = math.nextafter(u, direction)
+                heights.append(u)
+    checked = 0
+    for t in heights:
+        square = t * t
+        if square > series._LAST_RATIO:
+            continue
+        scanned = next(k for k in range(1, len(ratios)) if ratios[k] >= square)
+        assert k_min(t).k_min == scanned, t
+        checked += 1
+    assert checked >= 6000, checked
+
+
+def test_threads_growing_one_table_build_the_serial_table(monkeypatch):
+    # four threads ask for different rows of an empty gauss table at once:
+    # it grows to exactly the largest index, row for row the serial build
+    indices = (37, 80, 121, 150)
+    monkeypatch.setitem(series._ROWS, "gauss", [None])
+    start = threading.Barrier(len(indices))
+
+    def grow(j):
+        start.wait()
+        series._row("gauss", j)
+
+    threads = [threading.Thread(target=grow, args=(j,)) for j in indices]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    grown = series._ROWS["gauss"]
+    monkeypatch.setitem(series._ROWS, "gauss", [None])
+    series._row("gauss", max(indices))
+    serial = series._ROWS["gauss"]
+    assert len(grown) == len(serial) == max(indices) + 1
+    assert [repr(row) for row in grown] == [repr(row) for row in serial]
