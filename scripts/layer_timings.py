@@ -53,7 +53,7 @@ def _cases(package) -> dict:
     return {
         "eval_lngamma default (6+1j)": (lambda: lngamma.eval_lngamma(6 + 1j), 1),
         "eval_lngamma reflected (-6-1j)": (lambda: lngamma.eval_lngamma(-6 - 1j), 1),
-        "eval_lngamma reflected, 6 shifts (-2.5+1j)": (
+        "eval_lngamma reflected, 5 shifts (-2.5+1j)": (
             lambda: lngamma.eval_lngamma(-2.5 + 1j), 1),
         "eval_lngamma accuracy=1e-10 (6+1j)": (
             lambda: lngamma.eval_lngamma(6 + 1j, accuracy=1e-10), 1),

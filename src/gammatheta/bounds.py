@@ -90,7 +90,7 @@ from functools import lru_cache
 
 from .bernoulli import _MPMATH_LOCK, bernoulli_number
 from .errors import DomainError
-from .fputil import GUARD, ceil_float, up
+from .fputil import ceil_float, up
 from .series import _row, stirling_term
 
 __all__ = [
@@ -207,16 +207,17 @@ def _times_term(
     is ``inf``."""
     mantissa, exponent = _row(family, k)[1:3]
     x, y = argument.real, argument.imag
-    s = math.frexp(max(abs(x), abs(y)))[1]
+    ax, ay = abs(x), abs(y)
+    s = math.frexp(ay if ay > ax else ax)[1]  # max(ax, ay) without the call, NaN alike
     a = math.hypot(math.ldexp(x, -s), math.ldexp(y, -s))
     if a < _SQRT_HALF:
         a, s = 2.0 * a, s - 1
     p = 2 * k - 1
     fraction, shift = math.frexp(abs(mantissa) / a ** p)
-    g = GUARD  # up(normalized * fraction, _CHAINS), written out
-    guarded = normalized * fraction * g * g * g * g * g * g * g * g * g * g * g * g
     try:
-        value = math.ldexp(guarded, exponent - p * s + shift + scale)
+        value = math.ldexp(
+            up(normalized * fraction, _CHAINS), exponent - p * s + shift + scale
+        )
     except OverflowError:
         return math.inf
     if value < _NORMAL_MIN:
@@ -370,10 +371,28 @@ def _plain_factor(kind: BoundKind, k: int, z: complex) -> float | str:
         az = math.inf
     if k > az:
         return "requires k <= |z|"
+    return _quadratic(k, az, kind is BoundKind.CK_QUADRATIC)
+
+
+def _quadratic(k: int, az: float, ck: bool) -> float:
+    """``c_k (k/|z|)^2``, or ``(k/|z|)^2 / (pi^2 - 1)`` if not ``ck``, rounded
+    up, from ``az = |z|``."""
     ratio = k / az
-    if kind is BoundKind.CK_QUADRATIC:
+    if ck:
         return up(_CK_UP[k - 1] * ratio * ratio, 2)
     return up(ratio * ratio / _PI2M1_DOWN, 2)
+
+
+def _family_value(
+    family: str, k: int, z: complex, factor: float, extra: float = 0.0
+) -> tuple[float, float]:
+    """``(normalized, value)`` of a family's bound from its base's after-k-terms
+    factor: gauss and theta carry eta_k, and ``extra = 1`` gives the
+    before-k-th-term form (triangle inequality)."""
+    if family != "stirling":
+        factor = eta(k) * up(factor, _CHAINS)
+    normalized = up(factor + extra, _CHAINS)
+    return normalized, _times_term(normalized, family, k, z)
 
 
 #: The ladders of the module docstring, strongest first: per family, each
@@ -402,18 +421,10 @@ _LADDERS = {
 def _quadratic_rung(family: str, k: int, w: complex) -> tuple[BoundKind, float]:
     """Kind and value of ``best_bound`` after k terms at w with Re w >= 0 and
     |w| >= k: the ladder's first rung, ``ck-quadratic`` for k <= 100 and
-    ``quadratic`` (``half-quadratic`` for gauss) above, by the products of
-    ``_ladder_bound`` in its order, ``up``'s guards written out."""
-    ratio = k / abs(w)
+    ``quadratic`` (``half-quadratic`` for gauss) above."""
     ck = k <= CK_MAX_K
     kind = _LADDERS[family][BoundKind.CK_QUADRATIC if ck else BoundKind.QUADRATIC]
-    factor = _CK_UP[k - 1] * ratio * ratio if ck else ratio * ratio / _PI2M1_DOWN
-    g = GUARD  # the factor's 2 guards and the normalized value's _CHAINS = 12
-    normalized = factor * g * g * g * g * g * g * g * g * g * g * g * g * g * g
-    if family == "gauss":  # eta_k, then _CHAINS guards more
-        factor = eta(k) * normalized
-        normalized = factor * g * g * g * g * g * g * g * g * g * g * g * g
-    return kind, _times_term(normalized, family, k, w)
+    return kind, _family_value(family, k, w, _quadratic(k, abs(w), ck))[1]
 
 
 def _ladder_bound(
@@ -431,11 +442,8 @@ def _ladder_bound(
     factor = _plain_factor(base, k, z)
     if isinstance(factor, str):
         return _not_applicable(kind, target, factor)
-    if family != "stirling":  # gauss and theta carry eta_k
-        factor = eta(k) * up(factor, _CHAINS)
-    # 1 more gives the before-k-th-term form (triangle inequality)
-    normalized = up(factor + (1.0 if target is Target.R_K else 0.0), _CHAINS)
-    value = _times_term(normalized, family, k, z)
+    extra = 1.0 if target is Target.R_K else 0.0
+    normalized, value = _family_value(family, k, z, factor, extra)
     return _new(BoundResult, (kind, target, value, normalized, True, "", ()))
 
 

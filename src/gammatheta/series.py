@@ -31,11 +31,11 @@ formed and none over- or underflows.
 
 Each family keeps one row table, the one store of what is kept per index,
 grown under a lock to exactly the index asked.  Row j is ``(c_j, m, e,
-ratio, x)``: the exact c_j; ``c_j = m 2**e`` with m rounded once and ``1/2
-<= |m| < 1``; ``partial_sum``'s ratio ``c_j / c_(j-1)`` rounded once (c_1 at
-j = 1), for theta ``k_min``'s ``m_j / m_(j-1) 2**(e_j - e_(j-1))`` (None at
-j = 1); and x, ``choose_k``'s screen log (``bounds._screen_log``), for theta
-``m 2**e`` (None past the double range).
+ratio, screen)``: the exact c_j; ``c_j = m 2**e`` with m rounded once and
+``1/2 <= |m| < 1``; ``partial_sum``'s ratio ``c_j / c_(j-1)`` rounded once
+(c_1 at j = 1), for theta ``k_min``'s ``m_j / m_(j-1) 2**(e_j - e_(j-1))``
+(None at j = 1); and, for stirling and gauss only, ``choose_k``'s screen log
+(``bounds._screen_log``).
 """
 from __future__ import annotations
 
@@ -112,9 +112,9 @@ def _row(kind: str, j: int) -> tuple:
             e = abs(c.numerator).bit_length() - c.denominator.bit_length()
             m, shift = math.frexp(float(c / Fraction(2) ** e))
             e += shift
-            if kind == "theta":  # m 2**e overflows from e = 1025 on
+            if kind == "theta":
                 ratio = math.ldexp(m / previous[1], e - previous[2]) if previous else None
-                rows.append((c, m, e, ratio, math.ldexp(m, e) if e <= 1024 else None))
+                rows.append((c, m, e, ratio))
             else:
                 ratio = float(c / previous[0]) if previous else float(c)
                 rows.append((c, m, e, ratio, _screen_log(kind, i, m, e)))
@@ -228,12 +228,12 @@ def theta_term(j: int, t: float) -> float:
     t = float(t)
     if not (t > 0.0) or math.isinf(t):
         raise DomainError(f"theta terms require finite t > 0, got {t!r}")
-    coeff, m, e, _, direct = _row("theta", j)
+    coeff, m, e, _ = _row("theta", j)
     p = 2 * j - 1
     try:
         tp = t**p
-        if tp != 0.0 and math.isfinite(tp) and direct is not None:
-            return direct / tp
+        if tp != 0.0 and math.isfinite(tp):
+            return math.ldexp(m, e) / tp
     except OverflowError:
         pass
     log2_size = math.log2(m) + e - p * math.log2(t)
@@ -286,23 +286,11 @@ def partial_sum(kind: str, k: int, argument: complex) -> complex:
         raise DomainError(f"term count must be a non-negative int, got {k!r}")
     if kind == "theta":
         t = float(argument.real) if isinstance(argument, complex) else float(argument)
-        total, cap = 0.0, _bernoulli_mod.MAX_INDEX // 2
-        if k:
-            if not 0.0 < t < math.inf:  # refused before the table grows
-                raise DomainError(f"theta terms require finite t > 0, got {t!r}")
-            _row("theta", min(k, cap))
-        # theta_term's direct path inline (t**p is finite unless it raises)
-        for j, row in enumerate(_ROWS["theta"][1:k + 1], 1):
-            try:
-                tp = t ** (2 * j - 1)
-            except OverflowError:
-                tp = 0.0
-            direct = row[4]
-            total += direct / tp if tp and direct is not None else theta_term(j, t)
+        total = 0.0
+        for j in range(1, k + 1):
+            total += theta_term(j, t)
             if total == math.inf:
-                return total
-        if k > cap:
-            theta_term(cap + 1, t)  # refuses the first index past the cap
+                break
         return total
     acc = complex(0.0, 0.0)
     if k == 0:

@@ -134,34 +134,30 @@ def test_a_finite_sum_whose_bound_overflows_is_refused():
 def test_an_overflowing_sum_forms_no_term_past_the_first_infinite_total(monkeypatch):
     # Past the overflow every further theta term is inf; the sum stops at
     # the first infinite total, where the refusal (value and radius inf) is
-    # already decided, so no bound is built.
+    # already decided, so no bound is built and no coefficient past it.
     t, k = 1e-3, 999
+    monkeypatch.setitem(series._ROWS, "theta", [None])  # a fresh table
     total, last = 0.0, 0
     while total < math.inf:
         last += 1
         total += series.theta_term(last, t)
-    formed = []
+    assert len(series._ROWS["theta"]) == last + 1
+    calls, real = [], series.theta_term
 
-    class Row(tuple):
-        # the sum forms term j from row j's double; this records which rows it read
-        def __getitem__(self, i):
-            formed.append(self.j)
-            return tuple.__getitem__(self, i)
+    def counting(j, t):
+        calls.append(j)
+        return real(j, t)
 
     def no_bound(*args):
         raise AssertionError("a bound was built after the sum overflowed")
 
-    rows = [None]
-    series._row("theta", k)
-    for j, row in enumerate(series._ROWS["theta"][1:], 1):
-        rows.append(Row(row))
-        rows[-1].j = j
-    monkeypatch.setitem(series._ROWS, "theta", rows)
+    monkeypatch.setattr(series, "theta_term", counting)
     monkeypatch.setattr("gammatheta.theta.best_bound", no_bound)
     message = r"theta with 999 terms overflows double precision at t=0.001 \(value inf, radius inf\)"
     with pytest.raises(AccuracyError, match=message):
         eval_theta(t, k)
-    assert sorted(set(formed)) == list(range(1, last + 1))
+    assert calls == list(range(1, last + 1))
+    assert len(series._ROWS["theta"]) == last + 1
     assert last < 100
 
 
