@@ -7,9 +7,11 @@ budget.  The slow path (`oracle_*`) is an arbitrary-precision, self-verifying
 reference used to test the fast path and to reproduce the published constant
 tables.
 
-The fast path loads no mpmath.  ``gammatheta.oracle`` is registered lazily:
-its code, and mpmath with it, runs on the first access to one of its
-attributes, and the package serves the oracle's public names from it.
+The fast path loads no mpmath.  ``gammatheta.oracle``, the one module that
+imports it, is registered lazily: its code, and mpmath with it, runs on the
+first access to one of its attributes, and the package serves the oracle's
+public names from it, ``periodic_bernoulli``, ``half_shift_identity_check``
+and ``c_k_string`` among them.
 """
 
 import importlib.util as _util
@@ -22,13 +24,7 @@ from .errors import (
     DomainError,
     ResourceLimitError,
 )
-from .bernoulli import (
-    MAX_INDEX,
-    bernoulli_half,
-    bernoulli_number,
-    half_shift_identity_check,
-    periodic_bernoulli,
-)
+from .bernoulli import MAX_INDEX, bernoulli_half, bernoulli_number
 from .series import (
     MinTermReport,
     gauss_term,
@@ -46,7 +42,6 @@ from .bounds import (
     applicable_bounds,
     best_bound,
     c_k,
-    c_k_string,
     containment_grid,
     eta,
     eta_fraction,
@@ -89,12 +84,15 @@ _ORACLE_NAMES = (
     "ConjectureSample",
     "NormalizedErrorRow",
     "RemainderWitness",
+    "c_k_string",
     "conjecture_grid",
     "conjecture_scan",
+    "half_shift_identity_check",
     "oracle_lngamma",
     "oracle_remainder",
     "oracle_theta",
     "oracle_theta_remainder",
+    "periodic_bernoulli",
     "required_table2_digits",
     "sharpness_ratio",
     "table2_row",
@@ -119,8 +117,6 @@ __all__ = [
     "MAX_INDEX",
     "bernoulli_half",
     "bernoulli_number",
-    "half_shift_identity_check",
-    "periodic_bernoulli",
     "MinTermReport",
     "gauss_term",
     "k_min",
@@ -135,7 +131,6 @@ __all__ = [
     "applicable_bounds",
     "best_bound",
     "c_k",
-    "c_k_string",
     "containment_grid",
     "eta",
     "eta_fraction",

@@ -1,25 +1,19 @@
-"""Exact Bernoulli numbers, Bernoulli polynomials, and periodic extensions.
+"""Exact Bernoulli numbers and the coefficients of Bernoulli polynomials.
 
 The numbers are exact, over integers and ``fractions.Fraction``.  The
 even Bernoulli numbers come from the tangent numbers by the integer
 recurrence of Brent and Harvey ("Fast computation of Bernoulli, tangent and
 secant numbers", 2013), so they need no multiprecision floats.  A polynomial
-is evaluated in the half-argument form ``B_j(1/2 + y)``, a polynomial in
-``y^2``, by an exact integer Horner recursion at the exact binary value of
-its mpf argument, and the result is rounded once, correctly, to the working
-precision, with no fixed point and no Ziv fallback (only the oracle's
-quadrature kernel runs in fixed point).  Only the functions that take or
-return an mpf import mpmath, when called.  mpmath's working precision is
-global to the process, so wherever the package sets it, it holds
-``_MPMATH_LOCK``: such calls run one at a time.
+has one form, the half-argument coefficients of ``B_j(1/2 + y)``, a
+polynomial in ``y^2``, on one denominator.  This module holds no mpmath
+code: the oracle (``gammatheta.oracle``) evaluates ``B_j({u})`` from these
+coefficients by exact integer Horner, rounded once, and its quadrature
+kernel floors them to fixed point.
 Conventions:
 
 * ``bernoulli_number(j)`` takes the *even* index ``j`` and returns ``B_j``,
   so ``bernoulli_number(2) = 1/6`` and ``bernoulli_number(4) = -1/30``.
 * ``bernoulli_half(j)`` returns ``B_j(1/2) = -(1 - 2^(1-j)) * B_j`` exactly.
-* ``periodic_bernoulli(j, u)`` evaluates ``B_j({u})`` with ``{u}`` the
-  fractional part, the kernel of the remainder integrals of the asymptotic
-  expansions.
 
 The even Bernoulli numbers, and each polynomial's coefficients in one
 form, are cached in a grow-on-demand table of exact values with a hard
@@ -39,8 +33,6 @@ __all__ = [
     "BernoulliTable",
     "bernoulli_number",
     "bernoulli_half",
-    "periodic_bernoulli",
-    "half_shift_identity_check",
     "shared_table",
 ]
 
@@ -51,9 +43,6 @@ __all__ = [
 #: run to index 2000.  Past it a term count is a runaway and is refused;
 #: at it the table's last column holds about 1.9 MB of integers.
 MAX_INDEX = 2000
-
-#: The one lock held wherever the package sets mpmath's working precision.
-_MPMATH_LOCK = threading.RLock()
 
 
 def _tangent_step(column: list[int]) -> int:
@@ -82,8 +71,7 @@ class BernoulliTable:
     (:func:`_tangent_step`) index by index, from the last column it kept,
     to exactly m, and sets ``B_{2m} = (-1)^(m-1) 2m T_m / (4^m (4^m - 1))``.
     Reads of already-grown entries take no lock (list reads are atomic);
-    growth is serialized by the table's own lock.  The table sets no
-    mpmath precision, so it never takes the shared ``_MPMATH_LOCK``.
+    growth is serialized by the table's own lock.
     """
 
     def __init__(self) -> None:
@@ -169,72 +157,3 @@ def bernoulli_number(j: int) -> Fraction:
 def bernoulli_half(j: int) -> Fraction:
     """Exact ``B_j(1/2) = -(1 - 2^(1-j)) B_j`` for even ``j``."""
     return _SHARED.half(j)
-
-
-def _eval_dyadic(j: int, num: int, s: int) -> mpf:
-    """``B_j(num / 2**s)``, correctly rounded to the working precision.
-
-    With ``y = num / 2**s - 1/2 = yn / 2**(s+1)`` and the half-argument
-    coefficients ``c_i = a_i / d`` on one denominator, ``B_j(1/2 + y)``
-    is ``sum_i a_i Y^(n-i) 2^(2(s+1)i) / (d 2^(2(s+1)n))`` with
-    ``Y = yn^2`` and ``n = j/2``: one Horner recursion on integers, exact,
-    and a single rounding of the quotient.
-    """
-    from mpmath import mp
-    from mpmath.libmp import from_int, from_man_exp, mpf_div, round_nearest
-
-    numerators, den = _SHARED.half_numerators(j)
-    y2 = (2 * num - (1 << s)) ** 2
-    step = 2 * (s + 1)
-    acc = shift = 0
-    for a in numerators:
-        acc = acc * y2 + (a << shift)
-        shift += step
-    # the power of two goes in the exponent: a shifted denominator would
-    # cost mpmath a bytewise scan of its trailing zeros
-    quotient = mpf_div(from_int(acc), from_man_exp(den, shift - step), mp.prec, round_nearest)
-    return mp.make_mpf(quotient)
-
-
-def periodic_bernoulli(j: int, u) -> mpf:
-    """``B_j({u})`` with ``{u} = u - floor(u)``, for any finite real ``u``
-    (taken as an mpf at working precision), correctly rounded.  ``{u}`` is
-    formed exactly from the mantissa, so arguments near integer boundaries
-    never land in the wrong unit interval."""
-    from mpmath import mp, mpf
-
-    u = mpf(u)
-    if not mp.isfinite(u):
-        raise DomainError(f"periodic_bernoulli argument must be finite, got {u}")
-    sign, man, exp, _ = u._mpf_
-    if exp >= 0:  # an integer
-        man = exp = 0
-    return _eval_dyadic(j, (-man if sign else man) % (1 << -exp), -exp)
-
-
-def half_shift_identity_check(k: int, u, digits: int | None = None) -> bool:
-    """Self-test of the polynomial layer via the half-argument identity
-
-        2^(1-2k) B_{2k}({2u}) - B_{2k}({u}) = B_{2k}({u+1/2})
-
-    for any real ``u``.  Returns whether the residual is below
-    ``10^(5-digits)`` relative to the magnitude of the values involved
-    (the values themselves grow like |B_{2k}|, so a purely absolute test
-    would be vacuous for large k).
-    """
-    from mpmath import mp, mpf
-
-    if type(k) is not int or k < 1:
-        raise DomainError(f"half_shift_identity_check needs an int k >= 1, got {k!r}")
-    with _MPMATH_LOCK:
-        if digits is None:
-            digits = mp.dps
-        magnitude = abs(bernoulli_number(2 * k))
-        extra = max(0, int(mp.log10(magnitude)) + 1) if magnitude > 1 else 0
-        with mp.workdps(digits + 15 + extra):
-            uu = mpf(u)
-            lhs = periodic_bernoulli(2 * k, 2 * uu) / 2 ** (2 * k - 1)
-            lhs -= periodic_bernoulli(2 * k, uu)
-            rhs = periodic_bernoulli(2 * k, uu + mpf(1) / 2)
-            scale = max(mpf(1), abs(lhs), abs(rhs))
-            return bool(abs(lhs - rhs) < scale * mpf(10) ** (5 - digits))

@@ -77,6 +77,11 @@ up to k = 100, (k/|w|)^2 / (pi^2 - 1) |T_k(w)| above, times eta_k for gauss.
 ``_screen_log``), skips k only where it exceeds log eps by a margin of 1e-6,
 far above the estimate's error, and builds the exact rung at the k it
 cannot rule out; so the smallest k that meets eps is never skipped.
+
+The constants c_1 .. c_100 are stored here as doubles rounded up
+(``c_k``).  Their 50-digit computation and decimal print
+(``oracle.c_k_string``, behind the ``table1`` command) live in the oracle,
+so this module holds no mpmath code.
 """
 from __future__ import annotations
 
@@ -88,7 +93,6 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
-from .bernoulli import _MPMATH_LOCK, bernoulli_number
 from .errors import DomainError
 from .fputil import ceil_float, up
 from .series import _row, stirling_term
@@ -101,7 +105,6 @@ __all__ = [
     "eta",
     "eta_fraction",
     "c_k",
-    "c_k_string",
     "rigorous_bound",
     "faulty_theta_bound",
     "best_bound",
@@ -252,7 +255,7 @@ def eta(k: int) -> float:
 CK_MAX_K = 100
 
 #: c_1 .. c_100, each the double just above the exact value of its 50-digit
-#: print in ``_compute_ck`` (a test recomputes every one).
+#: print in ``oracle._compute_ck`` (a test recomputes every one).
 _CK_UP = (
     0.0720950487984711, 0.10396004048581073, 0.1042937853269217, 0.1053035262187288,
     0.10645984220609717, 0.10738388017790125, 0.10808821262442529, 0.10863369726261157,
@@ -281,39 +284,6 @@ _CK_UP = (
     0.1123906156878483, 0.11239421692003582, 0.11239774562063577, 0.11240120395893777,
 )
 
-@lru_cache(maxsize=CK_MAX_K)
-def _compute_ck(k: int) -> Fraction:
-    """c_k as the exact value of its 50-digit print, cached per k:
-    ``sum(|T_(k+j)(k) / T_k(k)| for j = 1..2k)
-    + sqrt(3 k pi) |T_(3k)(k) / T_k(k)|`` with the term ratios taken at the
-    real point ``z = k``, computed at 60 working digits from the exact
-    rational coefficient ratios and nudged up by a relative 1e-45, so the
-    stored value is an upper bound on the true constant that is correct to
-    well over 40 digits.  It holds ``_MPMATH_LOCK``: mpmath's working
-    precision is global.
-    """
-    from mpmath import mp
-
-    with _MPMATH_LOCK, mp.workdps(60):
-        b2k = bernoulli_number(2 * k)
-        base = abs(mp.mpf(b2k.numerator)) / mp.mpf(b2k.denominator)
-        base /= 2 * k * (2 * k - 1)
-        kk = mp.mpf(k)
-        total = mp.mpf(0)
-        ratio_3k = None
-        for j in range(1, 2 * k + 1):
-            m = k + j
-            b2m = bernoulli_number(2 * m)
-            num = abs(mp.mpf(b2m.numerator)) / mp.mpf(b2m.denominator)
-            num /= 2 * m * (2 * m - 1)
-            ratio = (num / base) / kk ** (2 * j)
-            total += ratio
-            if m == 3 * k:
-                ratio_3k = ratio
-        total += mp.sqrt(3 * k * mp.pi) * ratio_3k
-        stored = total * (1 + mp.mpf(10) ** -45)
-        return Fraction(mp.nstr(stored, 50, strip_zeros=False))
-
 
 def _check_ck_index(k: int) -> None:
     _check_k(k)
@@ -327,18 +297,6 @@ def c_k(k: int) -> float:
     """Upper bound on the k-th quadratic-bound constant (k <= 100)."""
     _check_ck_index(k)
     return _CK_UP[k - 1]
-
-
-def c_k_string(k: int, decimals: int = 6) -> str:
-    """``c_k`` rounded up at ``decimals`` places (1 to 100), as a decimal string."""
-    _check_ck_index(k)
-    if type(decimals) is not int or not 1 <= decimals <= 100:
-        raise DomainError(f"c_k decimals must be an int in [1, 100], got {decimals!r}")
-    fr = _compute_ck(k)
-    scale = 10**decimals
-    units = -((-fr.numerator * scale) // fr.denominator)
-    whole, frac = divmod(units, scale)
-    return f"{whole}.{frac:0{decimals}d}"
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ import signal
 import sys
 from decimal import ROUND_HALF_EVEN, Decimal
 
-from .bounds import CONTAINMENT_T, Target, best_bound, c_k_string, containment_grid
+from .bounds import CONTAINMENT_T, Target, best_bound, containment_grid
 from .errors import (
     AccuracyError,
     ConsistencyError,
@@ -87,12 +87,11 @@ _JSON_KWARGS = {"sort_keys": True, "separators": (",", ":")}
 class Emitter:
     """Writes uniform data records to stdout in the selected format."""
 
-    def __init__(self, fmt: str, stream=None):
+    def __init__(self, fmt: str):
         self.fmt = fmt
-        self.stream = stream if stream is not None else sys.stdout
         self._header: list[str] | None = None
         self._csv = (
-            csv.writer(self.stream, lineterminator="\r\n")
+            csv.writer(sys.stdout, lineterminator="\r\n")
             if fmt == "csv"
             else None
         )
@@ -107,7 +106,7 @@ class Emitter:
                 "outputs": outputs,
                 "flags": flags,
             }
-            self.stream.write(json.dumps(record, **_JSON_KWARGS) + "\n")
+            sys.stdout.write(json.dumps(record, **_JSON_KWARGS) + "\n")
         else:
             fields = list(outputs) + ["flags"]
             if self._header is None:
@@ -238,6 +237,8 @@ def cmd_theta(ns, emitter: Emitter) -> None:
 
 
 def cmd_table1(ns, emitter: Emitter) -> None:
+    from .oracle import c_k_string
+
     kmax = ns.kmax
     decimals = ns.digits if ns.digits is not None else 6
     if kmax < 1 or kmax > 100:

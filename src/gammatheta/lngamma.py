@@ -84,12 +84,10 @@ def _shift(z: complex, modulus: float) -> tuple[complex, int]:
 
 
 def _plan(z: complex, k: int, family: str) -> TruncationPlan:
-    """Shift ``z`` until ``|w| >= max(k, 1)`` and bound the remainder there,
-    at the very ``w`` the evaluation sums at: by the ladder's first rung, or
-    left of the axis by ``best_bound``'s refusal."""
+    """Shift ``z`` (Re z >= 0) until ``|w| >= max(k, 1)`` and bound the
+    remainder by the ladder's first rung at the very ``w`` the evaluation
+    sums at."""
     w, shifts = _shift(z, float(k))
-    if w.real < 0.0:
-        best_bound(k, w, family, Target.R_KP1)
     return _new(TruncationPlan, (k, shifts) + _quadratic_rung(family, k, w))
 
 
@@ -244,7 +242,7 @@ def choose_k(z: complex, eps: float | None, context: str = "stirling") -> Trunca
         screen = rows[k][4] if k < len(rows) else _row(context, k)[4]
         if limit < screen - (2 * k + 1) * log_w < inf and right:
             continue
-        if not right:  # best_bound refuses there, as in _plan
+        if not right:  # best_bound refuses there
             best_bound(k, w, context, Target.R_KP1)
         kind, bound = _quadratic_rung(context, k, w)
         if bound <= eps:

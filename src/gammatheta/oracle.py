@@ -26,25 +26,34 @@ Everything the fast certified path is tested against lives here:
   of the remainder: its real part is exactly ``-(1/2) log(1 - e^{-2 pi y})``
   (from ``|Gamma(iy)|^2 = pi / (y sinh(pi y))``), an exponentially small
   term that no truncation of the series reaches.
+* ``periodic_bernoulli`` / ``half_shift_identity_check`` — ``B_j({u})``, the
+  kernel of the remainder integrals, correctly rounded, and its self-test.
+* ``c_k_string`` — the quadratic-bound constant c_k rounded up at a given
+  number of decimals, from its 50-digit print (``_compute_ck``); the fast
+  path reads only the doubles ``bounds.c_k`` stores.
 
 All working precisions carry explicit guard digits; results are rounded to
 the requested digit count on return.  Caches are keyed by exact binary
-values and precision, so repeated calls are deterministic.  Every public
-entry holds ``bernoulli._MPMATH_LOCK`` for the whole call (``conjecture_scan``
-for each sample), since mpmath's precision is global: calls are serialized.
+values and precision, so repeated calls are deterministic.  This is the
+package's one module that imports mpmath.  mpmath's working precision is
+global to the process, so every public entry holds ``_MPMATH_LOCK`` for the
+whole call (``conjecture_scan`` for each sample): calls are serialized.
 """
 from __future__ import annotations
 
 import functools
 import math
+import threading
 from collections import namedtuple
+from fractions import Fraction
 
 import mpmath as mp
 from mpmath import mpc, mpf
+from mpmath.libmp import from_int, from_man_exp, mpf_div, round_nearest
 
 from . import bernoulli as _bernoulli_mod
-from .bernoulli import _MPMATH_LOCK, shared_table
-from .bounds import eta_fraction
+from .bernoulli import bernoulli_number, shared_table
+from .bounds import CK_MAX_K, _check_ck_index, eta_fraction
 from .errors import ConsistencyError, DomainError, ResourceLimitError
 from .series import EMPIRICAL_CONSTANT, _coefficient, k_min, term_coefficient
 
@@ -64,6 +73,9 @@ __all__ = [
     "ConjectureSample",
     "conjecture_grid",
     "conjecture_scan",
+    "periodic_bernoulli",
+    "half_shift_identity_check",
+    "c_k_string",
     "clear_caches",
     "stats",
 ]
@@ -110,6 +122,9 @@ _coeff_cache: dict[tuple[str, int, int], mpf] = {}
 _ratio_cache: dict[tuple[str, int], list[int]] = {}
 _nodes_cache: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
 _lngamma_cache: dict[tuple[object, object, int], mpc] = {}
+
+#: The one lock held wherever the package sets mpmath's working precision.
+_MPMATH_LOCK = threading.RLock()
 
 #: Work counters since the last :func:`clear_caches`; ``deepest_level`` is a
 #: maximum, the others are totals.
@@ -928,10 +943,13 @@ def oracle_theta(t, digits: int = 30) -> mpf:
 
     Computed from Im lngamma(1/2 + it) (:func:`oracle_lngamma`) as
     Im lngamma(1/2 + it)/2 - (t/2) log(2 pi) - pi/8 + arctan(e^(-pi t))/2.
+    For t < 1, -pi/8 + arctan(e^(-pi t))/2 cancels from O(1) to O(t), so
+    the sum takes ceil(-log10 t) more working digits.
     """
     digits = _check_digits(digits)
     tf = _height(t, "theta oracle")
-    with mp.workdps(digits + 15):
+    extra = math.ceil(-math.log10(tf)) if tf < 1.0 else 0
+    with mp.workdps(digits + 15 + extra):
         tt = mpf(tf)
         lg = oracle_lngamma(mpc(mpf("0.5"), tt), min(digits + 8, MAX_DIGITS))
         value = (
@@ -1138,3 +1156,107 @@ def conjecture_scan(k_max: int = 40, digits: int = 20):
             violation=ratio > 1.0,
             status="proven" if k >= 34 else "conjectured",
         )
+
+
+# ---------------------------------------------------------------------------
+# Bernoulli polynomials and the c_k constants
+# ---------------------------------------------------------------------------
+
+
+def _eval_dyadic(j: int, num: int, s: int) -> mpf:
+    """``B_j(num / 2**s)``, correctly rounded to the working precision.
+
+    With ``y = num / 2**s - 1/2 = yn / 2**(s+1)`` and the half-argument
+    coefficients ``c_i = a_i / d`` on one denominator, ``B_j(1/2 + y)``
+    is ``sum_i a_i Y^(n-i) 2^(2(s+1)i) / (d 2^(2(s+1)n))`` with
+    ``Y = yn^2`` and ``n = j/2``: one Horner recursion on integers, exact,
+    and a single rounding of the quotient.
+    """
+    numerators, den = shared_table().half_numerators(j)
+    y2 = (2 * num - (1 << s)) ** 2
+    step = 2 * (s + 1)
+    acc = shift = 0
+    for a in numerators:
+        acc = acc * y2 + (a << shift)
+        shift += step
+    # the power of two goes in the exponent: a shifted denominator would
+    # cost mpmath a bytewise scan of its trailing zeros
+    quotient = mpf_div(from_int(acc), from_man_exp(den, shift - step), mp.mp.prec, round_nearest)
+    return mp.make_mpf(quotient)
+
+
+@_serialized
+def periodic_bernoulli(j: int, u) -> mpf:
+    """``B_j({u})`` with ``{u} = u - floor(u)``, for any finite real ``u``
+    (taken as an mpf at working precision), correctly rounded.  ``{u}`` is
+    formed exactly from the mantissa, so arguments near integer boundaries
+    never land in the wrong unit interval."""
+    u = mpf(u)
+    if not mp.isfinite(u):
+        raise DomainError(f"periodic_bernoulli argument must be finite, got {u}")
+    sign, man, exp, _ = u._mpf_
+    if exp >= 0:  # an integer
+        man = exp = 0
+    return _eval_dyadic(j, (-man if sign else man) % (1 << -exp), -exp)
+
+
+@_serialized
+def half_shift_identity_check(k: int, u, digits: int | None = None) -> bool:
+    """Self-test of the polynomial layer via the half-argument identity
+
+        2^(1-2k) B_{2k}({2u}) - B_{2k}({u}) = B_{2k}({u+1/2})
+
+    for any real ``u``.  Returns whether the residual is below
+    ``10^(5-digits)`` relative to the magnitude of the values involved
+    (the values themselves grow like |B_{2k}|, so a purely absolute test
+    would be vacuous for large k).
+    """
+    if type(k) is not int or k < 1:
+        raise DomainError(f"half_shift_identity_check needs an int k >= 1, got {k!r}")
+    if digits is None:
+        digits = mp.mp.dps
+    magnitude = abs(bernoulli_number(2 * k))
+    extra = max(0, int(mp.log10(magnitude)) + 1) if magnitude > 1 else 0
+    with mp.workdps(digits + 15 + extra):
+        uu = mpf(u)
+        lhs = periodic_bernoulli(2 * k, 2 * uu) / 2 ** (2 * k - 1)
+        lhs -= periodic_bernoulli(2 * k, uu)
+        rhs = periodic_bernoulli(2 * k, uu + mpf(1) / 2)
+        scale = max(mpf(1), abs(lhs), abs(rhs))
+        return bool(abs(lhs - rhs) < scale * mpf(10) ** (5 - digits))
+
+
+@functools.lru_cache(maxsize=CK_MAX_K)
+@_serialized
+def _compute_ck(k: int) -> Fraction:
+    """c_k as the exact value of its 50-digit print, cached per k:
+    ``sum(|T_(k+j)(k) / T_k(k)| for j = 1..2k)
+    + sqrt(3 k pi) |T_(3k)(k) / T_k(k)|`` with the term ratios taken at the
+    real point ``z = k``, computed at 60 working digits from the stirling
+    coefficients (:func:`_coeff`) and nudged up by a relative 1e-45, so the
+    stored value is an upper bound on the true constant that is correct to
+    well over 40 digits.
+    """
+    with mp.workdps(60):
+        base = abs(_coeff("stirling", k))
+        kk = mpf(k)
+        total = mpf(0)
+        for j in range(1, 2 * k + 1):
+            ratio = (abs(_coeff("stirling", k + j)) / base) / kk ** (2 * j)
+            total += ratio
+        total += mp.sqrt(3 * k * mp.pi) * ratio  # the last ratio: T_(3k)
+        stored = total * (1 + mpf(10) ** -45)
+        return Fraction(mp.nstr(stored, 50, strip_zeros=False))
+
+
+@_serialized
+def c_k_string(k: int, decimals: int = 6) -> str:
+    """``c_k`` rounded up at ``decimals`` places (1 to 100), as a decimal string."""
+    _check_ck_index(k)
+    if type(decimals) is not int or not 1 <= decimals <= 100:
+        raise DomainError(f"c_k decimals must be an int in [1, 100], got {decimals!r}")
+    fr = _compute_ck(k)
+    scale = 10**decimals
+    units = -((-fr.numerator * scale) // fr.denominator)
+    whole, frac = divmod(units, scale)
+    return f"{whole}.{frac:0{decimals}d}"

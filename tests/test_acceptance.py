@@ -26,6 +26,7 @@ from gammatheta.bounds import (
 from gammatheta.lngamma import eval_lngamma, eval_lngamma_half
 from gammatheta.oracle import (
     conjecture_scan,
+    half_shift_identity_check,
     oracle_lngamma,
     oracle_theta,
     oracle_theta_remainder,
@@ -36,7 +37,6 @@ from gammatheta.oracle import (
 )
 from gammatheta.series import k_min
 from gammatheta.theta import ThetaVariant, eval_theta
-from gammatheta.bernoulli import half_shift_identity_check
 
 from conftest import run_cli
 

@@ -17,10 +17,9 @@ from gammatheta.bernoulli import (
     BernoulliTable,
     bernoulli_half,
     bernoulli_number,
-    half_shift_identity_check,
-    periodic_bernoulli,
     shared_table,
 )
+from gammatheta.oracle import half_shift_identity_check, periodic_bernoulli
 
 
 def recurrence_identity_check(upto_m: int) -> bool:

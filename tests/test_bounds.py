@@ -15,14 +15,12 @@ from gammatheta import DomainError, bounds
 from gammatheta.bounds import (
     CK_MAX_K,
     CONTAINMENT_T,
-    _compute_ck,
     _gamma_ratio,
     BoundKind,
     Target,
     applicable_bounds,
     best_bound,
     c_k,
-    c_k_string,
     containment_grid,
     eta,
     eta_fraction,
@@ -30,6 +28,7 @@ from gammatheta.bounds import (
     rigorous_bound,
 )
 from gammatheta.fputil import ceil_float, up
+from gammatheta.oracle import _compute_ck, c_k_string
 from gammatheta.series import stirling_term, term_coefficient, theta_term
 
 

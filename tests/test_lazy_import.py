@@ -2,12 +2,14 @@
 mpmath, the oracle nor the heavy standard modules, every name in the
 package's and each module's ``__all__`` resolves, a cold least-term scan
 grows the Bernoulli table once, and the import builds no table or cached
-constant (every CLI record pays for the import).
+constant (every CLI record pays for the import).  A scan of the source
+checks that only the oracle imports mpmath or takes its lock.
 
 The test process itself has all of these loaded and its table grown.
 """
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
@@ -32,6 +34,7 @@ for argv in records:
     with contextlib.redirect_stdout(io.StringIO()) as out:
         assert cli.main(argv) == 0, argv
     assert out.getvalue().count("\n") == 1, argv
+assert gammatheta.c_k(5) > 0.1
 heavy = {"dataclasses", "inspect", "typing", "mpmath"}
 loaded = sorted(heavy & (set(sys.modules) - preloaded))
 assert not loaded, f"the certified path loaded {loaded}"
@@ -93,6 +96,44 @@ def _run_fresh(script: str) -> None:
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "ok"
+
+
+def _mpmath_uses(tree: ast.Module):
+    """(enclosing function, line, what) for each import of mpmath and each
+    definition or use of ``_MPMATH_LOCK`` in a module's tree."""
+    def walk(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else where
+            names = []
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                names = [child.module or ""] + [alias.name for alias in child.names]
+            elif isinstance(child, ast.Name):
+                names = [child.id]
+            elif isinstance(child, ast.Attribute):
+                names = [child.attr]
+            for name in names:
+                if name == "_MPMATH_LOCK" or name.split(".")[0] == "mpmath":
+                    yield where, child.lineno, name
+            yield from walk(child, inner)
+    return list(walk(tree, None))
+
+
+def test_only_the_oracle_imports_mpmath_or_takes_its_lock():
+    # cli._mpf_str formats an mpf the oracle returned and sets no precision.
+    allowed = {("cli.py", "_mpf_str", "mpmath")}
+    package = Path(gammatheta.__file__).resolve().parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [(path.name, where, line, name) for where, line, name in _mpmath_uses(tree)]
+    assert any(entry[0] == "oracle.py" for entry in found)
+    stray = [
+        entry for entry in found
+        if entry[0] != "oracle.py" and (entry[0], entry[1], entry[3]) not in allowed
+    ]
+    assert not stray, stray
 
 
 def test_certified_path_runs_without_mpmath_and_the_oracle_loads_on_use():

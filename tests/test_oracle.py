@@ -11,7 +11,6 @@ import mpmath as mp
 import pytest
 
 from gammatheta import ConsistencyError, DomainError, ResourceLimitError
-from gammatheta.bernoulli import periodic_bernoulli
 from gammatheta.bounds import BoundKind, rigorous_bound
 from gammatheta.oracle import (
     MAX_DIGITS,
@@ -24,6 +23,7 @@ from gammatheta.oracle import (
     oracle_remainder,
     oracle_theta,
     oracle_theta_remainder,
+    periodic_bernoulli,
     required_table2_digits,
     sharpness_ratio,
     stats,
@@ -615,6 +615,18 @@ def test_theta_matches_mpmath_siegeltheta_from_0_01_to_300():
         with mp.workdps(40):
             want = mp.siegeltheta(mp.mpf(t))
             assert abs(got - want) <= mp.mpf(10) ** -28 * (abs(want) + 1), t
+
+
+@pytest.mark.parametrize("digits", [15, 30])
+def test_theta_keeps_its_relative_digits_at_small_t(digits):
+    # theta(t) is O(t) as t -> 0, while -pi/8 + arctan(e^(-pi t))/2 cancels
+    # from O(1): without extra working digits the value lost all of its
+    # digits at t = 1e-300.
+    for t in (1e-300, 1e-100, 1e-20, 1e-8, 1e-3):
+        got = oracle_theta(t, digits)
+        with mp.workdps(digits + 20):
+            want = mp.siegeltheta(mp.mpf(t))
+            assert abs(got - want) <= mp.mpf(10) ** (1 - digits) * abs(want), t
 
 
 def test_theta_requires_positive_finite_t():
